@@ -131,6 +131,14 @@ def perturbation_study(params, deltas, N: int, ctx, seed_x0=None) -> list:
     return reports
 
 
+def _rel_dev(value, ref, mp):
+    """|value - ref| / |ref|; against a zero reference 0 if equal, else inf."""
+    d = abs(value - ref)
+    if ref != 0:
+        return d / abs(ref)
+    return mp.mpf(0) if d == 0 else mp.inf
+
+
 def precision_study(params, digit_levels, N: int) -> list:
     """Re-run the recursion at several decimal-digit levels against one
     high-precision reference; report where each level falls off.
@@ -165,9 +173,8 @@ def precision_study(params, digit_levels, N: int) -> list:
         xy = iterate(params, N, run_ctx)
         div = None
         for n in range(len(xy.x)):
-            rx = abs(ref_ctx.real(xy.x[n]) - ref.x[n]) / abs(ref.x[n])
-            dy = abs(ref_ctx.real(xy.y[n]) - ref.y[n])
-            ry = dy / abs(ref.y[n]) if ref.y[n] != 0 else (mpr.mpf(0) if dy == 0 else mpr.inf)
+            rx = _rel_dev(ref_ctx.real(xy.x[n]), ref.x[n], mpr)
+            ry = _rel_dev(ref_ctx.real(xy.y[n]), ref.y[n], mpr)
             if rx > tol or ry > tol:
                 div = n
                 break

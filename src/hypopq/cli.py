@@ -330,13 +330,10 @@ def _cmd_verify(cfg):
     if "toda" in suites:
         h = _step_value(cfg)
         extra["h"] = ctx.to_decimal(h)
-        by_n = {}
-        # descending so the largest run lands in the node cache first
-        for n in range(cfg.nmax, -1, -1):
-            by_n[n] = toda_residuals(cfg.params, n, h, cfg.options["source"], ctx)
+        src = cfg.options["source"]
         for n in range(cfg.nmax + 1):
-            entries.extend(by_n[n].entries)
-        extra["source"] = cfg.options["source"].value
+            entries.extend(toda_residuals(cfg.params, n, h, src, ctx).entries)
+        extra["source"] = src.value
     records = [{"name": e.name, "n": e.n, "residual": e.value} for e in entries]
     maxres = max((e.value for e in entries), default=ctx.mp.mpf(0))
     extra["max_residual"] = ctx.to_decimal(maxres)

@@ -8,7 +8,11 @@ combination collapses to the constant -gamma.
 
 All d/dc derivatives are realized with fourth-order central stencils; the
 sequence data needed at each stencil node is cached per (parameters, node,
-bits, source), which is sound because every producer is prefix-stable.
+precision context, source), which is sound because every producer is
+prefix-stable.  Below that, the seed sums m_0, m_1 of the moment oracle are
+memoized per (parameters, context) in ``weights``, so regrowing a node to a
+larger N, a Riccati stencil and an ``ITERATE`` seed reuse them;
+``clear_cache()`` resets both caches.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from .errors import InvalidParam
 from .numerics import central_derivative
 from .oracle import coeffs_from_xy, coeffs_oracle, xy_from_coeffs
 from .reporting import ResidualReport, normalized_residual
-from .weights import Lattice, Params, initial_xy
+from .weights import Lattice, Params, _seed_sums, initial_xy
 
 
 class Source(enum.Enum):
@@ -81,8 +85,10 @@ _NODE_LOCK = threading.Lock()
 
 
 def clear_cache():
+    """Empty the node cache and the seed-sum memo of ``weights``."""
     with _NODE_LOCK:
         _NODE_CACHE.clear()
+    _seed_sums.cache_clear()
 
 
 def _sequences_at(params, c_eval, N, source, ctx):
@@ -93,7 +99,7 @@ def _sequences_at(params, c_eval, N, source, ctx):
     the difference recursion are all prefix-stable in N.
     """
     node = _node_params(params, c_eval)
-    key = (node.key(), ctx.bits, source)
+    key = (node.key(), ctx, source)
     with _NODE_LOCK:
         data = _NODE_CACHE.get(key)
     if data is None or data.N < N:

@@ -13,7 +13,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 
 from mpmath.libmp import (
     fone,
@@ -216,12 +216,55 @@ def _raw(q, prec):
     return from_rational(q.numerator, q.denominator, prec, _RND)
 
 
+# Bound of the seed-sum memo, in (params, context) pairs.  One Toda sweep or
+# stencil touches 5-7 nodes at two precisions.
+_SEED_MEMO_SIZE = 256
+
+
+@lru_cache(maxsize=_SEED_MEMO_SIZE)
+def _seed_sums(params, ctx):
+    """Raw ``(m_0, m_1)`` at ``bits + guard_bits``: the lattice series of
+    ``w_k`` and ``k w_k``, summed in one pass, each stopping under the
+    sum_series rule (or ``NonConvergent``).
+
+    Each weight follows from the last by one exact integer ratio: with
+    ``alpha = pa/qa`` and likewise for beta, gamma and c,
+    ``w_{k+1} = w_k num_k / den_k``, ``num_k = (pa + k qa)(pb + k qb) pc qg``,
+    ``den_k = (pg + k qg)(k+1) qc qa qb``, so two roundings per term.
+    ``num_k`` is symmetric in alpha and beta, so the sums are bit-identical
+    under the swap.  Memoized per standard-lattice params and whole context;
+    ``toda_sigma.clear_cache`` empties the memo.
+    """
+    prec = ctx.bits + ctx.guard_bits
+    p = params
+    (pa, qa), (pb, qb), (pg, qg), (pc, qc) = (
+        (q.numerator, q.denominator) for q in (p.alpha, p.beta, p.gamma, p.c)
+    )
+    num_c, den_c = pc * qg, qc * qa * qb
+    eps = from_man_exp(1, -prec)
+    cap = _effective_cap(p.c, ctx)
+    moms, consec = [fzero, fzero], [0, 0]
+    w, k = fone, 0
+    while min(consec) < 3:
+        if k >= cap:
+            raise NonConvergent(f"moment series exceeded {cap} terms")
+        for n, t in enumerate((w, mpf_mul_int(w, k, prec, _RND))):
+            if consec[n] < 3:
+                moms[n] = s = mpf_add(moms[n], t, prec, _RND)
+                tiny = mpf_le(mpf_abs(t), mpf_mul(eps, mpf_abs(s), prec, _RND))
+                consec[n] = consec[n] + 1 if tiny else 0
+        num = (pa + k * qa) * (pb + k * qb) * num_c
+        den = (pg + k * qg) * (k + 1) * den_c
+        w = mpf_div(mpf_mul_int(w, num, prec, _RND), from_int(den), prec, _RND)
+        k += 1
+    return moms[0], moms[1]
+
+
 def _moment_batch_raw(params, count, ctx):
     """Moments ``m_0 .. m_{count-1}`` as raw mpfs at ``bits + guard_bits`` or more.
 
-    ``m_0`` and ``m_1`` are lattice series summed in one pass, each stopping
-    under the sum_series rule (or ``NonConvergent``).  The rest follow from
-    the Pearson relation ``w_{k+1} (gamma+k)(k+1) = c (alpha+k)(beta+k) w_k``
+    ``m_0`` and ``m_1`` come from :func:`_seed_sums` (memoized).  The rest
+    follow from the Pearson relation ``w_{k+1} (gamma+k)(k+1) = c (alpha+k)(beta+k) w_k``
     summed against ``(k+1)^n``: with ``U_i = m_{i+2} + (alpha+beta) m_{i+1}
     + alpha beta m_i``, ``m_{n+2} + (gamma-1) m_{n+1} = c sum_{i<=n} C(n,i) U_i``.
 
@@ -235,24 +278,7 @@ def _moment_batch_raw(params, count, ctx):
     """
     prec = ctx.bits + ctx.guard_bits
     p = params
-    a, b, g, c = (_raw(q, prec) for q in (p.alpha, p.beta, p.gamma, p.c))
-    eps = from_man_exp(1, -prec)
-    cap = _effective_cap(p.c, ctx)
-    moms, consec = [fzero, fzero], [0, 0]
-    w, k = fone, 0
-    while min(consec) < 3:
-        if k >= cap:
-            raise NonConvergent(f"moment series exceeded {cap} terms")
-        for n, t in enumerate((w, mpf_mul_int(w, k, prec, _RND))):
-            if consec[n] < 3:
-                moms[n] = s = mpf_add(moms[n], t, prec, _RND)
-                tiny = mpf_le(mpf_abs(t), mpf_mul(eps, mpf_abs(s), prec, _RND))
-                consec[n] = consec[n] + 1 if tiny else 0
-        kf = from_int(k)
-        ab = mpf_mul(mpf_add(a, kf, prec, _RND), mpf_add(b, kf, prec, _RND), prec, _RND)
-        den = mpf_mul_int(mpf_add(g, kf, prec, _RND), k + 1, prec, _RND)
-        w = mpf_mul(w, mpf_div(mpf_mul(ab, c, prec, _RND), den, prec, _RND), prec, _RND)
-        k += 1
+    moms = list(_seed_sums(p, ctx))
     add = partial(mpf_add, prec=prec, rnd=_RND)
     mul = partial(mpf_mul, prec=prec, rnd=_RND)
     ab_sum, ab_prod = _raw(p.alpha + p.beta, prec), _raw(p.alpha * p.beta, prec)

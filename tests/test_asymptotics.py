@@ -88,6 +88,18 @@ def test_precision_study():
     assert r25.divergence_index is None
 
 
+def test_precision_study_zero_x():
+    # x_0 is exactly 0 here; the relative deviation of x_0 must not divide by it
+    p = H.Params(F(2), F(1, 3), F(1), F(3, 4))
+    reports = precision_study(p, [10, 20, 50], 120)
+    assert [r.divergence_index for r in reports] == [18, 83, None]
+    assert [r.notes for r in reports] == [
+        "singular step at n=18",
+        "singular step at n=83",
+        "",
+    ]
+
+
 def test_precision_study_validation():
     p = asym_params()
     with pytest.raises(InvalidParam):

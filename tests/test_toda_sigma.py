@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 import hypopq as H
-from hypopq.errors import DomainExceeded, InvalidParam
+from hypopq.errors import DomainExceeded, InvalidParam, NonConvergent
 from hypopq.oracle import coeffs_oracle, xy_from_coeffs
 from hypopq.toda_sigma import (
     Source,
@@ -27,7 +27,7 @@ from hypopq.toda_sigma import (
     sigma_value,
     toda_residuals,
 )
-from hypopq.weights import Lattice
+from hypopq.weights import Lattice, _seed_sums
 
 from conftest import asym_params, meixner_params, sym_params
 
@@ -221,6 +221,36 @@ def test_node_cache_is_transparent(ctx128):
         assert [e.value._mpf_ for e in a.entries] == [
             e.value._mpf_ for e in b.entries
         ]
+
+
+def test_node_cache_keys_whole_context(ctx128):
+    # a context that differs only in its series cap must not be served data
+    # computed under another context
+    p = asym_params()
+    h = ctx128.mp.ldexp(1, -16)
+    capped = H.PrecisionCtx(128, series_max_terms=50)
+    clear_cache()
+    with pytest.raises(NonConvergent):
+        toda_residuals(p, 1, h, Source.ORACLE, capped)
+    toda_residuals(p, 1, h, Source.ORACLE, ctx128)
+    with pytest.raises(NonConvergent):
+        toda_residuals(p, 1, h, Source.ORACLE, capped)
+
+
+def test_seed_sums_once_per_node_and_precision(ctx512):
+    # criterion 05's calls: 7 distinct nodes (c, c +- h/2, c +- h, c +- 2h),
+    # each summed at 512 and 1024 bits, however often a node regrows
+    p = asym_params()
+    h = F(2) ** -40
+    clear_cache()
+    for n in range(11):
+        toda_residuals(p, n, h, Source.ORACLE, ctx512)
+    toda_residuals(p, 2, h / 2, Source.ORACLE, ctx512)
+    assert _seed_sums.cache_info().misses == 14
+    riccati_constant(p, h, ctx512)  # initial_xy at the same nodes
+    assert _seed_sums.cache_info().misses == 14
+    clear_cache()
+    assert _seed_sums.cache_info().currsize == 0
 
 
 def test_cache_thread_smoke(ctx128):
