@@ -3,8 +3,9 @@ discrete orthogonal polynomials, with numerical verification of the
 nonlinear difference system, the Toda-type deformation flow, the sigma-form
 ODE, the Riccati seed relation, and the large-n limit conjectures.
 
-Two independent pipelines produce the same sequences: a moment-determinant
-oracle (slow, self-checking) and the difference recursion (fast, fragile).
+Two independent pipelines produce the same sequences: a moment oracle
+(Chebyshev algorithm on the power moments, certified by precision doubling)
+and the difference recursion (fast, fragile).
 Everything else in the package measures how well they agree with each
 other and with the identities they are supposed to satisfy.
 """
@@ -22,7 +23,6 @@ from .errors import (
     PoleHit,
     PrecisionExhausted,
     SingularStep,
-    SingularToPrecision,
     StepTooSmall,
 )
 from .numerics import (
@@ -31,7 +31,6 @@ from .numerics import (
     central_derivative,
     default_step,
     digits_for_bits,
-    sum_series,
 )
 from .oracle import (
     CoeffSeq,
@@ -40,7 +39,6 @@ from .oracle import (
     coeffs_from_xy,
     coeffs_oracle,
     eval_orthonormal,
-    hankel_det,
     ladder_residuals,
     ladder_sequences,
     structure_residual,
@@ -60,12 +58,9 @@ from .toda_sigma import (
 )
 from .weights import (
     Lattice,
-    MomentTable,
     Params,
-    hyp2f1,
     initial_xy,
     moment,
-    potential_u,
     shifted_params,
     weight_sequence,
 )
@@ -78,7 +73,6 @@ __all__ = [
     "InvalidParam",
     "LadderSeq",
     "Lattice",
-    "MomentTable",
     "NonConvergent",
     "Params",
     "PoleHit",
@@ -88,7 +82,6 @@ __all__ = [
     "ResidualReport",
     "SigmaParams",
     "SingularStep",
-    "SingularToPrecision",
     "Source",
     "StepTooSmall",
     "StudyReport",
@@ -104,8 +97,6 @@ __all__ = [
     "dp2_step",
     "dp_residuals",
     "eval_orthonormal",
-    "hankel_det",
-    "hyp2f1",
     "initial_xy",
     "iterate",
     "ladder_residuals",
@@ -114,7 +105,6 @@ __all__ = [
     "moment",
     "normalized_residual",
     "perturbation_study",
-    "potential_u",
     "precision_study",
     "riccati_constant",
     "riccati_residual",
@@ -123,7 +113,6 @@ __all__ = [
     "sigma_pvi_residual",
     "sigma_value",
     "structure_residual",
-    "sum_series",
     "toda_residuals",
     "weight_sequence",
     "xy_from_coeffs",

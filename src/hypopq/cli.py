@@ -38,7 +38,6 @@ from .errors import (
     PoleHit,
     PrecisionExhausted,
     SingularStep,
-    SingularToPrecision,
     StepTooSmall,
 )
 from .numerics import PrecisionCtx, bits_for_digits, default_step, digits_for_bits
@@ -58,7 +57,7 @@ from .toda_sigma import (
 from .weights import Lattice, Params, _moment_list, _require_standard
 
 _VALIDATION_ERRORS = (InvalidParam, InvalidCoeffs, DomainExceeded, StepTooSmall, PoleHit)
-_PRECISION_ERRORS = (PrecisionExhausted, NonConvergent, SingularToPrecision)
+_PRECISION_ERRORS = (PrecisionExhausted, NonConvergent)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,7 +76,7 @@ def _parse_exact(text, name):
         if s.lstrip("+-").isdigit():
             return Fraction(int(s)), True
         return Fraction(Decimal(s)), False
-    except (ValueError, ZeroDivisionError, InvalidOperation) as exc:
+    except (ValueError, ZeroDivisionError, InvalidOperation, OverflowError) as exc:
         raise InvalidParam(f"cannot parse {name}={s!r} as rational or decimal") from exc
 
 

@@ -14,12 +14,33 @@ Seeds are x_0 = m_1/m_0 - ((alpha+beta)c - gamma)/(1-c), y_0 = 0.
 from __future__ import annotations
 
 from .errors import InvalidParam, PrecisionExhausted, SingularStep
-from .oracle import XYSeq
+from .oracle import XYSeq, _coeffs_at
 from .reporting import ResidualReport, normalized_residual
 from .weights import Lattice, initial_xy, shifted_params
 
 _MONITOR_EVERY = 10
 _MONITOR_THRESHOLD = "1e-6"
+# Report order of the cross-identities: each group runs over its indices
+# before the next starts.
+_CROSS_ORDER = (
+    ("y_pair_sum", "a2_difference"),
+    ("a2x_difference",),
+    ("a2_x_product", "a2_x_sum"),
+)
+
+
+def _first_kind(a, bta, g, c, n, x, y, y_next=0):
+    """``(P, Q, quartic)`` of the first-kind relation ``P Q = quartic`` at
+    index n, with ``P = y - alpha beta + (alpha+beta+n) x - x^2``, ``Q`` the
+    same form at ``n + 1`` and ``y_next``, and the quartic
+    ``(x-1)(x-alpha)(x-beta)(x-gamma)/c``.  ``y_next = 0`` leaves the part
+    of Q free of y_{n+1}.
+    """
+    s = a + bta + n
+    ab, xx = a * bta, x * x
+    P = y - ab + s * x - xx
+    Q = y_next - ab + (s + 1) * x - xx
+    return P, Q, (x - 1) * (x - a) * (x - bta) * (x - g) / c
 
 
 def dp1_step(params, n: int, x_n, y_n, ctx):
@@ -33,8 +54,7 @@ def dp1_step(params, n: int, x_n, y_n, ctx):
     a, bta, g, c = params.as_reals(ctx)
     x_n = ctx.real(x_n)
     y_n = ctx.real(y_n)
-    P = y_n - a * bta + (a + bta + n) * x_n - x_n * x_n
-    rhs = (x_n - 1) * (x_n - a) * (x_n - bta) * (x_n - g) / c
+    P, Q, rhs = _first_kind(a, bta, g, c, n, x_n, y_n)
     eps = mp.ldexp(1, -(ctx.bits - ctx.guard_bits))
     if abs(P) <= eps * abs(rhs):
         msg = f"first-kind factor vanished at n={n}"
@@ -44,7 +64,23 @@ def dp1_step(params, n: int, x_n, y_n, ctx):
                 "making both sides identically zero (closed form applies)"
             )
         raise SingularStep(msg, index=n, which="P")
-    return rhs / P - (-a * bta + (a + bta + n + 1) * x_n - x_n * x_n)
+    return rhs / P - Q
+
+
+def _second_kind(a, bta, g, m, y):
+    """``(D, numY, quartic)`` of the second-kind relation at index m:
+    ``(x_m + Y)(x_{m-1} + Y) = quartic / D^2`` with ``Y = numY / D``.
+    """
+    mm = m + a + bta - g - 1
+    D = y * (m + mm) + m * ((m + a + bta) * mm - a * bta + g)
+    numY = y * y + y * (m * mm - a * bta + g) - a * bta * m * mm
+    quart = (
+        (y + m * a)
+        * (y + m * bta)
+        * (y + m * g - (g - a) * (g - bta))
+        * (y + m - (1 - a) * (1 - bta))
+    )
+    return D, numY, quart
 
 
 def dp2_step(params, m: int, x_prev, y_m, ctx):
@@ -61,20 +97,12 @@ def dp2_step(params, m: int, x_prev, y_m, ctx):
     x_prev = ctx.real(x_prev)
     y = ctx.real(y_m)
     eps = mp.ldexp(1, -(ctx.bits - ctx.guard_bits))
-    mm = m + a + bta - g - 1
-    D = y * (m + mm) + m * ((m + a + bta) * mm - a * bta + g)
-    numY = y * y + y * (m * mm - a * bta + g) - a * bta * m * mm
+    D, numY, quart = _second_kind(a, bta, g, m, y)
     if abs(D) <= eps * max(mp.mpf(1), abs(numY)):
         raise SingularStep(
             f"linearizing denominator vanished at m={m}", index=m, which="D"
         )
     Y = numY / D
-    quart = (
-        (y + m * a)
-        * (y + m * bta)
-        * (y + m * g - (g - a) * (g - bta))
-        * (y + m - (1 - a) * (1 - bta))
-    )
     rhs = quart / (D * D)
     den = x_prev + Y
     if abs(den) <= eps * max(mp.mpf(1), abs(rhs)):
@@ -84,82 +112,67 @@ def dp2_step(params, m: int, x_prev, y_m, ctx):
     return rhs / den - Y
 
 
-def _second_kind_parts(params, m, y_m, ctx):
-    """(Y_m, rhs) of the second-kind relation, for residual checks."""
-    mp = ctx.mp
-    a, bta, g, c = params.as_reals(ctx)
-    y = ctx.real(y_m)
-    mm = m + a + bta - g - 1
-    D = y * (m + mm) + m * ((m + a + bta) * mm - a * bta + g)
-    numY = y * y + y * (m * mm - a * bta + g) - a * bta * m * mm
-    Y = numY / D
-    quart = (
-        (y + m * a)
-        * (y + m * bta)
-        * (y + m * g - (g - a) * (g - bta))
-        * (y + m - (1 - a) * (1 - bta))
+def _cross_terms(a, bta, g, c, n, x, y, S, b_n, a2_n, a2_next=None):
+    """Additive terms ``(lhs, rhs)`` of the five cross-identities tying
+    (x, y, S) to (a2, b) at index n, by name.
+
+    An identity that reaches past the data is left out: those that need
+    index n+1 appear only when ``a2_next`` (a2 at n+1) is given, and those
+    that need n-1 only for n >= 1.
+    """
+    q = (1 - c) / c
+    out = {}
+    if a2_next is not None:
+        out["y_pair_sum"] = (
+            [y[n + 1], y[n]],
+            [-q * b_n * x[n], a * bta, -g / c, q * S[n + 1]],
+        )
+        out["a2_difference"] = (
+            [q * a2_next, -q * a2_n],
+            [y[n + 1], -y[n], b_n, a + bta + n],
+        )
+    if n < 1:
+        return out
+    if a2_next is not None:
+        out["a2x_difference"] = (
+            [q * a2_next * x[n + 1], -q * a2_n * x[n - 1]],
+            [-b_n * (y[n + 1] - y[n]), a * bta, -y[n]],
+        )
+    out["a2_x_product"] = (
+        [q * q * a2_n * x[n] * x[n - 1]],
+        [y[n] * (y[n] - a * bta + g / c), -(y[n] - a * bta) * q * S[n]],
     )
-    return Y, quart / (D * D)
+    out["a2_x_sum"] = (
+        [q * q * a2_n * (x[n] + x[n - 1])],
+        [
+            -y[n] * (n * (1 + c) / c + a + bta - (g + 1) / c),
+            (a * bta - g) * n / c,
+            (a + bta + n) * q * S[n],
+        ],
+    )
+    return out
 
 
 def _monitor_residual(mp, a, bta, g, c, x, y, S, m):
-    """Max of the five extended residuals at index m (1 <= m < len-1),
-    with a2 and b reconstructed from (x, y, S) on the fly.
+    """Max of the five cross-identity residuals at index m (1 <= m < len-1),
+    with a2 and b reconstructed from (x, y, S) at m and m+1 only.
 
     The a2-difference relation is identically satisfied under this
     reconstruction (it telescopes), so the signal comes from the other
     four; it is kept for uniformity and costs nothing.
     """
-    q = (1 - c) / c
+    a2m, bm = _coeffs_at(mp, a, bta, g, c, x, y, S, m)
+    a2m1, _ = _coeffs_at(mp, a, bta, g, c, x, y, S, m + 1)
+    terms = _cross_terms(a, bta, g, c, m, x, y, S, bm, a2m, a2m1)
+    return max(normalized_residual(mp, lhs, rhs) for lhs, rhs in terms.values())
 
-    def a2_at(k):
-        return c / (1 - c) * (y[k] + S[k] + mp.mpf(k) * (k + a + bta - g - 1) / (1 - c))
 
-    bm = x[m] + (m + (m + a + bta) * c - g) / (1 - c)
-    a2m = a2_at(m)
-    a2m1 = a2_at(m + 1)
-    res = normalized_residual(
-        mp,
-        [y[m + 1], y[m]],
-        [-q * bm * x[m], a * bta, -g / c, q * S[m + 1]],
-    )
-    res = max(
-        res,
-        normalized_residual(
-            mp,
-            [q * a2m1, -q * a2m],
-            [y[m + 1], -y[m], bm, a + bta + m],
-        ),
-    )
-    res = max(
-        res,
-        normalized_residual(
-            mp,
-            [q * a2m1 * x[m + 1], -q * a2m * x[m - 1]],
-            [-bm * (y[m + 1] - y[m]), a * bta, -y[m]],
-        ),
-    )
-    res = max(
-        res,
-        normalized_residual(
-            mp,
-            [q * q * a2m * x[m] * x[m - 1]],
-            [y[m] * (y[m] - a * bta + g / c), -(y[m] - a * bta) * q * S[m]],
-        ),
-    )
-    res = max(
-        res,
-        normalized_residual(
-            mp,
-            [q * q * a2m * (x[m] + x[m - 1])],
-            [
-                -y[m] * (m * (1 + c) / c + a + bta - (g + 1) / c),
-                (a * bta - g) * m / c,
-                (a + bta + m) * q * S[m],
-            ],
-        ),
-    )
-    return res
+def _with_sums(params, x, y, ctx, failure=None, suspect=None):
+    """XYSeq of (x, y) with its running sums S[n] = x[0] + ... + x[n-1]."""
+    S = [ctx.mp.mpf(0)]
+    for xi in x:
+        S.append(S[-1] + xi)
+    return XYSeq(params, x, y, S, ctx, failure, suspect)
 
 
 def iterate(params, N: int, ctx, seed=None, strict: bool = False) -> XYSeq:
@@ -190,17 +203,8 @@ def iterate(params, N: int, ctx, seed=None, strict: bool = False) -> XYSeq:
             inner = iterate(tparams, N, ctx, (sx - tshift, sy), strict)
         x = [xi + tshift for xi in inner.x]
         y = [inner.y[n] - n * tshift for n in range(len(inner.y))]
-        S = [mp.mpf(0)]
-        for xi in x:
-            S.append(S[-1] + xi)
-        return XYSeq(
-            params=params,
-            x=x,
-            y=y,
-            S=S,
-            ctx=ctx,
-            failure_index=inner.failure_index,
-            precision_suspect_at=inner.precision_suspect_at,
+        return _with_sums(
+            params, x, y, ctx, inner.failure_index, inner.precision_suspect_at
         )
 
     canonical = seed is None
@@ -210,10 +214,7 @@ def iterate(params, N: int, ctx, seed=None, strict: bool = False) -> XYSeq:
         gv = ctx.real(params.gamma)
         x = [gv] * (N + 1)
         y = [-mp.mpf(n) * gv for n in range(N + 1)]
-        S = [mp.mpf(0)]
-        for xi in x:
-            S.append(S[-1] + xi)
-        return XYSeq(params=params, x=x, y=y, S=S, ctx=ctx)
+        return _with_sums(params, x, y, ctx)
 
     if canonical:
         x0, y0 = initial_xy(params, ctx)
@@ -273,81 +274,34 @@ def dp_residuals(params, xy: XYSeq, coeffs=None, ctx=None) -> ResidualReport:
         ctx = xy.ctx
     mp = ctx.mp
     a, bta, g, c = params.as_reals(ctx)
-    q = (1 - c) / c
     rep = ResidualReport(params=params, ctx=ctx)
     N = xy.N
     x, y, S = xy.x, xy.y, xy.S
 
     for n in range(N):
-        P = y[n] - a * bta + (a + bta + n) * x[n] - x[n] * x[n]
-        Q = y[n + 1] - a * bta + (a + bta + n + 1) * x[n] - x[n] * x[n]
-        rhs = (x[n] - 1) * (x[n] - a) * (x[n] - bta) * (x[n] - g) / c
+        P, Q, rhs = _first_kind(a, bta, g, c, n, x[n], y[n], y[n + 1])
         rep.add("dp1", n, normalized_residual(mp, [P * Q], [rhs]))
     for m in range(1, N + 1):
+        D, numY, quart = _second_kind(a, bta, g, m, ctx.real(y[m]))
         try:
-            Y, rhs = _second_kind_parts(params, m, y[m], ctx)
-            rep.add(
-                "dp2",
-                m,
-                normalized_residual(mp, [(x[m] + Y) * (x[m - 1] + Y)], [rhs]),
-            )
+            Y = numY / D
         except ZeroDivisionError:
             rep.add("dp2", m, mp.inf)
+            continue
+        rhs = quart / (D * D)
+        rep.add("dp2", m, normalized_residual(mp, [(x[m] + Y) * (x[m - 1] + Y)], [rhs]))
 
     if coeffs is None:
         return rep
     a2, b = coeffs.a2, coeffs.b
     NN = min(N, coeffs.N)
-    for n in range(NN):
-        rep.add(
-            "y_pair_sum",
-            n,
-            normalized_residual(
-                mp,
-                [y[n + 1], y[n]],
-                [-q * b[n] * x[n], a * bta, -g / c, q * S[n + 1]],
-            ),
-        )
-        rep.add(
-            "a2_difference",
-            n,
-            normalized_residual(
-                mp,
-                [q * a2[n + 1], -q * a2[n]],
-                [y[n + 1], -y[n], b[n], a + bta + n],
-            ),
-        )
-    for n in range(1, NN):
-        rep.add(
-            "a2x_difference",
-            n,
-            normalized_residual(
-                mp,
-                [q * a2[n + 1] * x[n + 1], -q * a2[n] * x[n - 1]],
-                [-b[n] * (y[n + 1] - y[n]), a * bta, -y[n]],
-            ),
-        )
-    for n in range(1, NN + 1):
-        rep.add(
-            "a2_x_product",
-            n,
-            normalized_residual(
-                mp,
-                [q * q * a2[n] * x[n] * x[n - 1]],
-                [y[n] * (y[n] - a * bta + g / c), -(y[n] - a * bta) * q * S[n]],
-            ),
-        )
-        rep.add(
-            "a2_x_sum",
-            n,
-            normalized_residual(
-                mp,
-                [q * q * a2[n] * (x[n] + x[n - 1])],
-                [
-                    -y[n] * (n * (1 + c) / c + a + bta - (g + 1) / c),
-                    (a * bta - g) * n / c,
-                    (a + bta + n) * q * S[n],
-                ],
-            ),
-        )
+    terms = [
+        _cross_terms(a, bta, g, c, n, x, y, S, b[n], a2[n], a2[n + 1] if n < NN else None)
+        for n in range(NN + 1)
+    ]
+    for names in _CROSS_ORDER:
+        for n, found in enumerate(terms):
+            for name in names:
+                if name in found:
+                    rep.add(name, n, normalized_residual(mp, *found[name]))
     return rep

@@ -25,11 +25,6 @@ class PoleHit(HypopqError):
     """Evaluation at (or too near) a pole of a rational expression."""
 
 
-class SingularToPrecision(HypopqError):
-    """A pivot underflowed working precision: not provably singular, just
-    unresolvable at this bit count."""
-
-
 class PrecisionExhausted(HypopqError):
     """Two-precision agreement (or an escalation ladder) left fewer
     significant digits than required."""

@@ -1,4 +1,4 @@
-"""Arbitrary-precision scalar contract, series summation, stencil derivatives.
+"""Arbitrary-precision scalar contract and stencil derivatives.
 
 A ``BigReal`` is an ``mpmath`` ``mpf`` bound to the :class:`PrecisionCtx` that
 produced it.  Every context owns an isolated ``MPContext`` (the global
@@ -14,20 +14,9 @@ from fractions import Fraction
 
 from mpmath.ctx_mp import MPContext
 from mpmath import libmp
-from mpmath.libmp import (
-    fzero,
-    from_int,
-    from_man_exp,
-    from_rational,
-    mpf_abs,
-    mpf_add,
-    mpf_le,
-    mpf_mul,
-    mpf_pos,
-    round_nearest,
-)
+from mpmath.libmp import from_int, from_rational, mpf_pos, round_nearest
 
-from .errors import DomainExceeded, InvalidParam, NonConvergent, StepTooSmall
+from .errors import DomainExceeded, InvalidParam, StepTooSmall
 
 _RND = round_nearest
 
@@ -112,40 +101,6 @@ class PrecisionCtx:
         x = self.real(x)
         dps = digits or (math.ceil(self.bits * math.log10(2)) + 2)
         return libmp.to_str(x._mpf_, dps)
-
-
-def sum_series(term, ctx):
-    """Sum ``term(0) + term(1) + ...`` until the tail is negligible.
-
-    Truncates at the first index K where
-    ``|term(K)| <= 2**-(bits+guard_bits) * |partial sum|`` holds for three
-    consecutive indices (individual hypergeometric terms can dip before the
-    geometric tail sets in, hence the streak).  Accumulation runs at
-    ``bits + guard_bits``; the result is rounded to ``ctx.bits``.
-
-    Raises ``NonConvergent`` if ``ctx.series_max_terms`` is reached first.
-    """
-    prec = ctx.bits + ctx.guard_bits
-    eps = from_man_exp(1, -prec)
-    total = fzero
-    consec = 0
-    k = 0
-    while True:
-        if k >= ctx.series_max_terms:
-            raise NonConvergent(
-                f"no convergence within {ctx.series_max_terms} terms"
-            )
-        t = term(k)
-        raw = t._mpf_ if hasattr(t, "_mpf_") else ctx.real(t)._mpf_
-        total = mpf_add(total, raw, prec, _RND)
-        if mpf_le(mpf_abs(raw), mpf_mul(eps, mpf_abs(total), prec, _RND)):
-            consec += 1
-            if consec >= 3:
-                break
-        else:
-            consec = 0
-        k += 1
-    return ctx.mp.make_mpf(mpf_pos(total, ctx.bits, _RND))
 
 
 def default_step(ctx):

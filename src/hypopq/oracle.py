@@ -3,8 +3,7 @@
 Everything here is driven by quotients of leading principal minors of the
 two moment matrices (plain and first-column-shifted).  Gautschi's Chebyshev
 algorithm produces both families of quotients at once in O(N^2) operations
-from the power moments (two lattice series, then the Pearson recurrence);
-determinants themselves are only formed on demand.
+from the power moments (two lattice series, then the Pearson recurrence).
 
 The oracle is deliberately redundant: every sequence is computed at the
 requested precision and again at twice the precision, and the two runs must
@@ -17,15 +16,9 @@ from dataclasses import dataclass, field
 
 from mpmath.libmp import fzero, mpf_div, mpf_mul, mpf_pos, mpf_sub, round_nearest
 
-from .errors import (
-    InvalidCoeffs,
-    InvalidParam,
-    PoleHit,
-    PrecisionExhausted,
-    SingularToPrecision,
-)
+from .errors import InvalidCoeffs, InvalidParam, PoleHit, PrecisionExhausted
 from .reporting import ResidualReport, normalized_residual
-from .weights import Lattice, MomentTable, _moment_batch_raw, moment, shifted_params
+from .weights import Lattice, _moment_batch_raw, moment, shifted_params
 
 _rnd = round_nearest
 
@@ -80,53 +73,6 @@ class XYSeq:
     @property
     def N(self):
         return len(self.x) - 1
-
-
-def hankel_det(table: MomentTable, n: int, starred: bool, ctx) -> object:
-    """Determinant of the n x n moment matrix (starred: last column shifted).
-
-    Uses LU with partial pivoting; a pivot that underflows
-    2^-(bits - guard_bits) relative to its row norm raises
-    SingularToPrecision rather than returning noise.
-    """
-    if n < 0:
-        raise InvalidParam("matrix size must be >= 0")
-    mp = ctx.mp
-    if n == 0:
-        return mp.mpf(1)
-    need = 2 * n if starred else 2 * n - 1
-    if len(table) <= need:
-        raise InvalidParam(
-            f"table holds moments to m_{len(table) - 1}, need m_{need}"
-        )
-    mom = table.moments
-    with mp.extraprec(ctx.guard_bits):
-        M = []
-        for i in range(n):
-            row = [mp.mpf(mom[i + j]) for j in range(n)]
-            if starred:
-                row[n - 1] = mp.mpf(mom[i + n])
-            M.append(row)
-        eps = mp.ldexp(1, -(ctx.bits - ctx.guard_bits))
-        det = mp.mpf(1)
-        for k in range(n):
-            piv_i = max(range(k, n), key=lambda i: abs(M[i][k]))
-            pivot = M[piv_i][k]
-            rownorm = max(abs(M[piv_i][j]) for j in range(k, n))
-            if pivot == 0 or abs(pivot) < eps * rownorm:
-                raise SingularToPrecision(
-                    f"pivot underflow at column {k} of the "
-                    f"{'starred ' if starred else ''}{n}x{n} moment matrix"
-                )
-            if piv_i != k:
-                M[k], M[piv_i] = M[piv_i], M[k]
-                det = -det
-            det *= pivot
-            for i in range(k + 1, n):
-                f = M[i][k] / pivot
-                for j in range(k + 1, n):
-                    M[i][j] -= f * M[k][j]
-    return +det
 
 
 def _chebyshev_quotients(moments_raw, N, bits, prec):
@@ -332,19 +278,20 @@ def xy_from_coeffs(params, coeffs: CoeffSeq, ctx) -> XYSeq:
     return XYSeq(params=params, x=x, y=y, S=S, ctx=ctx)
 
 
+def _coeffs_at(mp, a, bta, g, c, x, y, S, n):
+    """``(a2[n], b[n])`` from the Painleve variables at index n."""
+    b = x[n] + (n + (n + a + bta) * c - g) / (1 - c)
+    a2 = c / (1 - c) * (y[n] + S[n] + mp.mpf(n) * (n + a + bta - g - 1) / (1 - c))
+    return a2, b
+
+
 def coeffs_from_xy(params, xy: XYSeq, ctx) -> CoeffSeq:
     """Inverse of xy_from_coeffs; also lattice-independent."""
-    mp = ctx.mp
     a, bta, g, c = params.as_reals(ctx)
-    a2, b = [], []
-    for n in range(xy.N + 1):
-        b.append(xy.x[n] + (n + (n + a + bta) * c - g) / (1 - c))
-        a2.append(
-            c
-            / (1 - c)
-            * (xy.y[n] + xy.S[n] + mp.mpf(n) * (n + a + bta - g - 1) / (1 - c))
-        )
-    return CoeffSeq(params=params, a2=a2, b=b, ctx=ctx)
+    pairs = [_coeffs_at(ctx.mp, a, bta, g, c, xy.x, xy.y, xy.S, n) for n in range(xy.N + 1)]
+    return CoeffSeq(
+        params=params, a2=[p[0] for p in pairs], b=[p[1] for p in pairs], ctx=ctx
+    )
 
 
 def eval_orthonormal(coeffs: CoeffSeq, m0, x, nmax: int, ctx) -> list:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 
@@ -33,8 +33,8 @@ from mpmath.libmp import (
     round_nearest,
 )
 
-from .errors import DomainExceeded, InvalidParam, NonConvergent, PoleHit
-from .numerics import PrecisionCtx, sum_series
+from .errors import InvalidParam, NonConvergent
+from .numerics import PrecisionCtx
 
 _RND = round_nearest
 
@@ -175,32 +175,6 @@ def weight_sequence(params, kmax, ctx):
     return out
 
 
-def hyp2f1(a, b, cc, z, ctx):
-    """Gauss hypergeometric series ``sum (a)_k (b)_k / ((cc)_k k!) z^k``.
-
-    Terms are updated by their ratio (no factorials, no Gamma).  Requires
-    ``0 <= z < 1``; ``cc`` must not be a non-positive integer.
-    """
-    mp = ctx.mp
-    a = ctx.real(a)
-    b = ctx.real(b)
-    cc = ctx.real(cc)
-    z = ctx.real(z)
-    if cc <= 0 and cc == mp.floor(cc):
-        raise InvalidParam("hyp2f1: third parameter is a non-positive integer")
-    if not (0 <= z < 1):
-        raise DomainExceeded("hyp2f1: z must satisfy 0 <= z < 1")
-    last = [mp.mpf(1)]
-
-    def term(k):
-        if k > 0:
-            j = k - 1
-            last[0] = last[0] * (a + j) * (b + j) * z / ((cc + j) * k)
-        return last[0]
-
-    return sum_series(term, ctx)
-
-
 def _effective_cap(c, ctx):
     """Series term cap; raised deterministically for c close to 1."""
     cap = ctx.series_max_terms
@@ -224,8 +198,10 @@ _SEED_MEMO_SIZE = 256
 @lru_cache(maxsize=_SEED_MEMO_SIZE)
 def _seed_sums(params, ctx):
     """Raw ``(m_0, m_1)`` at ``bits + guard_bits``: the lattice series of
-    ``w_k`` and ``k w_k``, summed in one pass, each stopping under the
-    sum_series rule (or ``NonConvergent``).
+    ``w_k`` and ``k w_k``, summed in one pass.  Each stops once three
+    consecutive terms are at most ``2**-(bits+guard_bits)`` of its partial
+    sum (single terms can dip before the geometric tail sets in, hence the
+    streak), or raises ``NonConvergent`` at the term cap.
 
     Each weight follows from the last by one exact integer ratio: with
     ``alpha = pa/qa`` and likewise for beta, gamma and c,
@@ -318,43 +294,6 @@ def moment(params, n, ctx):
     if n < 0:
         raise InvalidParam("moment index must be >= 0")
     return _moment_list(params, n + 1, ctx)[n]
-
-
-@dataclass(frozen=True)
-class MomentTable:
-    """Immutable table ``m_0 .. m_{2N+1}`` for Hankel work up to index N."""
-
-    params: Params
-    moments: list
-    ctx: PrecisionCtx = field(repr=False)
-
-    @classmethod
-    def build(cls, params, N, ctx):
-        _require_standard(params, "MomentTable")
-        if N < 0:
-            raise InvalidParam("N must be >= 0")
-        return cls(params, _moment_list(params, 2 * N + 2, ctx), ctx)
-
-    def __len__(self):
-        return len(self.moments)
-
-
-def potential_u(params, x, ctx):
-    """Discrete potential ``u(x) = -1 + (gamma+x-1) x / (c (alpha+x-1)(beta+x-1))``.
-
-    Satisfies ``u(k) = -(w_k - w_{k-1}) / w_k`` on the lattice.  Raises
-    ``PoleHit`` when the denominator underflows the context (simple poles at
-    ``x = 1 - alpha`` and ``x = 1 - beta``).
-    """
-    mp = ctx.mp
-    a, b, g, c = params.as_reals(ctx)
-    x = ctx.real(x)
-    num = (g + x - 1) * x
-    den = c * (a + x - 1) * (b + x - 1)
-    floor = mp.ldexp(1, -(ctx.bits - ctx.guard_bits)) * max(mp.mpf(1), abs(num))
-    if abs(den) <= floor:
-        raise PoleHit("potential_u evaluated at (or too near) a pole")
-    return -1 + num / den
 
 
 def initial_xy(params, ctx):

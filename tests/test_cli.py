@@ -264,6 +264,14 @@ def test_bad_arguments_exit2(capsys):
     capsys.readouterr()
     assert run(["coeffs", *ASYM, "--nmax", "1", "--c", "2"]) == 2
     capsys.readouterr()
+    # Decimal("inf") parses but has no Fraction: exit 2 with one JSON line
+    for argv in (
+        ["coeffs", "--alpha", "inf", *ASYM[2:], "--nmax", "1"],
+        ["iterate", *ASYM, "--nmax", "1", "--seed-x0", "inf"],
+    ):
+        assert run(argv) == 2
+        _, err = capsys.readouterr()
+        assert json.loads(err)["error"] == "InvalidParam"
 
 
 def test_version_flag(capsys):

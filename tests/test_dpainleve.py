@@ -83,6 +83,21 @@ def test_dp2_step_singular_shift(ctx256):
     assert exc.value.which == "x_prev+Y"
 
 
+def test_dp2_guard_policies_differ(ctx128):
+    # p = (1, 1, 1, 1/2): at m = 1, y = -3/2 the linearizing denominator D
+    # is exactly 0.  The step refuses it; the residual records inf there
+    # only because the division raised, and still checks m = 2 (D = 8).
+    p = Params(1, 1, 1, F(1, 2))
+    one = ctx128.mp.mpf(1)
+    xy = XYSeq(p, [one] * 3, [ctx128.real(v) for v in (0, F(-3, 2), -2)],
+               [ctx128.real(v) for v in range(4)], ctx128)
+    rep = dp_residuals(p, xy)
+    assert dict(rep.by_name("dp2")) == {1: ctx128.mp.inf, 2: 0}
+    with pytest.raises(SingularStep) as exc:
+        dp2_step(p, 1, 1, F(-3, 2), ctx128)
+    assert exc.value.which == "D"
+
+
 # ------------------------------------------------------------------ iterate
 
 

@@ -1,4 +1,4 @@
-"""Precision contexts, series summation, stencil derivatives."""
+"""Precision contexts, the seed-series stopping rule, stencil derivatives."""
 
 from fractions import Fraction
 
@@ -20,8 +20,8 @@ from hypopq.numerics import (
     central_derivative,
     default_step,
     digits_for_bits,
-    sum_series,
 )
+from hypopq.weights import Params, _seed_sums
 
 
 # ---------------------------------------------------------------- contexts
@@ -108,48 +108,39 @@ def test_to_decimal_default_digit_count(ctx256):
     assert len(mantissa) >= 78
 
 
-# ------------------------------------------------------------- sum_series
+# ----------------------------------------------------- seed-series summation
+# The moment seeds m_0, m_1 are the one place a series is summed.  For
+# (alpha, beta, gamma, c) = (1, 1, 2, 1/2) the weights are w_k = 2^-k / (k+1),
+# so m_0 = 2 log 2 and m_1 = 2 - 2 log 2.
+
+LOG2_SERIES = Params(1, 1, 2, Fraction(1, 2))
+
+
+def _log2(ctx):
+    # independent oracle: mpmath's global context
+    with mpmath.workprec(300):
+        return ctx.real(mpmath.log(2))
 
 
 def test_sum_series_log2(ctx256):
-    # sum 1/(k 2^k) = log 2; independent oracle: mpmath global context
-    mp = ctx256.mp
-
-    def term(k):
-        if k == 0:
-            return mp.mpf(0)
-        return 1 / (mp.mpf(k) * mp.mpf(2) ** k)
-
-    got = sum_series(term, ctx256)
-    with mpmath.workprec(300):
-        want = ctx256.real(mpmath.log(2))
-    assert abs(got - want) < mp.ldexp(1, -250)
-
-
-def test_sum_series_zero(ctx256):
-    got = sum_series(lambda k: ctx256.mp.mpf(0), ctx256)
-    assert got == 0
+    m0, _ = _seed_sums(LOG2_SERIES, ctx256)
+    got = ctx256.mp.make_mpf(m0)
+    assert abs(got - 2 * _log2(ctx256)) < ctx256.mp.ldexp(1, -250)
 
 
 def test_sum_series_nonconvergent():
+    # 80 bits need about 75 terms of the 2^-k series
     ctx = PrecisionCtx(bits=64, series_max_terms=50)
     with pytest.raises(NonConvergent):
-        sum_series(lambda k: ctx.mp.mpf(1), ctx)
+        _seed_sums(LOG2_SERIES, ctx)
 
 
 def test_sum_series_survives_interior_dip(ctx256):
-    # a single tiny term must not truncate the series (3-in-a-row rule)
-    mp = ctx256.mp
-
-    def term(k):
-        if k == 1:
-            return mp.ldexp(1, -400)  # dips below the cutoff once
-        if k < 40:
-            return mp.mpf(1)
-        return mp.mpf(0)
-
-    got = sum_series(term, ctx256)
-    assert abs(got - 39) < 1e-60  # 39 unit terms, not 1
+    # the m_1 series opens with 0 * w_0 = 0, below the cutoff once; the
+    # three-in-a-row rule must not stop there (m_1 would read 0)
+    _, m1 = _seed_sums(LOG2_SERIES, ctx256)
+    got = ctx256.mp.make_mpf(m1)
+    assert abs(got - (2 - 2 * _log2(ctx256))) < ctx256.mp.ldexp(1, -250)
 
 
 # --------------------------------------------------------------- stencils

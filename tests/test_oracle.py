@@ -1,5 +1,5 @@
-"""Hankel determinants, moment-quotient coefficients, ladder sequences,
-orthonormal evaluation, and the first-order difference relation.
+"""Moment-quotient coefficients, ladder sequences, orthonormal evaluation,
+and the first-order difference relation.
 
 The load-bearing checks run against the exact rational Meixner case
 (alpha = gamma, integer beta): every moment, Hankel determinant, and
@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import from_int
 
 import hypopq as H
 from hypopq.errors import (
@@ -19,14 +20,13 @@ from hypopq.errors import (
     InvalidParam,
     PoleHit,
     PrecisionExhausted,
-    SingularToPrecision,
 )
 from hypopq.oracle import (
     CoeffSeq,
+    _chebyshev_quotients,
     coeffs_from_xy,
     coeffs_oracle,
     eval_orthonormal,
-    hankel_det,
     ladder_residuals,
     ladder_sequences,
     structure_residual,
@@ -34,7 +34,6 @@ from hypopq.oracle import (
 )
 from hypopq.weights import (
     Lattice,
-    MomentTable,
     Params,
     initial_xy,
     moment,
@@ -72,41 +71,37 @@ def meixner_coeffs_closed(beta, c, n):
     return a2, b
 
 
-# --------------------------------------------------------------- hankel_det
+# ---------------------------------------------------- Hankel determinants
 
 
 def test_hankel_det_meixner_exact(ctx256):
+    # the oracle's coefficients are quotients of the exact Hankel minors:
+    # a2[n] = D_{n+1} D_{n-1} / D_n^2 and b[n] = D*_{n+1}/D_{n+1} - D*_n/D_n
     p = meixner_params(beta=F(2), c=F(1, 2))
     exact = [meixner_moment_exact(F(2), F(1, 2), n) for n in range(8)]
     assert exact[:5] == [4, 8, 32, 176, 1232]
-    table = MomentTable.build(p, 3, ctx256)
-    for n in range(4):
-        for starred in (False, True):
-            got = hankel_det(table, n, starred, ctx256)
-            want = ctx256.real(exact_hankel(exact, n, starred))
-            tol = abs(want) * ctx256.mp.ldexp(1, -230) if want != 0 else 0
-            assert abs(got - want) <= tol, (n, starred)
     # spot values worked by hand: D_1 = 4, D_2 = 64, D*_1 = 8, D*_2 = 448
     assert exact_hankel(exact, 2, False) == 64
     assert exact_hankel(exact, 2, True) == 448
+    D = [exact_hankel(exact, n, False) for n in range(5)]
+    ratio = [exact_hankel(exact, n, True) / D[n] if n else F(0) for n in range(5)]
+    seq = coeffs_oracle(p, 3, ctx256)
+    for n in range(4):
+        pairs = [(seq.b[n], ratio[n + 1] - ratio[n])]
+        if n:
+            pairs.append((seq.a2[n], D[n + 1] * D[n - 1] / D[n] ** 2))
+        for got, want in pairs:
+            want = ctx256.real(want)
+            assert abs(got - want) <= abs(want) * ctx256.mp.ldexp(1, -230), n
 
 
-def test_hankel_det_guards(ctx256):
-    p = asym_params()
-    table = MomentTable.build(p, 2, ctx256)  # holds m_0 .. m_5
-    assert hankel_det(table, 0, False, ctx256) == 1
-    with pytest.raises(InvalidParam):
-        hankel_det(table, -1, False, ctx256)
-    with pytest.raises(InvalidParam):
-        hankel_det(table, 4, False, ctx256)  # needs m_6
-
-
-def test_hankel_det_singular(ctx256):
-    # constant moments: rank-1 Hankel matrix, det_2 = 0 exactly
-    p = asym_params()
-    flat = MomentTable(p, [ctx256.mp.mpf(1)] * 8, ctx256)
-    with pytest.raises(SingularToPrecision):
-        hankel_det(flat, 2, False, ctx256)
+def test_hankel_det_singular():
+    # constant moments: rank-1 Hankel matrix, D_2 = 0 exactly.  The
+    # Chebyshev algorithm meets the zero quotient rather than returning
+    # noise; coeffs_oracle reports it as PrecisionExhausted.
+    flat = [from_int(1)] * 6
+    with pytest.raises(ZeroDivisionError):
+        _chebyshev_quotients(flat, 2, 256, 272)
 
 
 # ------------------------------------------------------------ coeffs_oracle

@@ -1,4 +1,4 @@
-"""Parameter validation, weights, hypergeometric sums, moments, seeds.
+"""Parameter validation, weights, moments, seeds.
 
 The Meixner moment checks use an independent in-test oracle: for
 alpha = gamma the n-th moment collapses to
@@ -17,15 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hypopq as H
-from hypopq.errors import DomainExceeded, InvalidParam, PoleHit
+from hypopq.errors import InvalidParam
 from hypopq.weights import (
     Lattice,
-    MomentTable,
     Params,
-    hyp2f1,
+    _moment_list,
     initial_xy,
     moment,
-    potential_u,
     shifted_params,
     weight_sequence,
 )
@@ -122,38 +120,31 @@ def test_weight_matches_exact_rational(a, b, g, c, k):
     assert abs(w[k] - want) <= abs(want) * ctx.mp.ldexp(1, -100)
 
 
-# -------------------------------------------------------------------- hyp2f1
+# ------------------------------------------------- m_0 as a Gauss 2F1 series
+# m_0 = sum_k w_k is 2F1(alpha, beta; gamma; c).
+
+
+def _mp_hyp2f1(p, ctx):
+    """2F1(alpha, beta; gamma; c) on mpmath's global context at 320 bits."""
+    with mpmath.workprec(320):
+        a, b, g, c = (
+            mpmath.mpf(v.numerator) / v.denominator for v in (p.alpha, p.beta, p.gamma, p.c)
+        )
+        return ctx.real(mpmath.hyp2f1(a, b, g, c))
 
 
 def test_hyp2f1_binomial_identity(ctx256):
     # 2F1(a, b; b; z) = (1-z)^(-a):  2F1(2, 5; 5; 1/2) = 4
-    got = hyp2f1(2, 5, 5, F(1, 2), ctx256)
+    got = moment(Params(2, 5, 5, F(1, 2)), 0, ctx256)
     assert abs(got - 4) < ctx256.mp.ldexp(1, -240)
 
 
-def test_hyp2f1_at_zero(ctx256):
-    assert hyp2f1(F(3, 2), 3, F(1, 3), 0, ctx256) == 1
-
-
 def test_hyp2f1_against_mpmath(ctx256):
-    got = hyp2f1(F(3, 2), 3, F(1, 3), F(1, 2), ctx256)
-    with mpmath.workprec(320):
-        want = mpmath.hyp2f1(mpmath.mpf(3) / 2, 3, mpmath.mpf(1) / 3, 0.5)
-    assert abs(got - ctx256.real(want)) < ctx256.mp.ldexp(1, -240)
-
-
-def test_hyp2f1_guards(ctx256):
-    with pytest.raises(DomainExceeded):
-        hyp2f1(1, 2, 3, 1, ctx256)
-    with pytest.raises(DomainExceeded):
-        hyp2f1(1, 2, 3, F(-1, 4), ctx256)
-    with pytest.raises(InvalidParam):
-        hyp2f1(1, 2, 0, F(1, 2), ctx256)
-    with pytest.raises(InvalidParam):
-        hyp2f1(1, 2, -3, F(1, 2), ctx256)
-    # negative *non-integer* lower parameter is fine
-    val = hyp2f1(F(1, 2), F(1, 3), F(-1, 2), F(1, 4), ctx256)
-    assert val.context.prec == 256
+    # c = 15/16 takes the deterministically raised term cap
+    p = Params(F(13, 4), F(5, 2), F(17, 4), F(15, 16))
+    want = _mp_hyp2f1(p, ctx256)
+    got = moment(p, 0, ctx256)
+    assert abs(got - want) <= abs(want) * ctx256.mp.ldexp(1, -240)
 
 
 # ------------------------------------------------------------------- moments
@@ -179,8 +170,7 @@ def test_meixner_moments_beta5(ctx256):
 def test_moment_zero_is_hyp2f1(ctx256):
     p = asym_params()
     m0 = moment(p, 0, ctx256)
-    f = hyp2f1(p.alpha, p.beta, p.gamma, p.c, ctx256)
-    assert abs(m0 - f) < ctx256.mp.ldexp(1, -246)
+    assert abs(m0 - _mp_hyp2f1(p, ctx256)) < ctx256.mp.ldexp(1, -246)
 
 
 def _nsum_moments(p, count):
@@ -244,37 +234,26 @@ def test_moment_swap_invariance(ctx128):
 
 
 def test_moment_table(ctx256):
+    # the moment batch is prefix-stable: growing it leaves m_0 .. m_9 bit-identical
     p = asym_params()
-    t = MomentTable.build(p, 4, ctx256)
-    assert len(t) == 10  # m_0 .. m_{2N+1}
-    t2 = MomentTable.build(p, 8, ctx256)
-    assert t2.moments[:10] == t.moments[:10]  # prefix-stable
-    with pytest.raises(InvalidParam):
-        MomentTable.build(p, -1, ctx256)
-    with pytest.raises(InvalidParam):
-        MomentTable.build(asym_params(Lattice.SHIFTED), 4, ctx256)
+    table = _moment_list(p, 10, ctx256)
+    assert len(table) == 10
+    assert _moment_list(p, 18, ctx256)[:10] == table
 
 
 # ----------------------------------------------------------------- potential
 
 
 def test_potential_matches_weight_ratio(ctx256):
-    # u(k) = -(w_k - w_{k-1}) / w_k on the lattice
+    # the discrete potential u(k) = -1 + (gamma+k-1) k / (c (alpha+k-1)(beta+k-1)),
+    # exact here, equals -(w_k - w_{k-1}) / w_k along weight_sequence
     p = asym_params()
     w = weight_sequence(p, 6, ctx256)
     for k in range(1, 7):
-        got = potential_u(p, k, ctx256)
-        want = -(w[k] - w[k - 1]) / w[k]
+        u = -1 + (p.gamma + k - 1) * k / (p.c * (p.alpha + k - 1) * (p.beta + k - 1))
+        got = -(w[k] - w[k - 1]) / w[k]
+        want = ctx256.real(u)
         assert abs(got - want) < abs(want) * ctx256.mp.ldexp(1, -230)
-    assert potential_u(p, 0, ctx256) == -1  # w_{-1} = 0
-
-
-def test_potential_pole(ctx256):
-    p = asym_params()  # poles at x = 1 - alpha = -1/2 and x = 1 - beta = -2
-    with pytest.raises(PoleHit):
-        potential_u(p, F(-1, 2), ctx256)
-    with pytest.raises(PoleHit):
-        potential_u(p, -2, ctx256)
 
 
 # --------------------------------------------------------------------- seeds
