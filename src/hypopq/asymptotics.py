@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dpainleve import iterate
+from .dpainleve import _targets, iterate
 from .errors import InvalidParam, PrecisionExhausted
 from .numerics import PrecisionCtx, bits_for_digits
-from .weights import Lattice
 
 _MAX_ESCALATIONS = 3
 
@@ -33,13 +32,26 @@ class StudyReport:
     digits: int | None = None
 
 
-def _targets(params, ctx):
-    """(x-limit, limit of y_n + n * x-limit) for the lattice at hand."""
-    a, bta, g, _ = params.as_reals(ctx)
-    if params.lattice is Lattice.SHIFTED:
-        one = ctx.mp.mpf(1)
-        return one, (1 - a) * (1 - bta)
-    return g, (g - a) * (g - bta)
+def _study_report(params, bits, xy, diverged, targets, conv=None, digits=None):
+    """StudyReport of the run ``xy``.  Its divergence index is the first n
+    at which ``diverged`` (one flag per n) is true, else the index of a
+    singular step, which the notes then name; its gaps are taken at the last
+    index, on values passed through ``conv`` (the caller's context)."""
+    conv = conv or (lambda v: v)
+    fail = xy.failure_index
+    div = next((n for n, hit in enumerate(diverged) if hit), fail)
+    last = len(xy.x) - 1
+    tx, ty = targets
+    return StudyReport(
+        params=params,
+        bits=bits,
+        N=last,
+        x_limit_gap=abs(conv(xy.x[last]) - tx),
+        y_limit_gap=abs(conv(xy.y[last]) + last * tx - ty),
+        divergence_index=div,
+        notes="" if fail is None else f"singular step at n={fail}",
+        digits=digits,
+    )
 
 
 def limit_report(params, N: int, ctx) -> StudyReport:
@@ -106,28 +118,8 @@ def perturbation_study(params, deltas, N: int, ctx, seed_x0=None) -> list:
     for delta in deltas:
         dr = ctx.real(delta)
         xy = iterate(params, N, ctx, seed=(x0 + dr, mp.mpf(0)))
-        div = None
-        for n in range(len(xy.x)):
-            if abs(xy.x[n] - tx) > 10 * base_gap[n]:
-                div = n
-                break
-        notes = ""
-        if xy.failure_index is not None:
-            if div is None:
-                div = xy.failure_index
-            notes = f"singular step at n={xy.failure_index}"
-        last = len(xy.x) - 1
-        reports.append(
-            StudyReport(
-                params=params,
-                bits=ctx.bits,
-                N=last,
-                x_limit_gap=abs(xy.x[last] - tx),
-                y_limit_gap=abs(xy.y[last] + last * tx - ty),
-                divergence_index=div,
-                notes=notes,
-            )
-        )
+        diverged = (abs(xy.x[n] - tx) > 10 * base_gap[n] for n in range(len(xy.x)))
+        reports.append(_study_report(params, ctx.bits, xy, diverged, (tx, ty)))
     return reports
 
 
@@ -171,29 +163,12 @@ def precision_study(params, digit_levels, N: int) -> list:
         bits = max(24, bits_for_digits(d))
         run_ctx = PrecisionCtx(bits=bits)
         xy = iterate(params, N, run_ctx)
-        div = None
-        for n in range(len(xy.x)):
-            rx = _rel_dev(ref_ctx.real(xy.x[n]), ref.x[n], mpr)
-            ry = _rel_dev(ref_ctx.real(xy.y[n]), ref.y[n], mpr)
-            if rx > tol or ry > tol:
-                div = n
-                break
-        notes = ""
-        if xy.failure_index is not None:
-            if div is None:
-                div = xy.failure_index
-            notes = f"singular step at n={xy.failure_index}"
-        last = len(xy.x) - 1
+        diverged = (
+            _rel_dev(ref_ctx.real(xy.x[n]), ref.x[n], mpr) > tol
+            or _rel_dev(ref_ctx.real(xy.y[n]), ref.y[n], mpr) > tol
+            for n in range(len(xy.x))
+        )
         reports.append(
-            StudyReport(
-                params=params,
-                bits=bits,
-                N=last,
-                x_limit_gap=abs(ref_ctx.real(xy.x[last]) - tx),
-                y_limit_gap=abs(ref_ctx.real(xy.y[last]) + last * tx - ty),
-                divergence_index=div,
-                notes=notes,
-                digits=d,
-            )
+            _study_report(params, bits, xy, diverged, (tx, ty), ref_ctx.real, d)
         )
     return reports

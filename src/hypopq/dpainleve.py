@@ -8,15 +8,19 @@ thing most worth double-checking:
     in x_n, solved here for y_{n+1};
   * second kind: a rational map giving x_m from (x_{m-1}, y_m).
 
-Seeds are x_0 = m_1/m_0 - ((alpha+beta)c - gamma)/(1-c), y_0 = 0.
+Seeds are x_0 = m_1/m_0 - ((alpha+beta)c - gamma)/(1-c), y_0 = 0.  Both
+relations, and everything built on them here, take the same form with the
+original parameters on the shifted lattice k + 1 - gamma.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from .errors import InvalidParam, PrecisionExhausted, SingularStep
 from .oracle import XYSeq, _coeffs_at
 from .reporting import ResidualReport, normalized_residual
-from .weights import Lattice, initial_xy, shifted_params
+from .weights import Lattice, initial_xy
 
 _MONITOR_EVERY = 10
 _MONITOR_THRESHOLD = "1e-6"
@@ -60,8 +64,9 @@ def dp1_step(params, n: int, x_n, y_n, ctx):
         msg = f"first-kind factor vanished at n={n}"
         if params.is_meixner:
             msg += (
-                "; alpha == gamma or beta == gamma pins x_n at gamma, "
-                "making both sides identically zero (closed form applies)"
+                "; the Meixner form pins x_n at its limit (gamma, or 1 on "
+                "the shifted lattice), making both sides identically zero "
+                "(closed form applies)"
             )
         raise SingularStep(msg, index=n, which="P")
     return rhs / P - Q
@@ -167,19 +172,22 @@ def _monitor_residual(mp, a, bta, g, c, x, y, S, m):
     return max(normalized_residual(mp, lhs, rhs) for lhs, rhs in terms.values())
 
 
-def _with_sums(params, x, y, ctx, failure=None, suspect=None):
-    """XYSeq of (x, y) with its running sums S[n] = x[0] + ... + x[n-1]."""
-    S = [ctx.mp.mpf(0)]
-    for xi in x:
-        S.append(S[-1] + xi)
-    return XYSeq(params, x, y, S, ctx, failure, suspect)
+def _targets(params, ctx):
+    """(x-limit, limit of y_n + n * x-limit) for the lattice at hand."""
+    a, bta, g, _ = params.as_reals(ctx)
+    if params.lattice is Lattice.SHIFTED:
+        return ctx.mp.mpf(1), (1 - a) * (1 - bta)
+    return g, (g - a) * (g - bta)
 
 
 def iterate(params, N: int, ctx, seed=None, strict: bool = False) -> XYSeq:
-    """Run the difference recursion to index N.
+    """Run the difference recursion to index N, on either lattice.
 
     Canonical seeds (seed=None) come from the first two moments.  A custom
-    seed is a pair (x0, y0).  On a singular step the prefix computed so far
+    seed is a pair (x0, y0), used as given.  The steps and the monitor take
+    ``params`` as given on both lattices; only the canonical seed of a
+    shifted set goes through the standard-lattice transform
+    (:func:`initial_xy`).  On a singular step the prefix computed so far
     is returned with ``failure_index`` set (or the SingularStep is raised
     when strict=True).  For canonical runs a consistency monitor evaluates
     the five nonlinear cross-identities every ten steps; the first index
@@ -190,31 +198,15 @@ def iterate(params, N: int, ctx, seed=None, strict: bool = False) -> XYSeq:
     if N < 0:
         raise InvalidParam("N must be >= 0")
     mp = ctx.mp
-
-    if params.lattice is Lattice.SHIFTED:
-        # Identical recursion on the transformed standard parameters; map
-        # back with x -> x + (gamma-1), y -> y - n(gamma-1).
-        tparams = shifted_params(params)
-        tshift = ctx.real(params.gamma) - 1
-        if seed is None:
-            inner = iterate(tparams, N, ctx, None, strict)
-        else:
-            sx, sy = ctx.real(seed[0]), ctx.real(seed[1])
-            inner = iterate(tparams, N, ctx, (sx - tshift, sy), strict)
-        x = [xi + tshift for xi in inner.x]
-        y = [inner.y[n] - n * tshift for n in range(len(inner.y))]
-        return _with_sums(
-            params, x, y, ctx, inner.failure_index, inner.precision_suspect_at
-        )
-
     canonical = seed is None
     if canonical and params.is_meixner:
-        # The orbit is a fixed point of the first-kind quartic: x_n = gamma,
-        # y_n = -n*gamma, exactly.  The generic step would divide 0/0 here.
-        gv = ctx.real(params.gamma)
-        x = [gv] * (N + 1)
-        y = [-mp.mpf(n) * gv for n in range(N + 1)]
-        return _with_sums(params, x, y, ctx)
+        # The orbit is a fixed point of the first-kind quartic: x_n is the
+        # x-limit (gamma, or 1 on the shifted lattice) and y_n = -n x_n,
+        # exactly.  The generic step would divide 0/0 here.
+        xv, _ = _targets(params, ctx)
+        x = [xv] * (N + 1)
+        y = [-mp.mpf(n) * xv for n in range(N + 1)]
+        return XYSeq(params, x, y, [mp.mpf(0), *accumulate(x)], ctx)
 
     if canonical:
         x0, y0 = initial_xy(params, ctx)

@@ -1,10 +1,12 @@
 """The hypergeometric weight family, its moments, and parameter transforms.
 
 Weights ``w_k = (alpha)_k (beta)_k / ((gamma)_k k!) * c**k`` on the lattice
-``k = 0, 1, 2, ...`` for ``alpha, beta, gamma > 0`` and ``0 < c < 1``.  The
-shifted lattice ``k + 1 - gamma`` is always routed through the exact
-parameter transform (:func:`shifted_params`); no Gamma-function evaluation
-and no non-integer lattice summation happens anywhere.
+``k = 0, 1, 2, ...`` for ``alpha, beta, gamma > 0`` and ``0 < c < 1``.  On
+the shifted lattice ``k + 1 - gamma`` the moment route (moments, seeds and
+oracle coefficients) goes through the exact parameter transform
+(:func:`shifted_params`); the difference recursion and the identities take
+the original parameters.  No Gamma-function evaluation and no non-integer
+lattice summation happens anywhere.
 """
 
 from __future__ import annotations
@@ -114,8 +116,11 @@ class Params:
 
     @property
     def is_meixner(self):
-        """True when the weight degenerates to a Meixner weight."""
-        return self.alpha == self.gamma or self.beta == self.gamma
+        """True when the weight degenerates to a Meixner weight: alpha or beta
+        equals gamma in standard-lattice form, i.e. equals 1 on the shifted
+        lattice."""
+        pin = 1 if self.lattice is Lattice.SHIFTED else self.gamma
+        return pin in (self.alpha, self.beta)
 
     def swapped(self):
         """The equivalent measure with alpha and beta exchanged."""
@@ -148,8 +153,10 @@ def shifted_params(params):
     Returns ``(alpha - gamma + 1, beta - gamma + 1, 2 - gamma, c)`` on the
     standard lattice.  The recurrence coefficients transform as
     ``a_n^2 -> a_n^2`` and ``b_n -> b_n + 1 - gamma``; seeds pick up
-    ``+ gamma - 1``.  Raises ``InvalidParam`` when a transformed parameter
-    is not positive.
+    ``+ gamma - 1``.  Only the moment route (``initial_xy``,
+    ``coeffs_oracle``) uses it; the difference recursion runs on the
+    original parameters.  Raises ``InvalidParam`` when a transformed
+    parameter is not positive.
     """
     return Params(
         params.alpha - params.gamma + 1,

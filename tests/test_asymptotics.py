@@ -41,10 +41,12 @@ def test_limit_report_converges(ctx256):
 
 
 def test_limit_report_meixner_exact(ctx256):
-    # closed orbit: x_n = gamma exactly, y_n + n gamma = 0 = (g-a)(g-b)
-    rep = limit_report(meixner_params(), 40, ctx256)
-    assert rep.x_limit_gap == 0
-    assert rep.y_limit_gap == 0
+    # closed orbit: x_n = gamma exactly, y_n + n gamma = 0 = (g-a)(g-b); on
+    # the shifted lattice x_n = 1 and y_n + n = 0 = (1-a)(1-b)
+    for p in (meixner_params(), H.Params(1, F(1, 2), F(5, 6), F(3, 8), Lattice.SHIFTED)):
+        rep = limit_report(p, 40, ctx256)
+        assert rep.x_limit_gap == 0
+        assert rep.y_limit_gap == 0
 
 
 def test_limit_report_escalates_precision():

@@ -102,31 +102,38 @@ def test_dp2_guard_policies_differ(ctx128):
 
 
 def test_iterate_matches_oracle(ctx256):
-    p = asym_params()
-    xy_rec = iterate(p, 20, ctx256)
-    xy_ora = xy_from_coeffs(p, coeffs_oracle(p, 20, ctx256), ctx256)
-    assert xy_rec.failure_index is None
-    assert xy_rec.precision_suspect_at is None
-    for n in range(21):
-        assert abs(xy_rec.x[n] - xy_ora.x[n]) < 1e-50, n
-        assert abs(xy_rec.y[n] - xy_ora.y[n]) < 1e-50, n
-        assert abs(xy_rec.S[n + 1] - xy_ora.S[n + 1]) < 1e-48, n
+    # the shifted sets run the recursion on their own parameters; the oracle
+    # goes through the standard-lattice transform
+    for p in (
+        asym_params(),
+        asym_params(Lattice.SHIFTED),
+        Params(F(5, 6), F(1, 2), F(5, 6), F(3, 8), Lattice.SHIFTED),
+    ):
+        xy_rec = iterate(p, 20, ctx256)
+        xy_ora = xy_from_coeffs(p, coeffs_oracle(p, 20, ctx256), ctx256)
+        assert xy_rec.failure_index is None
+        assert xy_rec.precision_suspect_at is None
+        for n in range(21):
+            assert abs(xy_rec.x[n] - xy_ora.x[n]) < 1e-50, (p, n)
+            assert abs(xy_rec.y[n] - xy_ora.y[n]) < 1e-50, (p, n)
+            assert abs(xy_rec.S[n + 1] - xy_ora.S[n + 1]) < 1e-48, (p, n)
 
 
 def test_iterate_meixner_closed_orbit(ctx256):
-    p = meixner_params()
-    xy = iterate(p, 30, ctx256)
-    g = ctx256.real(p.gamma)
-    assert xy.failure_index is None
-    for n in range(31):
-        assert xy.x[n] == g
-        assert xy.y[n] == -n * g
-    # but a custom seed takes the generic path and hits the singularity
-    x0, y0 = initial_xy(p, ctx256)
-    xy2 = iterate(p, 30, ctx256, seed=(x0, y0))
-    assert xy2.failure_index == 0
-    with pytest.raises(SingularStep):
-        iterate(p, 30, ctx256, seed=(x0, y0), strict=True)
+    # the orbit pins at gamma on the standard lattice, at 1 on the shifted one
+    for p in (meixner_params(), Params(1, F(1, 2), F(5, 6), F(3, 8), Lattice.SHIFTED)):
+        xlim = 1 if p.lattice is Lattice.SHIFTED else ctx256.real(p.gamma)
+        xy = iterate(p, 30, ctx256)
+        assert xy.failure_index is None
+        for n in range(31):
+            assert xy.x[n] == xlim
+            assert xy.y[n] == -n * xlim
+        # but a custom seed takes the generic path and hits the singularity
+        x0, y0 = initial_xy(p, ctx256)
+        xy2 = iterate(p, 30, ctx256, seed=(x0, y0))
+        assert xy2.failure_index == 0
+        with pytest.raises(SingularStep):
+            iterate(p, 30, ctx256, seed=(x0, y0), strict=True)
 
 
 def test_iterate_explicit_canonical_seed_is_identical(ctx256):

@@ -78,6 +78,9 @@ def test_params_helpers():
     p = asym_params()
     assert not p.is_meixner
     assert meixner_params().is_meixner
+    # shifted lattice: Meixner form is alpha or beta equal to 1, not gamma
+    assert Params(1, F(1, 2), F(5, 6), F(3, 8), Lattice.SHIFTED).is_meixner
+    assert not Params(F(5, 6), F(1, 2), F(5, 6), F(3, 8), Lattice.SHIFTED).is_meixner
     q = p.swapped()
     assert (q.alpha, q.beta) == (p.beta, p.alpha)
     assert q.swapped().key() == p.key()
