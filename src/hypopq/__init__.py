@@ -50,7 +50,6 @@ from .toda_sigma import (
     Source,
     clear_cache,
     riccati_constant,
-    riccati_residual,
     sigma_parameters,
     sigma_pvi_residual,
     sigma_value,
@@ -107,7 +106,6 @@ __all__ = [
     "perturbation_study",
     "precision_study",
     "riccati_constant",
-    "riccati_residual",
     "shifted_params",
     "sigma_parameters",
     "sigma_pvi_residual",

@@ -9,7 +9,7 @@ errors and roundoff, so every report here carries a divergence index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .dpainleve import _targets, iterate
 from .errors import InvalidParam, PrecisionExhausted
@@ -28,8 +28,8 @@ class StudyReport:
     x_limit_gap: object
     y_limit_gap: object
     divergence_index: int | None = None
-    notes: str = ""
     digits: int | None = None
+    notes: str = ""
 
 
 def _study_report(params, bits, xy, diverged, targets, conv=None, digits=None):
@@ -81,15 +81,8 @@ def limit_report(params, N: int, ctx) -> StudyReport:
             f"(failure_index={xy.failure_index}, suspect={xy.precision_suspect_at}); doubling"
         )
         cur = cur.with_bits(cur.bits * 2)
-    tx, ty = _targets(params, cur)
-    return StudyReport(
-        params=params,
-        bits=cur.bits,
-        N=N,
-        x_limit_gap=abs(xy.x[N] - tx),
-        y_limit_gap=abs(xy.y[N] + N * tx - ty),
-        notes="; ".join(notes),
-    )
+    rep = _study_report(params, cur.bits, xy, (), _targets(params, cur))
+    return replace(rep, notes="; ".join(notes))
 
 
 def perturbation_study(params, deltas, N: int, ctx, seed_x0=None) -> list:

@@ -23,7 +23,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import fields
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
@@ -89,19 +89,6 @@ def _parse_step(text):
     return _parse_exact(s, "h")
 
 
-@dataclass
-class RunConfig:
-    subcommand: str
-    params: Params
-    ctx: PrecisionCtx
-    nmax: int | None
-    h: Fraction | None
-    fmt: str
-    output: str | None
-    input_exact: bool
-    options: dict = field(default_factory=dict)
-
-
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--alpha", required=True, help="rational like 3/2, or decimal")
@@ -164,14 +151,19 @@ def _build_parser():
     return top
 
 
-def _config(ns) -> RunConfig:
-    exact = True
-    vals = {}
-    for name in ("alpha", "beta", "gamma", "c"):
-        vals[name], ex = _parse_exact(getattr(ns, name), name)
-        exact = exact and ex
-    params = Params(
-        vals["alpha"], vals["beta"], vals["gamma"], vals["c"], Lattice.parse(ns.lattice)
+def _config(ns):
+    """Replace the exact-valued arguments on ``ns`` by their parsed values,
+    adding ``params``, ``ctx`` and ``input_exact``."""
+    exact = []
+
+    def parse(text, name):
+        value, ex = _parse_exact(text, name)
+        exact.append(ex)
+        return value
+
+    ns.params = Params(
+        *(parse(getattr(ns, name), name) for name in ("alpha", "beta", "gamma", "c")),
+        Lattice.parse(ns.lattice),
     )
     if ns.bits is not None and ns.digits is not None:
         raise InvalidParam("give --bits or --digits, not both")
@@ -184,56 +176,30 @@ def _config(ns) -> RunConfig:
             bits = int(os.environ.get("HYPOPQ_DEFAULT_BITS", "256"))
         except ValueError as exc:
             raise InvalidParam("HYPOPQ_DEFAULT_BITS must be an integer") from exc
-    ctx = PrecisionCtx(bits=bits)
+    ns.ctx = PrecisionCtx(bits=bits)
 
-    h = None
     if getattr(ns, "h", None) is not None:
-        h, ex = _parse_step(ns.h)
-        exact = exact and ex
-        if not 0 < h:
+        ns.h, ex = _parse_step(ns.h)
+        exact.append(ex)
+        if not 0 < ns.h:
             raise InvalidParam("h must be positive")
-
-    options = {}
-    if hasattr(ns, "seed_x0") and ns.seed_x0 is not None:
-        options["seed_x0"], ex = _parse_exact(ns.seed_x0, "seed-x0")
-        exact = exact and ex
-    if hasattr(ns, "strict"):
-        options["strict"] = ns.strict
-    if hasattr(ns, "suite"):
-        options["suite"] = ns.suite
+    if getattr(ns, "seed_x0", None) is not None:
+        ns.seed_x0 = parse(ns.seed_x0, "seed-x0")
     if hasattr(ns, "source"):
-        options["source"] = Source.parse(ns.source)
-    if hasattr(ns, "tol") and ns.tol is not None:
-        options["tol"], _ = _parse_exact(ns.tol, "tol")
-    if hasattr(ns, "n"):
-        options["n"] = ns.n
+        ns.source = Source.parse(ns.source)
+    if getattr(ns, "tol", None) is not None:
+        ns.tol, _ = _parse_exact(ns.tol, "tol")
     if hasattr(ns, "digit_levels"):
         try:
-            options["digit_levels"] = [int(t) for t in ns.digit_levels.split(",") if t.strip()]
+            ns.digit_levels = [int(t) for t in ns.digit_levels.split(",") if t.strip()]
         except ValueError as exc:
             raise InvalidParam("--digit-levels must be comma-separated integers") from exc
     if hasattr(ns, "deltas"):
         tokens = [t.strip() for t in ns.deltas.split(",") if t.strip()]
         if not tokens:
             raise InvalidParam("--deltas is empty")
-        parsed = []
-        for t in tokens:
-            v, ex = _parse_exact(t, "delta")
-            parsed.append((t, v))
-            exact = exact and ex
-        options["deltas"] = parsed
-
-    return RunConfig(
-        subcommand=ns.subcommand,
-        params=params,
-        ctx=ctx,
-        nmax=getattr(ns, "nmax", None),
-        h=h,
-        fmt=ns.fmt,
-        output=ns.output,
-        input_exact=exact,
-        options=options,
-    )
+        ns.deltas = [(t, parse(t, "delta")) for t in tokens]
+    ns.input_exact = all(exact)
 
 
 # ---------------------------------------------------------------------------
@@ -246,15 +212,9 @@ def _step_value(cfg):
 
 def _study_record(rep, **extra):
     rec = dict(extra)
-    rec.update(
-        bits=rep.bits,
-        N=rep.N,
-        x_limit_gap=rep.x_limit_gap,
-        y_limit_gap=rep.y_limit_gap,
-        divergence_index=rep.divergence_index,
-        digits=rep.digits,
-        notes=rep.notes,
-    )
+    for f in fields(rep):
+        if f.name != "params":
+            rec[f.name] = getattr(rep, f.name)
     return rec
 
 
@@ -296,9 +256,9 @@ def _cmd_xy(cfg):
 
 def _cmd_iterate(cfg):
     seed = None
-    if "seed_x0" in cfg.options:
-        seed = (cfg.ctx.real(cfg.options["seed_x0"]), cfg.ctx.mp.mpf(0))
-    xy = iterate(cfg.params, cfg.nmax, cfg.ctx, seed=seed, strict=cfg.options["strict"])
+    if cfg.seed_x0 is not None:
+        seed = (cfg.ctx.real(cfg.seed_x0), cfg.ctx.mp.mpf(0))
+    xy = iterate(cfg.params, cfg.nmax, cfg.ctx, seed=seed, strict=cfg.strict)
     records = [
         {"n": n, "x": xy.x[n], "y": xy.y[n], "S": xy.S[n]} for n in range(len(xy.x))
     ]
@@ -310,7 +270,7 @@ def _cmd_iterate(cfg):
 
 
 def _cmd_verify(cfg):
-    suites = ["identities", "toda"] if cfg.options["suite"] == "all" else [cfg.options["suite"]]
+    suites = ["identities", "toda"] if cfg.suite == "all" else [cfg.suite]
     ctx = cfg.ctx
     entries = []
     extra = {"suites": suites}
@@ -327,18 +287,19 @@ def _cmd_verify(cfg):
             lad = ladder_sequences(cfg.params, cs, ctx)
             entries.extend(ladder_residuals(cfg.params, lad, cs, ctx).entries)
     if "toda" in suites:
+        if cfg.nmax < 0:
+            raise InvalidParam("nmax must be >= 0")
         h = _step_value(cfg)
         extra["h"] = ctx.to_decimal(h)
-        src = cfg.options["source"]
         for n in range(cfg.nmax + 1):
-            entries.extend(toda_residuals(cfg.params, n, h, src, ctx).entries)
-        extra["source"] = src.value
+            entries.extend(toda_residuals(cfg.params, n, h, cfg.source, ctx).entries)
+        extra["source"] = cfg.source.value
     records = [{"name": e.name, "n": e.n, "residual": e.value} for e in entries]
     maxres = max((e.value for e in entries), default=ctx.mp.mpf(0))
     extra["max_residual"] = ctx.to_decimal(maxres)
     code, err = 0, None
-    if "tol" in cfg.options:
-        tol = ctx.real(cfg.options["tol"])
+    if cfg.tol is not None:
+        tol = ctx.real(cfg.tol)
         if not maxres <= tol:
             code = 3
             err = {
@@ -350,12 +311,11 @@ def _cmd_verify(cfg):
 
 def _cmd_sigma(cfg):
     ctx = cfg.ctx
-    n = cfg.options["n"]
+    n = cfg.n
     h = _step_value(cfg)
-    src = cfg.options["source"]
-    sv = sigma_value(cfg.params, n, ctx.real(cfg.params.c), src, ctx)
-    res = sigma_pvi_residual(cfg.params, n, h, src, ctx)
-    extra = {"h": ctx.to_decimal(h), "source": src.value}
+    sv = sigma_value(cfg.params, n, ctx.real(cfg.params.c), cfg.source, ctx)
+    res = sigma_pvi_residual(cfg.params, n, h, cfg.source, ctx)
+    extra = {"h": ctx.to_decimal(h), "source": cfg.source.value}
     records = [{"n": n, "c": ctx.real(cfg.params.c), "sigma": sv, "pvi_residual": res}]
     return records, extra, 0, None
 
@@ -377,15 +337,14 @@ def _cmd_asymptotics(cfg):
 
 
 def _cmd_precision_study(cfg):
-    reports = precision_study(cfg.params, cfg.options["digit_levels"], cfg.nmax)
+    reports = precision_study(cfg.params, cfg.digit_levels, cfg.nmax)
     return [_study_record(r) for r in reports], {}, 0, None
 
 
 def _cmd_perturb(cfg):
-    seed_x0 = cfg.options.get("seed_x0")
-    tokens = [t for t, _ in cfg.options["deltas"]]
-    values = [v for _, v in cfg.options["deltas"]]
-    reports = perturbation_study(cfg.params, values, cfg.nmax, cfg.ctx, seed_x0=seed_x0)
+    tokens = [t for t, _ in cfg.deltas]
+    values = [v for _, v in cfg.deltas]
+    reports = perturbation_study(cfg.params, values, cfg.nmax, cfg.ctx, seed_x0=cfg.seed_x0)
     records = [
         _study_record(rep, delta=token) for token, rep in zip(tokens, reports)
     ]
@@ -431,7 +390,7 @@ def _meta(cfg, extra):
         "digits_equivalent": digits_for_bits(cfg.ctx.bits),
         "input_exact": cfg.input_exact,
     }
-    if cfg.nmax is not None:
+    if hasattr(cfg, "nmax"):
         meta["nmax"] = cfg.nmax
     meta.update(extra)
     return meta
@@ -469,8 +428,8 @@ def _print_error(etype, message):
 
 def run(argv=None) -> int:
     try:
-        ns = _build_parser().parse_args(argv)
-        cfg = _config(ns)
+        cfg = _build_parser().parse_args(argv)
+        _config(cfg)
         records, extra, code, err = _COMMANDS[cfg.subcommand](cfg)
         _emit(cfg, _render(cfg, records, extra))
         if err is not None:

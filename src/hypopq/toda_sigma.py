@@ -313,44 +313,3 @@ def riccati_constant(params, h, ctx):
     x0 = x0_at(c0)
     return c0 * (1 - c0) * x0p + (1 - c0) * x0 * x0 + ((a + bta) * c0 - g - 1) * x0 - a * bta * c0
 
-
-def riccati_residual(params, n: int, h, source: Source, ctx):
-    """Experimental: normalized defect of the second-order relation
-
-        c(1-c) x_n'' + 2(1-c) x_n x_n' + (n + (n+alpha+beta-2)c - gamma) x_n'
-            - x_n^2 + (n+alpha+beta) x_n - alpha*beta = -y_n - 2c y_n'
-
-    at general n.  Exercised on the standard lattice; elsewhere treat the
-    result as exploratory.
-    """
-    if n < 0:
-        raise InvalidParam("n must be >= 0")
-    mp = ctx.mp
-    h = ctx.real(h)
-    c0 = ctx.real(params.c)
-    a, bta, g, _ = params.as_reals(ctx)
-    domain = (mp.mpf(0), mp.mpf(1))
-
-    def xf(ce):
-        return _sequences_at(params, ce, n, source, ctx).x[n]
-
-    def yf(ce):
-        return _sequences_at(params, ce, n, source, ctx).y[n]
-
-    x1 = central_derivative(xf, c0, h, 1, ctx, domain=domain)
-    x2 = central_derivative(xf, c0, h, 2, ctx, domain=domain)
-    y1 = central_derivative(yf, c0, h, 1, ctx, domain=domain)
-    mid = _sequences_at(params, c0, n, source, ctx)
-    xn, yn = mid.x[n], mid.y[n]
-    return normalized_residual(
-        mp,
-        [
-            c0 * (1 - c0) * x2,
-            2 * (1 - c0) * xn * x1,
-            (n + (n + a + bta - 2) * c0 - g) * x1,
-            -xn * xn,
-            (n + a + bta) * xn,
-            -a * bta,
-        ],
-        [-yn, -2 * c0 * y1],
-    )

@@ -51,6 +51,14 @@ def test_coeffs_json_schema(capsys, ctx256):
     assert ctx256.real(recs[1]["a2"]) == want.a2[1]
     assert ctx256.real(recs[3]["b"]) == want.b[3]
     assert ctx256.real(recs[0]["a2"]) == 0
+    doc, _ = run_json(capsys, ["ladder", *ASYM, "--nmax", "3"])
+    recs = doc["records"]
+    assert [r["n"] for r in recs] == [0, 1, 2, 3]
+    assert set(recs[0]) == {"n", "u", "v", "r", "s"}
+    lad = H.ladder_sequences(asym_params(), coeffs_oracle(asym_params(), 3, ctx256), ctx256)
+    for r in recs:
+        for k in "uvrs":
+            assert ctx256.real(r[k]) == getattr(lad, k)[r["n"]], (k, r["n"])
 
 
 def test_xy_and_iterate_schemas(capsys):
@@ -171,6 +179,11 @@ def test_decimal_inputs_flagged_inexact(capsys):
     )
     assert doc["meta"]["input_exact"] is False
     assert doc["meta"]["alpha"] == "3/2"  # still parsed exactly
+    # a decimal step flags the run too; the 2^-k form does not
+    for h, exact in (("0.0001", False), ("2^-10", True)):
+        doc, _ = run_json(capsys, ["riccati", *ASYM, "--bits", "128", "--h", h])
+        assert doc["meta"]["input_exact"] is exact, h
+    assert doc["meta"]["h"] == "0.0009765625"
 
 
 def test_digits_flag_sets_bits(capsys):
@@ -264,10 +277,12 @@ def test_bad_arguments_exit2(capsys):
     capsys.readouterr()
     assert run(["coeffs", *ASYM, "--nmax", "1", "--c", "2"]) == 2
     capsys.readouterr()
-    # Decimal("inf") parses but has no Fraction: exit 2 with one JSON line
+    # Decimal("inf") parses but has no Fraction, and the toda suite has no
+    # index to check below nmax = 0: exit 2 with one JSON line
     for argv in (
         ["coeffs", "--alpha", "inf", *ASYM[2:], "--nmax", "1"],
         ["iterate", *ASYM, "--nmax", "1", "--seed-x0", "inf"],
+        ["verify", *ASYM, "--nmax", "-1", "--suite", "toda"],
     ):
         assert run(argv) == 2
         _, err = capsys.readouterr()

@@ -21,7 +21,6 @@ from hypopq.toda_sigma import (
     _node_params,
     clear_cache,
     riccati_constant,
-    riccati_residual,
     sigma_parameters,
     sigma_pvi_residual,
     sigma_value,
@@ -192,18 +191,6 @@ def test_riccati_constant_is_minus_gamma(ctx256):
     for p in (asym_params(), sym_params(), meixner_params(), asym_params(Lattice.SHIFTED)):
         got = riccati_constant(p, h, ctx256)
         assert abs(got + ctx256.real(p.gamma)) < 1e-25, p
-
-
-def test_riccati_residual_general_n(ctx256):
-    h = ctx256.mp.ldexp(1, -30)
-    p = asym_params()
-    for n in (0, 2, 5):
-        assert riccati_residual(p, n, h, Source.ORACLE, ctx256) < 1e-20, n
-    assert riccati_residual(sym_params(), 3, h, Source.ORACLE, ctx256) < 1e-20
-    ps = asym_params(Lattice.SHIFTED)
-    assert riccati_residual(ps, 2, h, Source.ORACLE, ctx256) < 1e-20
-    with pytest.raises(InvalidParam):
-        riccati_residual(p, -1, h, Source.ORACLE, ctx256)
 
 
 # ------------------------------------------------------------------- cache

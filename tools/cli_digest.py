@@ -1,10 +1,11 @@
 """Digest of the CLI's output over a fixed grid of invocations.
 
-Runs every (parameter set, command) pair of the grid in-process through
-``hypopq.cli.run``, with the caches emptied before each one, and prints one
-line per invocation: the first 12 hex digits of the SHA-256 of its stdout,
-stderr and exit code, then its argv.  Comparing two trees is a ``diff`` of
-their outputs:
+Runs every (parameter set, command) pair of the grid, and then a list of
+option-path invocations, in-process through ``hypopq.cli.run``, with the
+caches emptied before each one, and prints one line per invocation: the
+first 12 hex digits of the SHA-256 of its stdout, stderr, exit code and any
+``--output`` file it wrote, then its environment settings and argv.
+Comparing two trees is a ``diff`` of their outputs:
 
     PYTHONPATH=src python tools/cli_digest.py > new.txt
 
@@ -14,7 +15,10 @@ Uses only the standard library and the package under test.
 import contextlib
 import hashlib
 import io
+import os
+import shlex
 import sys
+import tempfile
 
 from hypopq import clear_cache
 from hypopq.cli import run
@@ -46,14 +50,99 @@ COMMANDS = (
     "perturb --nmax 80 --deltas 0,1e-6",
 )
 
+# The option paths of argument parsing, on one parameter set: (environment,
+# subcommand, arguments).  "{out}" in an argument is replaced by a file in a
+# fresh temporary directory, and the file's contents join the digest.
+P = ("--alpha", "3/2", "--beta", "3", "--gamma", "1/3", "--c", "1/2")
+B = ("--bits", "128")
+OPTION_RUNS = (
+    ({}, "coeffs", (*P, *B, "--nmax", "6", "--format", "csv")),
+    ({}, "moments", (*P, *B, "--nmax", "4", "--format", "csv")),
+    ({}, "precision-study", (*P, "--nmax", "40", "--digit-levels", "10", "--format", "csv")),
+    ({}, "coeffs", (*P, "--nmax", "6", "--digits", "30")),
+    ({}, "asymptotics", (*P, "--nmax", "40", "--digits", "40")),
+    ({}, "coeffs", (*P, *B, "--nmax", "6", "--output", "{out}")),
+    ({}, "verify", (*P, *B, "--nmax", "3", "--tol", "1e-300", "--output", "{out}")),
+    ({"HYPOPQ_DEFAULT_BITS": "96"}, "coeffs", (*P, "--nmax", "6")),
+    ({"HYPOPQ_DEFAULT_BITS": "96"}, "coeffs", (*P, *B, "--nmax", "6")),
+    ({"HYPOPQ_DEFAULT_BITS": "abc"}, "coeffs", (*P, "--nmax", "6")),
+    ({"HYPOPQ_DEFAULT_BITS": "abc"}, "coeffs", (*P, "--nmax", "6", "--digits", "30")),
+    ({}, "coeffs", ("--alpha", "1.5", "--beta", "3", "--gamma", "1/3", "--c", "0.5", *B,
+                    "--nmax", "6")),
+    ({}, "xy", ("--alpha", "3/2", "--beta", "3", "--gamma", "0.25", "--c", "1/2", *B,
+                "--nmax", "4")),
+    ({}, "riccati", (*P, *B, "--h", "2^-30")),
+    ({}, "riccati", (*P, *B, "--h", "1/1024")),
+    ({}, "riccati", (*P, *B, "--h", "0.0001")),
+    ({}, "verify", (*P, *B, "--nmax", "2", "--suite", "toda", "--h", "1/1024")),
+    ({}, "verify", (*P, *B, "--nmax", "2", "--suite", "toda", "--h", "2^-20",
+                    "--source", "iterate")),
+    ({}, "sigma", (*P, *B, "--n", "2", "--h", "0.0001")),
+    ({}, "sigma", (*P, *B, "--n", "2", "--h", "2^-30", "--source", "iterate")),
+    ({}, "verify", (*P, *B, "--nmax", "3", "--tol", "1/10")),
+    ({}, "verify", (*P, *B, "--nmax", "3", "--tol", "1e-300")),
+    ({}, "verify", (*P, *B, "--nmax", "1", "--suite", "all", "--h", "2^-16",
+                    "--tol", "1e-8")),
+    ({}, "iterate", (*P, *B, "--nmax", "20", "--seed-x0", "6/5", "--strict")),
+    ({}, "iterate", (*P, *B, "--nmax", "20", "--seed-x0", "1.2")),
+    ({}, "iterate", ("--alpha", "3", "--beta", "2", "--gamma", "3", "--c", "1/2", *B,
+                     "--nmax", "5", "--seed-x0", "3", "--strict")),
+    ({}, "perturb", (*P, *B, "--nmax", "40", "--deltas", "0,1e-6", "--seed-x0", "6/5")),
+    ({}, "perturb", (*P, *B, "--nmax", "40", "--deltas", "1e-6, -1/1000000")),
+    ({}, "precision-study", (*P, "--nmax", "40", "--digit-levels", "10, 20,")),
+    ({}, "coeffs", (*P, "--nmax", "2", "--digits", "10", "--bits", "64")),
+    ({}, "riccati", (*P, *B, "--h", "0")),
+    ({}, "riccati", (*P, *B, "--h=-1/1024")),
+    ({}, "riccati", (*P, *B, "--h", "x")),
+    ({}, "verify", (*P, *B, "--nmax", "2", "--tol", "abc")),
+    ({}, "perturb", (*P, *B, "--nmax", "10", "--deltas", "")),
+    ({}, "perturb", (*P, *B, "--nmax", "10", "--deltas", " , ")),
+    ({}, "perturb", (*P, *B, "--nmax", "10", "--deltas", "1e-6,x")),
+    ({}, "perturb", (*P, *B, "--nmax", "10", "--deltas", "1e-6", "--seed-x0", "x")),
+    ({}, "precision-study", (*P, "--nmax", "10", "--digit-levels", "a,b")),
+    ({}, "precision-study", (*P, "--nmax", "10", "--digit-levels", ",")),
+    ({}, "iterate", (*P, *B, "--nmax", "5", "--seed-x0", "inf")),
+    ({}, "coeffs", (*P, *B, "--nmax", "2", "--lattice", "diagonal")),
+    ({}, "coeffs", (*P, *B)),
+    ({}, "coeffs", (*P, "--nmax", "2", "--bits", "10")),
+    ({}, "coeffs", ("--alpha", "x", "--beta", "3", "--gamma", "1/3", "--c", "1/2",
+                    "--nmax", "2")),
+    ({}, "coeffs", ("--alpha", "3/2", "--beta", "3", "--gamma", "1/0", "--c", "1/2",
+                    "--nmax", "2")),
+    ({}, "verify", (*P, *B, "--nmax", "-1", "--suite", "identities")),
+    ({}, "verify", (*P, *B, "--nmax", "-1", "--suite", "toda")),
+    ({}, "verify", (*P, *B, "--nmax", "-1", "--suite", "all")),
+)
 
-def digest(argv):
-    """Short hash of (stdout, stderr, exit code) of one in-process run."""
+
+def digest(argv, env=None):
+    """Short hash of (stdout, stderr, exit code, output file) of one
+    in-process run under the environment settings ``env``, which are
+    undone afterwards."""
+    env = env or {}
+    saved = {k: os.environ.get(k) for k in env}
     out, err = io.StringIO(), io.StringIO()
     clear_cache()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run(argv)
+    try:
+        os.environ.update(env)
+        with tempfile.TemporaryDirectory() as tmp:
+            target = os.path.join(tmp, "out")
+            argv = [a.replace("{out}", target) for a in argv]
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run(argv)
+            written = ""
+            if os.path.exists(target):
+                with open(target, encoding="utf-8") as fh:
+                    written = fh.read()
+    finally:
+        for k, v in saved.items():
+            if v is None:
+                os.environ.pop(k, None)
+            else:
+                os.environ[k] = v
     blob = "\0".join((out.getvalue(), err.getvalue(), str(code)))
+    if written:  # runs that write no file keep their digests of older versions
+        blob += "\0" + written
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
@@ -63,7 +152,12 @@ def main():
             name, *rest = command.split()
             argv = [name, "--alpha", a, "--beta", b, "--gamma", g, "--c", c,
                     "--lattice", lattice, "--bits", "128", *rest]
-            print(f"{digest(argv)}  {' '.join(argv)}", flush=True)
+            print(f"{digest(argv)}  {shlex.join(argv)}", flush=True)
+    for env, name, args in OPTION_RUNS:
+        argv = [name, *args]
+        shown = " ".join(f"{k}={v}" for k, v in env.items())
+        print(f"{digest(argv, env)}  {shown + ' ' if shown else ''}{shlex.join(argv)}",
+              flush=True)
     return 0
 
 
