@@ -63,6 +63,10 @@ _PRECISION_ERRORS = (PrecisionExhausted, NonConvergent)
 class _Parser(argparse.ArgumentParser):
     # argparse's default error() exits with code 2 but prints usage text;
     # route through InvalidParam so all errors share the JSON convention.
+    # Abbreviations are off: "--h" would otherwise mean --help and exit 0.
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise InvalidParam(message)
 
@@ -90,7 +94,7 @@ def _parse_step(text):
 
 
 def _build_parser():
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--alpha", required=True, help="rational like 3/2, or decimal")
     common.add_argument("--beta", required=True)
     common.add_argument("--gamma", required=True)

@@ -18,15 +18,11 @@ from fractions import Fraction
 from functools import lru_cache, partial
 
 from mpmath.libmp import (
-    fone,
     fzero,
-    from_int,
     from_rational,
-    mpf_abs,
     mpf_add,
     mpf_div,
     mpf_gt,
-    mpf_le,
     mpf_mul,
     mpf_mul_int,
     mpf_pos,
@@ -204,18 +200,28 @@ _SEED_MEMO_SIZE = 256
 
 @lru_cache(maxsize=_SEED_MEMO_SIZE)
 def _seed_sums(params, ctx):
-    """Raw ``(m_0, m_1)`` at ``bits + guard_bits``: the lattice series of
-    ``w_k`` and ``k w_k``, summed in one pass.  Each stops once three
-    consecutive terms are at most ``2**-(bits+guard_bits)`` of its partial
-    sum (single terms can dip before the geometric tail sets in, hence the
-    streak), or raises ``NonConvergent`` at the term cap.
+    """Raw ``(m_0, m_1)`` at ``bits + guard_bits`` (``prec``): the lattice
+    series of ``w_k`` and ``k w_k``, summed in one pass in fixed-point ints.
 
     Each weight follows from the last by one exact integer ratio: with
     ``alpha = pa/qa`` and likewise for beta, gamma and c,
     ``w_{k+1} = w_k num_k / den_k``, ``num_k = (pa + k qa)(pb + k qb) pc qg``,
-    ``den_k = (pg + k qg)(k+1) qc qa qb``, so two roundings per term.
-    ``num_k`` is symmetric in alpha and beta, so the sums are bit-identical
-    under the swap.  Memoized per standard-lattice params and whole context;
+    ``den_k = (pg + k qg)(k+1) qc qa qb``.  The pass keeps ``W_k = w_k 2**F``
+    rounded down (``W_0 = 2**F``, ``W_{k+1} = W_k num_k // den_k``), adds
+    ``W_k`` and ``k W_k`` into two integer sums and rounds each to ``prec``
+    once.  A series stops once three consecutive terms ``t`` satisfy
+    ``t << prec <= s`` for its partial sum ``s`` (single terms can dip before
+    the geometric tail sets in, hence the streak), or raises
+    ``NonConvergent`` at the term cap.
+
+    ``F`` is ``prec`` plus twice the bit length of the term cap.  ``W_k`` is
+    at most ``E_k`` units low, with ``E_0 = 0`` and
+    ``E_{k+1} = ceil(E_k num_k / den_k) + 1``; the ``E_k`` and ``k E_k`` are
+    summed like the terms.  If a bound exceeds ``2**-(prec+1)`` of its sum
+    (terms that dip far below ``w_0`` before they grow lose bits so), the
+    pass is redone with ``F`` wider by the shortfall.  ``num_k`` is symmetric
+    in alpha and beta, so the sums are bit-identical under the swap.
+    Memoized per standard-lattice params and whole context;
     ``toda_sigma.clear_cache`` empties the memo.
     """
     prec = ctx.bits + ctx.guard_bits
@@ -224,23 +230,31 @@ def _seed_sums(params, ctx):
         (q.numerator, q.denominator) for q in (p.alpha, p.beta, p.gamma, p.c)
     )
     num_c, den_c = pc * qg, qc * qa * qb
-    eps = from_man_exp(1, -prec)
     cap = _effective_cap(p.c, ctx)
-    moms, consec = [fzero, fzero], [0, 0]
-    w, k = fone, 0
-    while min(consec) < 3:
-        if k >= cap:
-            raise NonConvergent(f"moment series exceeded {cap} terms")
-        for n, t in enumerate((w, mpf_mul_int(w, k, prec, _RND))):
-            if consec[n] < 3:
-                moms[n] = s = mpf_add(moms[n], t, prec, _RND)
-                tiny = mpf_le(mpf_abs(t), mpf_mul(eps, mpf_abs(s), prec, _RND))
-                consec[n] = consec[n] + 1 if tiny else 0
-        num = (pa + k * qa) * (pb + k * qb) * num_c
-        den = (pg + k * qg) * (k + 1) * den_c
-        w = mpf_div(mpf_mul_int(w, num, prec, _RND), from_int(den), prec, _RND)
-        k += 1
-    return moms[0], moms[1]
+    frac = prec + 2 * cap.bit_length()
+    while True:
+        s0 = s1 = e0 = e1 = run0 = run1 = k = err = 0
+        w = 1 << frac
+        while run0 < 3 or run1 < 3:
+            if k >= cap:
+                raise NonConvergent(f"moment series exceeded {cap} terms")
+            if run0 < 3:
+                s0 += w
+                e0 += err
+                run0 = run0 + 1 if w << prec <= s0 else 0
+            if run1 < 3:
+                t = k * w
+                s1 += t
+                e1 += k * err
+                run1 = run1 + 1 if t << prec <= s1 else 0
+            num = (pa + k * qa) * (pb + k * qb) * num_c
+            den = (pg + k * qg) * (k + 1) * den_c
+            w = w * num // den
+            err = 1 - (-err * num // den)
+            k += 1
+        if e0 << prec + 1 <= s0 and e1 << prec + 1 <= s1:
+            return from_man_exp(s0, -frac, prec, _RND), from_man_exp(s1, -frac, prec, _RND)
+        frac += max(e.bit_length() + prec + 2 - s.bit_length() for s, e in ((s0, e0), (s1, e1)))
 
 
 def _moment_batch_raw(params, count, ctx):

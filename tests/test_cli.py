@@ -277,12 +277,15 @@ def test_bad_arguments_exit2(capsys):
     capsys.readouterr()
     assert run(["coeffs", *ASYM, "--nmax", "1", "--c", "2"]) == 2
     capsys.readouterr()
-    # Decimal("inf") parses but has no Fraction, and the toda suite has no
-    # index to check below nmax = 0: exit 2 with one JSON line
+    # Decimal("inf") parses but has no Fraction, the toda suite has no index
+    # to check below nmax = 0, and options are never abbreviated ("--h" is
+    # not --help, "--nma" not --nmax): exit 2 with one JSON line
     for argv in (
         ["coeffs", "--alpha", "inf", *ASYM[2:], "--nmax", "1"],
         ["iterate", *ASYM, "--nmax", "1", "--seed-x0", "inf"],
         ["verify", *ASYM, "--nmax", "-1", "--suite", "toda"],
+        ["coeffs", *ASYM, "--nmax", "2", "--h", "x"],
+        ["coeffs", *ASYM, "--nma", "2"],
     ):
         assert run(argv) == 2
         _, err = capsys.readouterr()

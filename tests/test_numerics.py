@@ -143,6 +143,29 @@ def test_sum_series_survives_interior_dip(ctx256):
     assert abs(got - (2 - 2 * _log2(ctx256))) < ctx256.mp.ldexp(1, -250)
 
 
+def test_sum_series_dip_then_growth(ctx256):
+    # w_1 is about 2^-114 of w_0, then the terms grow by about 15x per step
+    # and the sums end near 2^126: a fixed-point pass scaled for w_0 keeps
+    # too few bits of the small terms, so it must widen and redo the pass
+    a, b, g, c = Fraction(1, 2**120), 64, 1, Fraction(15, 16)
+    m0, m1 = _seed_sums(Params(a, b, g, c), ctx256)
+    with mpmath.workprec(900):
+        ar, cr = mpmath.ldexp(1, -120), mpmath.mpf(15) / 16
+        ref = (mpmath.hyp2f1(ar, b, g, cr),
+               cr * ar * b / g * mpmath.hyp2f1(ar + 1, b + 1, g + 1, cr))
+        for got, want in zip((m0, m1), ref):
+            assert abs(mpmath.mpf(got) / want - 1) < mpmath.ldexp(1, -250)
+
+
+@pytest.mark.parametrize("args", [
+    (Fraction(13, 4), Fraction(5, 2), Fraction(17, 4), Fraction(15, 16)),
+    (Fraction(1, 2**120), 64, 1, Fraction(15, 16)),
+])
+def test_sum_series_swap_bit_identical(ctx256, args):
+    p = Params(*args)
+    assert _seed_sums(p, ctx256) == _seed_sums(p.swapped(), ctx256)
+
+
 # --------------------------------------------------------------- stencils
 
 

@@ -55,6 +55,8 @@ COMMANDS = (
 # fresh temporary directory, and the file's contents join the digest.
 P = ("--alpha", "3/2", "--beta", "3", "--gamma", "1/3", "--c", "1/2")
 B = ("--bits", "128")
+LONG = ("--alpha", "13/4", "--beta", "5/2", "--gamma", "17/4", "--c", "15/16")
+DIP = ("--alpha", f"1/{2**120}", "--beta", "64", "--gamma", "1", "--c", "15/16")
 OPTION_RUNS = (
     ({}, "coeffs", (*P, *B, "--nmax", "6", "--format", "csv")),
     ({}, "moments", (*P, *B, "--nmax", "4", "--format", "csv")),
@@ -112,6 +114,11 @@ OPTION_RUNS = (
     ({}, "verify", (*P, *B, "--nmax", "-1", "--suite", "identities")),
     ({}, "verify", (*P, *B, "--nmax", "-1", "--suite", "toda")),
     ({}, "verify", (*P, *B, "--nmax", "-1", "--suite", "all")),
+    # long seed series (c = 15/16), and one whose terms dip to 2^-114 of w_0
+    # before they grow, which widens the fixed-point seed sums
+    ({}, "moments", (*LONG, "--nmax", "12", "--bits", "1024")),
+    ({}, "coeffs", (*LONG, "--nmax", "20", "--bits", "512")),
+    ({}, "moments", (*DIP, "--nmax", "4", "--bits", "256")),
 )
 
 
