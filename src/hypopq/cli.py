@@ -420,8 +420,11 @@ def _render(cfg, records, extra):
 
 def _emit(cfg, text):
     if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InvalidParam(f"cannot write {cfg.output!r}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from mpmath.ctx_mp import MPContext
 from mpmath import libmp
@@ -22,15 +23,10 @@ _RND = round_nearest
 
 # One MPContext per bit count, shared across PrecisionCtx instances.  The
 # contexts are created once and their precision is never mutated afterwards.
-_MP_CACHE: dict[int, MPContext] = {}
-
-
+@cache
 def _mp_for(bits):
-    ctx = _MP_CACHE.get(bits)
-    if ctx is None:
-        ctx = MPContext()
-        ctx.prec = bits
-        _MP_CACHE[bits] = ctx
+    ctx = MPContext()
+    ctx.prec = bits
     return ctx
 
 

@@ -6,21 +6,22 @@ sums S_n satisfy a second-order second-degree ODE in c (the sigma form),
 and the n=0 seed x_0(c) satisfies a first-order Riccati relation whose
 combination collapses to the constant -gamma.
 
-All d/dc derivatives are realized with fourth-order central stencils; the
-sequence data needed at each stencil node is cached per (parameters, node,
-precision context, source), which is sound because every producer is
-prefix-stable.  Below that, the seed sums m_0, m_1 of the moment oracle are
-memoized per (parameters, context) in ``weights``, so regrowing a node to a
-larger N, a Riccati stencil and an ``ITERATE`` seed reuse them;
-``clear_cache()`` resets both caches.
+All d/dc derivatives are realized with fourth-order central stencils.  The
+sequences at each stencil node come from one bounded ``lru_cache`` keyed on
+(node parameters, exact N, whole precision context, source), so the
+lookups of one call resolve to one producer run per node.  Below that, the
+seed sums m_0, m_1 of the moment oracle sit in a bounded ``lru_cache`` in
+``weights`` keyed on (parameters, context), so the same node at another N,
+a Riccati stencil and an ``ITERATE`` seed reuse them.  ``clear_cache()``
+empties both memos.
 """
 
 from __future__ import annotations
 
 import enum
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .dpainleve import iterate
 from .errors import InvalidParam
@@ -67,60 +68,30 @@ def _node_params(params, c_eval):
     return Params(params.alpha, params.beta, params.gamma, ce, params.lattice)
 
 
-@dataclass(frozen=True)
-class _NodeData:
-    a2: tuple
-    b: tuple
-    x: tuple
-    y: tuple
-    S: tuple
-
-    @property
-    def N(self):
-        return len(self.b) - 1
-
-
-_NODE_CACHE: dict = {}
-_NODE_LOCK = threading.Lock()
+_NODE_MEMO_SIZE = 256
 
 
 def clear_cache():
-    """Empty the node cache and the seed-sum memo of ``weights``."""
-    with _NODE_LOCK:
-        _NODE_CACHE.clear()
+    """Empty the node memo and the seed-sum memo of ``weights``."""
+    _node_sequences.cache_clear()
     _seed_sums.cache_clear()
 
 
-def _sequences_at(params, c_eval, N, source, ctx):
-    """All sequences to order >= N at weight parameter c = c_eval.
+@lru_cache(maxsize=_NODE_MEMO_SIZE)
+def _node_sequences(node, N, ctx, source):
+    """(CoeffSeq, XYSeq) to order N at the node; shared, so never mutated."""
+    if source is Source.ORACLE:
+        cs = coeffs_oracle(node, N, ctx)
+        return cs, xy_from_coeffs(node, cs, ctx)
+    if source is Source.ITERATE:
+        xy = iterate(node, N, ctx, strict=True)
+        return coeffs_from_xy(node, xy, ctx), xy
+    raise InvalidParam(f"unknown source {source!r}")
 
-    Serving a longer cached run for a shorter request is bit-identical to
-    recomputing, because the moment batch, the Chebyshev quotients, and
-    the difference recursion are all prefix-stable in N.
-    """
-    node = _node_params(params, c_eval)
-    key = (node.key(), ctx, source)
-    with _NODE_LOCK:
-        data = _NODE_CACHE.get(key)
-    if data is None or data.N < N:
-        if source is Source.ORACLE:
-            cs = coeffs_oracle(node, N, ctx)
-            xy = xy_from_coeffs(node, cs, ctx)
-        elif source is Source.ITERATE:
-            xy = iterate(node, N, ctx, strict=True)
-            cs = coeffs_from_xy(node, xy, ctx)
-        else:
-            raise InvalidParam(f"unknown source {source!r}")
-        data = _NodeData(
-            a2=tuple(cs.a2), b=tuple(cs.b), x=tuple(xy.x), y=tuple(xy.y), S=tuple(xy.S)
-        )
-        with _NODE_LOCK:
-            old = _NODE_CACHE.get(key)
-            if old is None or old.N < data.N:
-                _NODE_CACHE[key] = data
-            else:
-                data = old
-    return data
+
+def _sequences_at(params, c_eval, N, source, ctx):
+    """(CoeffSeq, XYSeq) to order N at weight parameter c = c_eval."""
+    return _node_sequences(_node_params(params, c_eval), N, ctx, source)
 
 
 def toda_residuals(params, n: int, h, source: Source, ctx) -> ResidualReport:
@@ -148,17 +119,17 @@ def toda_residuals(params, n: int, h, source: Source, ctx) -> ResidualReport:
     need = n + 1
     domain = (mp.mpf(0), mp.mpf(1))
 
-    def component(name, idx):
+    def d(pick):
         def f(ce):
-            return getattr(_sequences_at(params, ce, need, source, ctx), name)[idx]
+            return pick(*_sequences_at(params, ce, need, source, ctx))
 
-        return f
+        return central_derivative(f, c, h, 1, ctx, domain=domain)
 
-    da2 = central_derivative(component("a2", n), c, h, 1, ctx, domain=domain)
-    db = central_derivative(component("b", n), c, h, 1, ctx, domain=domain)
-    dx = central_derivative(component("x", n), c, h, 1, ctx, domain=domain)
-    dy = central_derivative(component("y", n), c, h, 1, ctx, domain=domain)
-    mid = _sequences_at(params, c, need, source, ctx)
+    da2 = d(lambda cs, xy: cs.a2[n])
+    db = d(lambda cs, xy: cs.b[n])
+    dx = d(lambda cs, xy: xy.x[n])
+    dy = d(lambda cs, xy: xy.y[n])
+    cs, xy = _sequences_at(params, c, need, source, ctx)
 
     rep = ResidualReport(params=params, ctx=ctx)
     if n >= 1:
@@ -166,11 +137,11 @@ def toda_residuals(params, n: int, h, source: Source, ctx) -> ResidualReport:
             "toda_a2",
             n,
             normalized_residual(
-                mp, [c * da2], [mid.a2[n] * (mid.b[n] - mid.b[n - 1])]
+                mp, [c * da2], [cs.a2[n] * (cs.b[n] - cs.b[n - 1])]
             ),
         )
     rep.add(
-        "toda_b", n, normalized_residual(mp, [c * db], [mid.a2[n + 1], -mid.a2[n]])
+        "toda_b", n, normalized_residual(mp, [c * db], [cs.a2[n + 1], -cs.a2[n]])
     )
     rep.add(
         "x_deriv",
@@ -181,14 +152,14 @@ def toda_residuals(params, n: int, h, source: Source, ctx) -> ResidualReport:
         "y_deriv",
         n,
         normalized_residual(
-            mp, [dy], [-(1 + c) / c**2 * mid.a2[n], (1 - c) / c * da2]
+            mp, [dy], [-(1 + c) / c**2 * cs.a2[n], (1 - c) / c * da2]
         ),
     )
     rep.add(
         "x_flow",
         n,
         normalized_residual(
-            mp, [(1 - c) * dx], [mid.y[n + 1], -mid.y[n], mid.x[n]]
+            mp, [(1 - c) * dx], [xy.y[n + 1], -xy.y[n], xy.x[n]]
         ),
     )
     if n >= 1:
@@ -198,7 +169,7 @@ def toda_residuals(params, n: int, h, source: Source, ctx) -> ResidualReport:
             normalized_residual(
                 mp,
                 [(1 - c) * dy],
-                [(1 - c) ** 2 / c**2 * mid.a2[n] * (mid.x[n] - mid.x[n - 1])],
+                [(1 - c) ** 2 / c**2 * cs.a2[n] * (xy.x[n] - xy.x[n - 1])],
             ),
         )
     return rep
@@ -252,7 +223,7 @@ def sigma_value(params, n: int, c_eval, source: Source, ctx, sigma_params=None):
     if n == 0:
         Sn = mp.mpf(0)
     else:
-        Sn = _sequences_at(params, ce, n - 1, source, ctx).S[n]
+        Sn = _sequences_at(params, ce, n - 1, source, ctx)[1].S[n]
     return (ce - 1) * Sn + sp.K * ce + sp.L
 
 
@@ -286,10 +257,7 @@ def sigma_pvi_residual(params, n: int, h, source: Source, ctx, sigma_params=None
     t1 = s1 * (c0 * (c0 - 1) * s2) ** 2
     t2 = (s1 * (2 * s0 - (2 * c0 - 1) * s1) + sp.d1 * sp.d2 * sp.d3 * sp.d4) ** 2
     t3 = (s1 + sp.d1**2) * (s1 + sp.d2**2) * (s1 + sp.d3**2) * (s1 + sp.d4**2)
-    scale = max(abs(t1), abs(t2), abs(t3))
-    if scale == 0:
-        return mp.mpf(0)
-    return abs(t1 + t2 - t3) / scale
+    return normalized_residual(mp, [t1, t2], [t3])
 
 
 def riccati_constant(params, h, ctx):

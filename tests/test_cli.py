@@ -270,7 +270,7 @@ def test_ladder_alpha_eq_beta_exit2(capsys):
     assert code == 2
 
 
-def test_bad_arguments_exit2(capsys):
+def test_bad_arguments_exit2(capsys, tmp_path):
     assert run(["coeffs", *ASYM]) == 2  # missing --nmax
     capsys.readouterr()
     assert run(["no-such-command", *ASYM]) == 2
@@ -278,14 +278,16 @@ def test_bad_arguments_exit2(capsys):
     assert run(["coeffs", *ASYM, "--nmax", "1", "--c", "2"]) == 2
     capsys.readouterr()
     # Decimal("inf") parses but has no Fraction, the toda suite has no index
-    # to check below nmax = 0, and options are never abbreviated ("--h" is
-    # not --help, "--nma" not --nmax): exit 2 with one JSON line
+    # to check below nmax = 0, options are never abbreviated ("--h" is not
+    # --help, "--nma" not --nmax), and an --output that cannot be written is
+    # a bad argument too: exit 2 with one JSON line
     for argv in (
         ["coeffs", "--alpha", "inf", *ASYM[2:], "--nmax", "1"],
         ["iterate", *ASYM, "--nmax", "1", "--seed-x0", "inf"],
         ["verify", *ASYM, "--nmax", "-1", "--suite", "toda"],
         ["coeffs", *ASYM, "--nmax", "2", "--h", "x"],
         ["coeffs", *ASYM, "--nma", "2"],
+        ["coeffs", *ASYM, "--nmax", "1", "--output", str(tmp_path / "no_dir" / "x.json")],
     ):
         assert run(argv) == 2
         _, err = capsys.readouterr()

@@ -19,6 +19,7 @@ from hypopq.toda_sigma import (
     Source,
     _exact_fraction,
     _node_params,
+    _node_sequences,
     clear_cache,
     riccati_constant,
     sigma_parameters,
@@ -224,20 +225,33 @@ def test_node_cache_keys_whole_context(ctx128):
         toda_residuals(p, 1, h, Source.ORACLE, capped)
 
 
-def test_seed_sums_once_per_node_and_precision(ctx512):
+def test_seed_sums_once_per_node_and_precision(ctx512, monkeypatch):
     # criterion 05's calls: 7 distinct nodes (c, c +- h/2, c +- h, c +- 2h),
-    # each summed at 512 and 1024 bits, however often a node regrows
+    # each summed at 512 and 1024 bits, however often a node regrows; the
+    # oracle itself runs once per (node, N): 5 times for one cold call (4
+    # stencil nodes and the midpoint), 57 times for the whole sweep
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return coeffs_oracle(*args)
+
+    monkeypatch.setattr("hypopq.toda_sigma.coeffs_oracle", counted)
     p = asym_params()
     h = F(2) ** -40
     clear_cache()
     for n in range(11):
         toda_residuals(p, n, h, Source.ORACLE, ctx512)
+        if n == 0:
+            assert len(calls) == 5
     toda_residuals(p, 2, h / 2, Source.ORACLE, ctx512)
+    assert len(calls) == 57
     assert _seed_sums.cache_info().misses == 14
     riccati_constant(p, h, ctx512)  # initial_xy at the same nodes
     assert _seed_sums.cache_info().misses == 14
     clear_cache()
     assert _seed_sums.cache_info().currsize == 0
+    assert _node_sequences.cache_info().currsize == 0
 
 
 def test_cache_thread_smoke(ctx128):

@@ -43,6 +43,7 @@ COMMANDS = (
     "xy --nmax 20",
     "ladder --nmax 10",
     "riccati",
+    "sigma --n 1",
     "sigma --n 3",
     "asymptotics --nmax 100",
     "moments --nmax 12",
