@@ -418,15 +418,18 @@ def _render(cfg, records, extra):
     return buf.getvalue()
 
 
+def _write_output(cfg, text, mode="w"):
+    try:
+        with open(cfg.output, mode, encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InvalidParam(f"cannot write {cfg.output!r}: {exc.strerror or exc}") from exc
+
+
 def _emit(cfg, text):
     if cfg.output:
-        try:
-            with open(cfg.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise InvalidParam(f"cannot write {cfg.output!r}: {exc.strerror or exc}") from exc
-    else:
-        sys.stdout.write(text)
+        return _write_output(cfg, text)
+    sys.stdout.write(text)
 
 
 def _print_error(etype, message):
@@ -437,6 +440,11 @@ def run(argv=None) -> int:
     try:
         cfg = _build_parser().parse_args(argv)
         _config(cfg)
+        if cfg.output:  # refuse an unwritable target before any work
+            existed = os.path.lexists(cfg.output)
+            _write_output(cfg, "", "a")  # appending leaves an existing file as it is
+            if not existed:
+                os.remove(cfg.output)
         records, extra, code, err = _COMMANDS[cfg.subcommand](cfg)
         _emit(cfg, _render(cfg, records, extra))
         if err is not None:

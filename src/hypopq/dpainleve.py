@@ -10,18 +10,24 @@ thing most worth double-checking:
 
 Seeds are x_0 = m_1/m_0 - ((alpha+beta)c - gamma)/(1-c), y_0 = 0.  Both
 relations, and everything built on them here, take the same form with the
-original parameters on the shifted lattice k + 1 - gamma.
+original parameters on the shifted lattice k + 1 - gamma.  The steps run on
+raw libmp values with the operations of the mpf operator form, in the same
+order and rounding, so every orbit is bit-identical to that form.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
 
+from mpmath.libmp import (fone, from_int, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt,
+                          mpf_le, mpf_mul, mpf_mul_int, mpf_shift, mpf_sub, round_nearest)
+
 from .errors import InvalidParam, PrecisionExhausted, SingularStep
 from .oracle import XYSeq, _coeffs_at
 from .reporting import ResidualReport, normalized_residual
 from .weights import Lattice, initial_xy
 
+_rnd = round_nearest
 _MONITOR_EVERY = 10
 _MONITOR_THRESHOLD = "1e-6"
 # Report order of the cross-identities: each group runs over its indices
@@ -33,18 +39,56 @@ _CROSS_ORDER = (
 )
 
 
-def _first_kind(a, bta, g, c, n, x, y, y_next=0):
-    """``(P, Q, quartic)`` of the first-kind relation ``P Q = quartic`` at
-    index n, with ``P = y - alpha beta + (alpha+beta+n) x - x^2``, ``Q`` the
+def _invariants(ctx, a, bta, g, c):
+    """Raw ``(prec, alpha, beta, gamma, c, eps, alpha beta, alpha + beta,
+    (gamma-alpha)(gamma-beta), (1-alpha)(1-beta))`` from the reals ``a, bta, g,
+    c``: the loop invariants at ``prec = ctx.bits``, ``eps = 2^-(bits - guard_bits)``."""
+    prec = ctx.bits
+    a, bta, g, c = a._mpf_, bta._mpf_, g._mpf_, c._mpf_
+    gab = mpf_mul(mpf_sub(g, a, prec, _rnd), mpf_sub(g, bta, prec, _rnd), prec, _rnd)
+    oab = mpf_mul(mpf_sub(fone, a, prec, _rnd), mpf_sub(fone, bta, prec, _rnd), prec, _rnd)
+    eps = mpf_shift(fone, -(prec - ctx.guard_bits))
+    ab, apb = mpf_mul(a, bta, prec, _rnd), mpf_add(a, bta, prec, _rnd)
+    return prec, a, bta, g, c, eps, ab, apb, gab, oab
+
+
+def _negligible(v, w, k, floor_one=False):
+    """The step guards' test ``|v| <= eps |w|``, or ``eps max(1, |w|)``."""
+    w = mpf_abs(w)
+    if floor_one and not mpf_gt(w, fone):
+        w = fone
+    return mpf_le(mpf_abs(v), mpf_mul(k[5], w, k[0], _rnd))
+
+
+def _first_kind(k, n, x, y, y_next=fzero):
+    """Raw ``(P, Q, quartic)`` of the first-kind relation ``P Q = quartic``
+    at index n, with ``P = y - alpha beta + (alpha+beta+n) x - x^2``, ``Q`` the
     same form at ``n + 1`` and ``y_next``, and the quartic
-    ``(x-1)(x-alpha)(x-beta)(x-gamma)/c``.  ``y_next = 0`` leaves the part
-    of Q free of y_{n+1}.
-    """
-    s = a + bta + n
-    ab, xx = a * bta, x * x
-    P = y - ab + s * x - xx
-    Q = y_next - ab + (s + 1) * x - xx
-    return P, Q, (x - 1) * (x - a) * (x - bta) * (x - g) / c
+    ``(x-1)(x-alpha)(x-beta)(x-gamma)/c``.  ``y_next = 0`` leaves the part of
+    Q free of y_{n+1}.  ``k`` holds the :func:`_invariants`; each operation
+    rounds to nearest at ``k[0]`` bits, in the order the formulas are written."""
+    prec, a, bta, g, c, _, ab, apb = k[:8]
+    s = mpf_add(apb, from_int(n), prec, _rnd)
+    xx = mpf_mul(x, x, prec, _rnd)
+    sx, s1x = mpf_mul(s, x, prec, _rnd), mpf_mul(mpf_add(s, fone, prec, _rnd), x, prec, _rnd)
+    P = mpf_sub(mpf_add(mpf_sub(y, ab, prec, _rnd), sx, prec, _rnd), xx, prec, _rnd)
+    Q = mpf_sub(mpf_add(mpf_sub(y_next, ab, prec, _rnd), s1x, prec, _rnd), xx, prec, _rnd)
+    quart = mpf_sub(x, fone, prec, _rnd)
+    for r in (a, bta, g):
+        quart = mpf_mul(quart, mpf_sub(x, r, prec, _rnd), prec, _rnd)
+    return P, Q, mpf_div(quart, c, prec, _rnd)
+
+
+def _dp1(k, params, n, x, y):
+    """Raw y_{n+1} from raw (x_n, y_n); see :func:`dp1_step`."""
+    P, Q, rhs = _first_kind(k, n, x, y)
+    if _negligible(P, rhs, k):
+        msg = f"first-kind factor vanished at n={n}"
+        if params.is_meixner:
+            msg += ("; the Meixner form pins x_n at its limit (gamma, or 1 on the shifted "
+                    "lattice), making both sides identically zero (closed form applies)")
+        raise SingularStep(msg, index=n, which="P")
+    return mpf_sub(mpf_div(rhs, P, k[0], _rnd), Q, k[0], _rnd)
 
 
 def dp1_step(params, n: int, x_n, y_n, ctx):
@@ -54,38 +98,45 @@ def dp1_step(params, n: int, x_n, y_n, ctx):
     + (alpha+beta+n) x_n - x_n^2; when |P| underflows relative to the
     quartic right side the division is refused with SingularStep.
     """
-    mp = ctx.mp
-    a, bta, g, c = params.as_reals(ctx)
-    x_n = ctx.real(x_n)
-    y_n = ctx.real(y_n)
-    P, Q, rhs = _first_kind(a, bta, g, c, n, x_n, y_n)
-    eps = mp.ldexp(1, -(ctx.bits - ctx.guard_bits))
-    if abs(P) <= eps * abs(rhs):
-        msg = f"first-kind factor vanished at n={n}"
-        if params.is_meixner:
-            msg += (
-                "; the Meixner form pins x_n at its limit (gamma, or 1 on "
-                "the shifted lattice), making both sides identically zero "
-                "(closed form applies)"
-            )
-        raise SingularStep(msg, index=n, which="P")
-    return rhs / P - Q
+    k = _invariants(ctx, *params.as_reals(ctx))
+    return ctx.mp.make_mpf(_dp1(k, params, n, ctx.real(x_n)._mpf_, ctx.real(y_n)._mpf_))
 
 
-def _second_kind(a, bta, g, m, y):
-    """``(D, numY, quartic)`` of the second-kind relation at index m:
-    ``(x_m + Y)(x_{m-1} + Y) = quartic / D^2`` with ``Y = numY / D``.
-    """
-    mm = m + a + bta - g - 1
-    D = y * (m + mm) + m * ((m + a + bta) * mm - a * bta + g)
-    numY = y * y + y * (m * mm - a * bta + g) - a * bta * m * mm
-    quart = (
-        (y + m * a)
-        * (y + m * bta)
-        * (y + m * g - (g - a) * (g - bta))
-        * (y + m - (1 - a) * (1 - bta))
-    )
-    return D, numY, quart
+def _second_kind(k, m, y):
+    """Raw ``(D, numY, quartic)`` of the second-kind relation at index m:
+    ``(x_m + Y)(x_{m-1} + Y) = quartic / D^2`` with ``Y = numY / D``.  With
+    ``mm = m + a + b - g - 1`` (a, b, g = alpha, beta, gamma), ``D = y (m + mm)
+    + m ((m + a + b) mm - ab + g)``, ``numY = y^2 + y (m mm - ab + g) - ab m mm``
+    and quartic ``(y + ma)(y + mb)(y + mg - (g-a)(g-b))(y + m - (1-a)(1-b))``;
+    raw as in :func:`_first_kind`."""
+    prec, a, bta, g, _, _, ab, _, gab, oab = k
+    fm = from_int(m)
+    mab = mpf_add(mpf_add(a, fm, prec, _rnd), bta, prec, _rnd)
+    mm = mpf_sub(mpf_sub(mab, g, prec, _rnd), fone, prec, _rnd)
+    t = mpf_add(mpf_sub(mpf_mul(mab, mm, prec, _rnd), ab, prec, _rnd), g, prec, _rnd)
+    D = mpf_mul(y, mpf_add(mm, fm, prec, _rnd), prec, _rnd)
+    D = mpf_add(D, mpf_mul_int(t, m, prec, _rnd), prec, _rnd)
+    t = mpf_add(mpf_sub(mpf_mul_int(mm, m, prec, _rnd), ab, prec, _rnd), g, prec, _rnd)
+    numY = mpf_add(mpf_mul(y, y, prec, _rnd), mpf_mul(y, t, prec, _rnd), prec, _rnd)
+    numY = mpf_sub(numY, mpf_mul(mpf_mul_int(ab, m, prec, _rnd), mm, prec, _rnd), prec, _rnd)
+    ya, yb, yg = [mpf_add(y, mpf_mul_int(r, m, prec, _rnd), prec, _rnd) for r in (a, bta, g)]
+    quart = mpf_mul(mpf_mul(ya, yb, prec, _rnd), mpf_sub(yg, gab, prec, _rnd), prec, _rnd)
+    t = mpf_sub(mpf_add(y, fm, prec, _rnd), oab, prec, _rnd)
+    return D, numY, mpf_mul(quart, t, prec, _rnd)
+
+
+def _dp2(k, m, x_prev, y):
+    """Raw x_m from raw (x_{m-1}, y_m); see :func:`dp2_step`."""
+    prec = k[0]
+    D, numY, quart = _second_kind(k, m, y)
+    if _negligible(D, numY, k, floor_one=True):
+        raise SingularStep(f"linearizing denominator vanished at m={m}", index=m, which="D")
+    Y = mpf_div(numY, D, prec, _rnd)
+    rhs = mpf_div(quart, mpf_mul(D, D, prec, _rnd), prec, _rnd)
+    den = mpf_add(x_prev, Y, prec, _rnd)
+    if _negligible(den, rhs, k, floor_one=True):
+        raise SingularStep(f"x_prev + Y vanished at m={m}", index=m, which="x_prev+Y")
+    return mpf_sub(mpf_div(rhs, den, prec, _rnd), Y, prec, _rnd)
 
 
 def dp2_step(params, m: int, x_prev, y_m, ctx):
@@ -97,24 +148,8 @@ def dp2_step(params, m: int, x_prev, y_m, ctx):
     """
     if m < 1:
         raise InvalidParam("second-kind step needs m >= 1")
-    mp = ctx.mp
-    a, bta, g, c = params.as_reals(ctx)
-    x_prev = ctx.real(x_prev)
-    y = ctx.real(y_m)
-    eps = mp.ldexp(1, -(ctx.bits - ctx.guard_bits))
-    D, numY, quart = _second_kind(a, bta, g, m, y)
-    if abs(D) <= eps * max(mp.mpf(1), abs(numY)):
-        raise SingularStep(
-            f"linearizing denominator vanished at m={m}", index=m, which="D"
-        )
-    Y = numY / D
-    rhs = quart / (D * D)
-    den = x_prev + Y
-    if abs(den) <= eps * max(mp.mpf(1), abs(rhs)):
-        raise SingularStep(
-            f"x_prev + Y vanished at m={m}", index=m, which="x_prev+Y"
-        )
-    return rhs / den - Y
+    k = _invariants(ctx, *params.as_reals(ctx))
+    return ctx.mp.make_mpf(_dp2(k, m, ctx.real(x_prev)._mpf_, ctx.real(y_m)._mpf_))
 
 
 def _cross_terms(a, bta, g, c, n, x, y, S, b_n, a2_n, a2_next=None):
@@ -174,10 +209,10 @@ def _monitor_residual(mp, a, bta, g, c, x, y, S, m):
 
 def _targets(params, ctx):
     """(x-limit, limit of y_n + n * x-limit) for the lattice at hand."""
-    a, bta, g, _ = params.as_reals(ctx)
+    k, mk = _invariants(ctx, *params.as_reals(ctx)), ctx.mp.make_mpf
     if params.lattice is Lattice.SHIFTED:
-        return ctx.mp.mpf(1), (1 - a) * (1 - bta)
-    return g, (g - a) * (g - bta)
+        return mk(fone), mk(k[9])  # 1, (1-alpha)(1-beta)
+    return mk(k[3]), mk(k[8])  # gamma, (gamma-alpha)(gamma-beta)
 
 
 def iterate(params, N: int, ctx, seed=None, strict: bool = False) -> XYSeq:
@@ -208,30 +243,27 @@ def iterate(params, N: int, ctx, seed=None, strict: bool = False) -> XYSeq:
         y = [-mp.mpf(n) * xv for n in range(N + 1)]
         return XYSeq(params, x, y, [mp.mpf(0), *accumulate(x)], ctx)
 
-    if canonical:
-        x0, y0 = initial_xy(params, ctx)
-    else:
-        x0, y0 = ctx.real(seed[0]), ctx.real(seed[1])
+    x0, y0 = initial_xy(params, ctx) if canonical else (ctx.real(seed[0]), ctx.real(seed[1]))
 
     a, bta, g, c = params.as_reals(ctx)
+    k = _invariants(ctx, a, bta, g, c)
     threshold = mp.mpf(_MONITOR_THRESHOLD)
-    x = [x0]
-    y = [y0]
-    S = [mp.mpf(0), x0]
-    failure = None
-    suspect = None
+    x, y, S = [x0], [y0], [mp.mpf(0), x0]
+    failure = suspect = None
+    xr, yr, sr = x0._mpf_, y0._mpf_, x0._mpf_  # raw between steps
     for n in range(N):
         try:
-            y1 = dp1_step(params, n, x[n], y[n], ctx)
-            x1 = dp2_step(params, n + 1, x[n], y1, ctx)
+            yr = _dp1(k, params, n, xr, yr)
+            xr = _dp2(k, n + 1, xr, yr)
         except SingularStep:
             if strict:
                 raise
             failure = n
             break
-        x.append(x1)
-        y.append(y1)
-        S.append(S[-1] + x1)
+        sr = mpf_add(sr, xr, ctx.bits, _rnd)
+        x.append(mp.make_mpf(xr))
+        y.append(mp.make_mpf(yr))
+        S.append(mp.make_mpf(sr))
         j = n + 1
         if canonical and suspect is None and j >= 2 and j % _MONITOR_EVERY == 0:
             if _monitor_residual(mp, a, bta, g, c, x, y, S, j - 1) > threshold:
@@ -242,15 +274,7 @@ def iterate(params, N: int, ctx, seed=None, strict: bool = False) -> XYSeq:
                         f"the orbit no longer satisfies the cross-identities "
                         f"at {ctx.bits} bits"
                     )
-    return XYSeq(
-        params=params,
-        x=x,
-        y=y,
-        S=S,
-        ctx=ctx,
-        failure_index=failure,
-        precision_suspect_at=suspect,
-    )
+    return XYSeq(params, x, y, S, ctx, failure_index=failure, precision_suspect_at=suspect)
 
 
 def dp_residuals(params, xy: XYSeq, coeffs=None, ctx=None) -> ResidualReport:
@@ -266,22 +290,24 @@ def dp_residuals(params, xy: XYSeq, coeffs=None, ctx=None) -> ResidualReport:
         ctx = xy.ctx
     mp = ctx.mp
     a, bta, g, c = params.as_reals(ctx)
+    k = _invariants(ctx, a, bta, g, c)
+    prec, mk = ctx.bits, mp.make_mpf
     rep = ResidualReport(params=params, ctx=ctx)
     N = xy.N
     x, y, S = xy.x, xy.y, xy.S
-
     for n in range(N):
-        P, Q, rhs = _first_kind(a, bta, g, c, n, x[n], y[n], y[n + 1])
-        rep.add("dp1", n, normalized_residual(mp, [P * Q], [rhs]))
+        P, Q, rhs = _first_kind(k, n, x[n]._mpf_, y[n]._mpf_, y[n + 1]._mpf_)
+        rep.add("dp1", n, normalized_residual(mp, [mk(mpf_mul(P, Q, prec, _rnd))], [mk(rhs)]))
     for m in range(1, N + 1):
-        D, numY, quart = _second_kind(a, bta, g, m, ctx.real(y[m]))
+        D, numY, quart = _second_kind(k, m, ctx.real(y[m])._mpf_)
         try:
-            Y = numY / D
+            Y = mpf_div(numY, D, prec, _rnd)
         except ZeroDivisionError:
             rep.add("dp2", m, mp.inf)
             continue
-        rhs = quart / (D * D)
-        rep.add("dp2", m, normalized_residual(mp, [(x[m] + Y) * (x[m - 1] + Y)], [rhs]))
+        rhs = mpf_div(quart, mpf_mul(D, D, prec, _rnd), prec, _rnd)
+        xm, xp = [mpf_add(v._mpf_, Y, prec, _rnd) for v in (x[m], x[m - 1])]
+        rep.add("dp2", m, normalized_residual(mp, [mk(mpf_mul(xm, xp, prec, _rnd))], [mk(rhs)]))
 
     if coeffs is None:
         return rep

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 import hypopq as H
+from hypopq import cli
 from hypopq.cli import run
 from hypopq.oracle import coeffs_oracle
 
@@ -166,6 +167,32 @@ def test_output_file(tmp_path, capsys):
     assert out == ""
     doc = json.loads(target.read_text())
     assert doc["meta"]["subcommand"] == "coeffs"
+
+
+def test_unwritable_output_refused_before_compute(tmp_path, capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("computed before the --output check")
+
+    monkeypatch.setattr(cli, "coeffs_oracle", boom)
+    missing = tmp_path / "no_dir" / "x.json"
+    code = run(["coeffs", *ASYM, "--nmax", "20", "--output", str(missing)])
+    _, err = capsys.readouterr()
+    assert code == 2
+    assert json.loads(err)["error"] == "InvalidParam"
+
+    # the check neither truncates an existing file nor leaves a new one
+    # behind when the run then fails
+    def refuse(*args, **kwargs):
+        raise H.PrecisionExhausted("refused")
+
+    monkeypatch.setattr(cli, "coeffs_oracle", refuse)
+    kept = tmp_path / "kept.json"
+    kept.write_text("earlier\n")
+    for target in (kept, tmp_path / "new.json"):
+        assert run(["coeffs", *ASYM, "--nmax", "2", "--output", str(target)]) == 3
+        capsys.readouterr()
+    assert kept.read_text() == "earlier\n"
+    assert not (tmp_path / "new.json").exists()
 
 
 # ------------------------------------------------------------ configuration

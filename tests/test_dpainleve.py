@@ -98,6 +98,81 @@ def test_dp2_guard_policies_differ(ctx128):
     assert exc.value.which == "D"
 
 
+# ------------------------------------------------------ operator reference
+# The step in plain mpf operators, in the order the relations are written.
+# iterate runs the same operations on raw libmp values and must reproduce
+# these orbits bit for bit.
+
+
+def _ref_dp1(a, bta, g, c, n, x, y, eps):
+    s = a + bta + n
+    ab, xx = a * bta, x * x
+    P = y - ab + s * x - xx
+    Q = 0 - ab + (s + 1) * x - xx
+    rhs = (x - 1) * (x - a) * (x - bta) * (x - g) / c
+    if abs(P) <= eps * abs(rhs):
+        raise SingularStep("P", index=n, which="P")
+    return rhs / P - Q
+
+
+def _ref_dp2(mp, a, bta, g, m, x_prev, y, eps):
+    mm = m + a + bta - g - 1
+    D = y * (m + mm) + m * ((m + a + bta) * mm - a * bta + g)
+    numY = y * y + y * (m * mm - a * bta + g) - a * bta * m * mm
+    quart = (
+        (y + m * a)
+        * (y + m * bta)
+        * (y + m * g - (g - a) * (g - bta))
+        * (y + m - (1 - a) * (1 - bta))
+    )
+    if abs(D) <= eps * max(mp.mpf(1), abs(numY)):
+        raise SingularStep("D", index=m, which="D")
+    Y = numY / D
+    rhs = quart / (D * D)
+    den = x_prev + Y
+    if abs(den) <= eps * max(mp.mpf(1), abs(rhs)):
+        raise SingularStep("x_prev+Y", index=m, which="x_prev+Y")
+    return rhs / den - Y
+
+
+def _ref_orbit(p, N, ctx):
+    mp = ctx.mp
+    a, bta, g, c = p.as_reals(ctx)
+    eps = mp.ldexp(1, -(ctx.bits - ctx.guard_bits))
+    x0, y0 = initial_xy(p, ctx)
+    x, y, S = [x0], [y0], [mp.mpf(0), x0]
+    for n in range(N):
+        try:
+            y1 = _ref_dp1(a, bta, g, c, n, x[n], y[n], eps)
+            x1 = _ref_dp2(mp, a, bta, g, n + 1, x[n], y1, eps)
+        except SingularStep:
+            return x, y, S, n
+        x.append(x1)
+        y.append(y1)
+        S.append(S[-1] + x1)
+    return x, y, S, None
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256, 512])
+@pytest.mark.parametrize(
+    "p",
+    [
+        asym_params(),
+        Params(F(5, 6), F(1, 2), F(5, 6), F(3, 8), Lattice.SHIFTED),
+        Params(F(2, 3), 2, 1, F(3, 4), Lattice.SHIFTED),  # x_1 lands on a root
+    ],
+    ids=["standard", "shifted", "singular-shifted"],
+)
+def test_iterate_bit_identical_to_operator_form(p, bits):
+    ctx = H.PrecisionCtx(bits=bits)
+    xy = iterate(p, 240, ctx)
+    x, y, S, failure = _ref_orbit(p, 240, ctx)
+    assert xy.failure_index == failure
+    assert [v._mpf_ for v in xy.x] == [v._mpf_ for v in x]
+    assert [v._mpf_ for v in xy.y] == [v._mpf_ for v in y]
+    assert [v._mpf_ for v in xy.S] == [v._mpf_ for v in S]
+
+
 # ------------------------------------------------------------------ iterate
 
 

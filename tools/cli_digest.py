@@ -58,6 +58,7 @@ P = ("--alpha", "3/2", "--beta", "3", "--gamma", "1/3", "--c", "1/2")
 B = ("--bits", "128")
 LONG = ("--alpha", "13/4", "--beta", "5/2", "--gamma", "17/4", "--c", "15/16")
 DIP = ("--alpha", f"1/{2**120}", "--beta", "64", "--gamma", "1", "--c", "15/16")
+SING = ("--alpha", "2/3", "--beta", "2", "--gamma", "1", "--c", "3/4", "--lattice", "shifted")
 OPTION_RUNS = (
     ({}, "coeffs", (*P, *B, "--nmax", "6", "--format", "csv")),
     ({}, "moments", (*P, *B, "--nmax", "4", "--format", "csv")),
@@ -120,6 +121,20 @@ OPTION_RUNS = (
     ({}, "moments", (*LONG, "--nmax", "12", "--bits", "1024")),
     ({}, "coeffs", (*LONG, "--nmax", "20", "--bits", "512")),
     ({}, "moments", (*DIP, "--nmax", "4", "--bits", "256")),
+    # long recursion orbits at high precision on both lattices; the set whose
+    # orbit lands on a root of the quartic (2/3, 2, 1, 3/4, shifted), whose
+    # strict run exits 3 at 256 bits; strict runs that stop at the x_prev + Y
+    # and the first-kind guards (exit 4); the studies at 512 bits
+    ({}, "iterate", (*P, "--nmax", "400", "--bits", "256")),
+    ({}, "iterate", (*P, "--nmax", "400", "--bits", "512")),
+    ({}, "iterate", (*P, "--lattice", "shifted", "--nmax", "400", "--bits", "256")),
+    ({}, "iterate", (*P, "--lattice", "shifted", "--nmax", "400", "--bits", "512")),
+    *(({}, "iterate", (*SING, "--nmax", "20", "--strict", "--bits", bits))
+      for bits in ("128", "256", "512")),
+    ({}, "iterate", (*P, "--nmax", "120", "--strict", "--bits", "26")),
+    ({}, "iterate", (*P, "--nmax", "120", "--strict", "--seed-x0", "6/5", "--bits", "26")),
+    ({}, "asymptotics", (*P, "--nmax", "100", "--bits", "512")),
+    ({}, "perturb", (*P, "--nmax", "80", "--deltas", "0,1e-6", "--bits", "512")),
 )
 
 
