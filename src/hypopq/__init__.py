@@ -13,7 +13,7 @@ other and with the identities they are supposed to satisfy.
 __version__ = "0.1.0"
 
 from .asymptotics import StudyReport, limit_report, perturbation_study, precision_study
-from .dpainleve import dp1_step, dp2_step, dp_residuals, iterate
+from .dpainleve import dp_residuals, iterate
 from .errors import (
     DomainExceeded,
     HypopqError,
@@ -92,8 +92,6 @@ __all__ = [
     "coeffs_oracle",
     "default_step",
     "digits_for_bits",
-    "dp1_step",
-    "dp2_step",
     "dp_residuals",
     "eval_orthonormal",
     "initial_xy",

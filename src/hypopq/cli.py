@@ -281,7 +281,7 @@ def _cmd_verify(cfg):
     if "identities" in suites:
         cs = coeffs_oracle(cfg.params, cfg.nmax, ctx)
         xy = xy_from_coeffs(cfg.params, cs, ctx)
-        entries.extend(dp_residuals(cfg.params, xy, cs, ctx).entries)
+        entries.extend(dp_residuals(cfg.params, xy, cs).entries)
         ladder_ok = (
             cfg.params.lattice is Lattice.STANDARD
             and cfg.params.alpha != cfg.params.beta

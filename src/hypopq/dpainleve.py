@@ -23,6 +23,7 @@ from mpmath.libmp import (fone, from_int, fzero, mpf_abs, mpf_add, mpf_div, mpf_
                           mpf_le, mpf_mul, mpf_mul_int, mpf_shift, mpf_sub, round_nearest)
 
 from .errors import InvalidParam, PrecisionExhausted, SingularStep
+from .numerics import GUARD_BITS
 from .oracle import XYSeq, _coeffs_at
 from .reporting import ResidualReport, normalized_residual
 from .weights import Lattice, initial_xy
@@ -42,12 +43,13 @@ _CROSS_ORDER = (
 def _invariants(ctx, a, bta, g, c):
     """Raw ``(prec, alpha, beta, gamma, c, eps, alpha beta, alpha + beta,
     (gamma-alpha)(gamma-beta), (1-alpha)(1-beta))`` from the reals ``a, bta, g,
-    c``: the loop invariants at ``prec = ctx.bits``, ``eps = 2^-(bits - guard_bits)``."""
+    c``: the loop invariants at ``prec = ctx.bits``, with the step guards'
+    ``eps = 2^-(bits - GUARD_BITS)`` (:data:`numerics.GUARD_BITS`)."""
     prec = ctx.bits
     a, bta, g, c = a._mpf_, bta._mpf_, g._mpf_, c._mpf_
     gab = mpf_mul(mpf_sub(g, a, prec, _rnd), mpf_sub(g, bta, prec, _rnd), prec, _rnd)
     oab = mpf_mul(mpf_sub(fone, a, prec, _rnd), mpf_sub(fone, bta, prec, _rnd), prec, _rnd)
-    eps = mpf_shift(fone, -(prec - ctx.guard_bits))
+    eps = mpf_shift(fone, -(prec - GUARD_BITS))
     ab, apb = mpf_mul(a, bta, prec, _rnd), mpf_add(a, bta, prec, _rnd)
     return prec, a, bta, g, c, eps, ab, apb, gab, oab
 
@@ -80,7 +82,12 @@ def _first_kind(k, n, x, y, y_next=fzero):
 
 
 def _dp1(k, params, n, x, y):
-    """Raw y_{n+1} from raw (x_n, y_n); see :func:`dp1_step`."""
+    """Advance the first-kind relation: raw y_{n+1} from raw (x_n, y_n).
+
+    The left side factors as P * (P + x_n), P = y_n - alpha*beta
+    + (alpha+beta+n) x_n - x_n^2; when |P| underflows relative to the
+    quartic right side the division is refused with SingularStep.
+    """
     P, Q, rhs = _first_kind(k, n, x, y)
     if _negligible(P, rhs, k):
         msg = f"first-kind factor vanished at n={n}"
@@ -89,17 +96,6 @@ def _dp1(k, params, n, x, y):
                     "lattice), making both sides identically zero (closed form applies)")
         raise SingularStep(msg, index=n, which="P")
     return mpf_sub(mpf_div(rhs, P, k[0], _rnd), Q, k[0], _rnd)
-
-
-def dp1_step(params, n: int, x_n, y_n, ctx):
-    """Advance the first-kind relation: returns y_{n+1} given (x_n, y_n).
-
-    The left side factors as P * (P + x_n), P = y_n - alpha*beta
-    + (alpha+beta+n) x_n - x_n^2; when |P| underflows relative to the
-    quartic right side the division is refused with SingularStep.
-    """
-    k = _invariants(ctx, *params.as_reals(ctx))
-    return ctx.mp.make_mpf(_dp1(k, params, n, ctx.real(x_n)._mpf_, ctx.real(y_n)._mpf_))
 
 
 def _second_kind(k, m, y):
@@ -126,7 +122,12 @@ def _second_kind(k, m, y):
 
 
 def _dp2(k, m, x_prev, y):
-    """Raw x_m from raw (x_{m-1}, y_m); see :func:`dp2_step`."""
+    """Advance the second-kind relation: raw x_m from raw (x_{m-1}, y_m).
+
+    Two denominators can vanish: the linearizing factor D and the shifted
+    unknown x_{m-1} + Y_m.  Each raises SingularStep with ``which`` naming
+    the culprit.
+    """
     prec = k[0]
     D, numY, quart = _second_kind(k, m, y)
     if _negligible(D, numY, k, floor_one=True):
@@ -137,19 +138,6 @@ def _dp2(k, m, x_prev, y):
     if _negligible(den, rhs, k, floor_one=True):
         raise SingularStep(f"x_prev + Y vanished at m={m}", index=m, which="x_prev+Y")
     return mpf_sub(mpf_div(rhs, den, prec, _rnd), Y, prec, _rnd)
-
-
-def dp2_step(params, m: int, x_prev, y_m, ctx):
-    """Advance the second-kind relation: returns x_m given (x_{m-1}, y_m).
-
-    Two denominators can vanish: the linearizing factor D and the shifted
-    unknown x_{m-1} + Y_m.  Each raises SingularStep with ``which`` naming
-    the culprit.
-    """
-    if m < 1:
-        raise InvalidParam("second-kind step needs m >= 1")
-    k = _invariants(ctx, *params.as_reals(ctx))
-    return ctx.mp.make_mpf(_dp2(k, m, ctx.real(x_prev)._mpf_, ctx.real(y_m)._mpf_))
 
 
 def _cross_terms(a, bta, g, c, n, x, y, S, b_n, a2_n, a2_next=None):
@@ -277,8 +265,9 @@ def iterate(params, N: int, ctx, seed=None, strict: bool = False) -> XYSeq:
     return XYSeq(params, x, y, S, ctx, failure_index=failure, precision_suspect_at=suspect)
 
 
-def dp_residuals(params, xy: XYSeq, coeffs=None, ctx=None) -> ResidualReport:
-    """Residuals of both difference relations along a computed orbit.
+def dp_residuals(params, xy: XYSeq, coeffs=None) -> ResidualReport:
+    """Residuals of both difference relations along a computed orbit, at the
+    orbit's precision ``xy.ctx``.
 
     Base entries "dp1" and "dp2" need only (x, y).  Passing the matching
     CoeffSeq adds five cross-identities tying (x, y, S) to (a2, b).  All
@@ -286,8 +275,7 @@ def dp_residuals(params, xy: XYSeq, coeffs=None, ctx=None) -> ResidualReport:
     take the same parameter form on both lattices, so no transform is
     applied here.
     """
-    if ctx is None:
-        ctx = xy.ctx
+    ctx = xy.ctx
     mp = ctx.mp
     a, bta, g, c = params.as_reals(ctx)
     k = _invariants(ctx, a, bta, g, c)

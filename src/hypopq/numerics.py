@@ -30,31 +30,27 @@ def _mp_for(bits):
     return ctx
 
 
+# Bits the moment route carries above ``bits``, and the margin of the
+# recursion's step guards and the structure relation's pole test,
+# ``eps = 2**-(bits - GUARD_BITS)``.
+GUARD_BITS = 16
+
+
 @dataclass(frozen=True)
 class PrecisionCtx:
-    """Working precision: significand bits plus truncation policy.
+    """Working precision: ``bits``, the significand precision in binary
+    digits, at least 24.
 
-    Parameters
-    ----------
-    bits : int
-        Significand precision in binary digits, at least 24.
-    guard_bits : int
-        Extra digits demanded before a series is truncated (default 16).
-    series_max_terms : int
-        Hard cap on summed terms before ``NonConvergent`` (default 100000).
+    The bit count and the inputs fix every output bit: the guard bits
+    (:data:`GUARD_BITS`) and the moment series' term cap are constants of
+    the package, not settings of a context.
     """
 
     bits: int
-    guard_bits: int = 16
-    series_max_terms: int = 100000
 
     def __post_init__(self):
         if not isinstance(self.bits, int) or self.bits < 24:
             raise InvalidParam("bits must be an integer >= 24")
-        if not isinstance(self.guard_bits, int) or self.guard_bits < 0:
-            raise InvalidParam("guard_bits must be a non-negative integer")
-        if not isinstance(self.series_max_terms, int) or self.series_max_terms < 1:
-            raise InvalidParam("series_max_terms must be a positive integer")
 
     @property
     def mp(self):
@@ -62,7 +58,7 @@ class PrecisionCtx:
         return _mp_for(self.bits)
 
     def with_bits(self, bits):
-        return PrecisionCtx(bits, self.guard_bits, self.series_max_terms)
+        return PrecisionCtx(bits)
 
     def real(self, value):
         """Convert ``value`` to a BigReal of this context (round to nearest).
@@ -104,16 +100,16 @@ def default_step(ctx):
     return ctx.mp.ldexp(1, -(ctx.bits // 4))
 
 
-def central_derivative(f, c0, h, order, ctx, domain=None):
+def central_derivative(f, c0, h, order, ctx):
     """Five-point central stencil derivative of ``f`` at ``c0``.
 
     ``order`` 1 returns ``(-f2 + 8 f1 - 8 f-1 + f-2) / (12 h)``; ``order`` 2
     returns ``(-f2 + 16 f1 - 30 f0 + 16 f-1 - f-2) / (12 h**2)``.  Both have
     O(h^4) truncation error.
 
-    ``domain=(lo, hi)`` optionally requires every stencil node to stay
-    strictly inside the open interval (pass ``(0, 1)`` for quantities
-    parameterized by the weight's c) — violations raise ``DomainExceeded``.
+    ``f`` is a quantity parameterized by the weight's c, so every stencil
+    node must lie strictly inside (0, 1); otherwise ``DomainExceeded`` is
+    raised.
     ``StepTooSmall`` is raised when ``h < 2**-(bits/2)``, where cancellation
     would destroy every significant digit.
     """
@@ -126,13 +122,10 @@ def central_derivative(f, c0, h, order, ctx, domain=None):
         raise InvalidParam("h must be positive")
     if h < mp.mpf(2) ** (mp.mpf(-ctx.bits) / 2):
         raise StepTooSmall(f"h={mp.nstr(h, 8)} below 2^-(bits/2) cancellation floor")
-    if domain is not None:
-        lo, hi = (ctx.real(domain[0]), ctx.real(domain[1]))
-        if not (lo < c0 - 2 * h and c0 + 2 * h < hi):
-            raise DomainExceeded(
-                f"stencil [{mp.nstr(c0 - 2 * h, 8)}, {mp.nstr(c0 + 2 * h, 8)}] "
-                f"leaves ({mp.nstr(lo, 8)}, {mp.nstr(hi, 8)})"
-            )
+    if not (0 < c0 - 2 * h and c0 + 2 * h < 1):
+        raise DomainExceeded(
+            f"stencil [{mp.nstr(c0 - 2 * h, 8)}, {mp.nstr(c0 + 2 * h, 8)}] leaves (0.0, 1.0)"
+        )
     f2 = ctx.real(f(c0 + 2 * h))
     f1 = ctx.real(f(c0 + h))
     fm1 = ctx.real(f(c0 - h))

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from mpmath.libmp import fzero, mpf_div, mpf_mul, mpf_pos, mpf_sub, round_nearest
 
 from .errors import InvalidCoeffs, InvalidParam, PoleHit, PrecisionExhausted
+from .numerics import GUARD_BITS
 from .reporting import ResidualReport, normalized_residual
 from .weights import Lattice, _moment_batch_raw, moment, shifted_params
 
@@ -107,12 +108,6 @@ def _chebyshev_quotients(moments_raw, N, bits, prec):
     return a2, b
 
 
-def _quotients_at_bits(params, N, ctx, bits):
-    work = ctx.with_bits(bits)
-    moments = _moment_batch_raw(params, 2 * N + 2, work)
-    return _chebyshev_quotients(moments, N, bits, bits + work.guard_bits)
-
-
 def coeffs_oracle(params, N: int, ctx) -> CoeffSeq:
     """Recurrence coefficients to order N, certified by precision doubling.
 
@@ -125,13 +120,18 @@ def coeffs_oracle(params, N: int, ctx) -> CoeffSeq:
     if N < 0:
         raise InvalidParam("N must be >= 0")
     std = shifted_params(params) if params.lattice is Lattice.SHIFTED else params
-    try:
-        a2_lo, b_lo = _quotients_at_bits(std, N, ctx, ctx.bits)
-        a2_hi, b_hi = _quotients_at_bits(std, N, ctx, 2 * ctx.bits)
-    except ZeroDivisionError as exc:
-        raise PrecisionExhausted(
-            f"Chebyshev algorithm met a zero Hankel ratio at {ctx.bits} bits"
-        ) from exc
+
+    def quotients(bits):
+        moments = _moment_batch_raw(std, 2 * N + 2, bits)
+        try:
+            return _chebyshev_quotients(moments, N, bits, bits + GUARD_BITS)
+        except ZeroDivisionError as exc:
+            raise PrecisionExhausted(
+                f"Chebyshev algorithm met a zero Hankel ratio at {ctx.bits} bits"
+            ) from exc
+
+    a2_lo, b_lo = quotients(ctx.bits)
+    a2_hi, b_hi = quotients(2 * ctx.bits)
     hi = ctx.with_bits(2 * ctx.bits)
     mph = hi.mp
     tol = mph.mpf("1e-10")
@@ -338,7 +338,7 @@ def structure_residual(params, coeffs: CoeffSeq, xy: XYSeq, n: int, x, ctx):
     mp = ctx.mp
     a, bta, g, c = params.as_reals(ctx)
     x = ctx.real(x)
-    eps = mp.ldexp(1, -(ctx.bits - ctx.guard_bits))
+    eps = mp.ldexp(1, -(ctx.bits - GUARD_BITS))
     if abs(x + a) <= eps or abs(x + bta) <= eps:
         raise PoleHit("x is within working precision of -alpha or -beta")
     m0 = moment(params, 0, ctx)

@@ -53,8 +53,5 @@ class ResidualReport:
     def by_name(self, name):
         return [(e.n, e.value) for e in self.entries if e.name == name]
 
-    def max_residual(self, name=None):
-        vals = [e.value for e in self.entries if name is None or e.name == name]
-        if not vals:
-            return self.ctx.mp.mpf(0)
-        return max(vals)
+    def max_residual(self):
+        return max((e.value for e in self.entries), default=self.ctx.mp.mpf(0))

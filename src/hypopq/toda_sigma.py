@@ -8,10 +8,10 @@ combination collapses to the constant -gamma.
 
 All d/dc derivatives are realized with fourth-order central stencils.  The
 sequences at each stencil node come from one bounded ``lru_cache`` keyed on
-(node parameters, exact N, whole precision context, source), so the
-lookups of one call resolve to one producer run per node.  Below that, the
-seed sums m_0, m_1 of the moment oracle sit in a bounded ``lru_cache`` in
-``weights`` keyed on (parameters, context), so the same node at another N,
+(node parameters, exact N, precision context, source), so the lookups of
+one call resolve to one producer run per node.  Below that, the seed sums
+m_0, m_1 of the moment oracle sit in a bounded ``lru_cache`` in ``weights``
+keyed on (parameters, working precision), so the same node at another N,
 a Riccati stencil and an ``ITERATE`` seed reuse them.  ``clear_cache()``
 empties both memos.
 """
@@ -22,6 +22,8 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+from mpmath.libmp import finf, fnan, fninf, to_rational
 
 from .dpainleve import iterate
 from .errors import InvalidParam
@@ -47,17 +49,9 @@ class Source(enum.Enum):
 
 def _exact_fraction(x):
     """The exact rational value of a finite BigReal (always dyadic)."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    sign, man, exp, _ = x._mpf_
-    if man == 0:
-        if x == 0:
-            return Fraction(0)
+    if x._mpf_ in (finf, fninf, fnan):
         raise InvalidParam("cannot use a non-finite evaluation point")
-    f = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
-    return -f if sign else f
+    return Fraction(*to_rational(x._mpf_))
 
 
 def _node_params(params, c_eval):
@@ -117,13 +111,12 @@ def toda_residuals(params, n: int, h, source: Source, ctx) -> ResidualReport:
     c = ctx.real(params.c)
     a, bta, g, _ = params.as_reals(ctx)
     need = n + 1
-    domain = (mp.mpf(0), mp.mpf(1))
 
     def d(pick):
         def f(ce):
             return pick(*_sequences_at(params, ce, need, source, ctx))
 
-        return central_derivative(f, c, h, 1, ctx, domain=domain)
+        return central_derivative(f, c, h, 1, ctx)
 
     da2 = d(lambda cs, xy: cs.a2[n])
     db = d(lambda cs, xy: cs.b[n])
@@ -246,14 +239,13 @@ def sigma_pvi_residual(params, n: int, h, source: Source, ctx, sigma_params=None
     h = ctx.real(h)
     c0 = ctx.real(params.c)
     sp = sigma_params or sigma_parameters(params, n, ctx)
-    domain = (mp.mpf(0), mp.mpf(1))
 
     def f(ce):
         return sigma_value(params, n, ce, source, ctx, sigma_params=sp)
 
     s0 = f(c0)
-    s1 = central_derivative(f, c0, h, 1, ctx, domain=domain)
-    s2 = central_derivative(f, c0, h, 2, ctx, domain=domain)
+    s1 = central_derivative(f, c0, h, 1, ctx)
+    s2 = central_derivative(f, c0, h, 2, ctx)
     t1 = s1 * (c0 * (c0 - 1) * s2) ** 2
     t2 = (s1 * (2 * s0 - (2 * c0 - 1) * s1) + sp.d1 * sp.d2 * sp.d3 * sp.d4) ** 2
     t3 = (s1 + sp.d1**2) * (s1 + sp.d2**2) * (s1 + sp.d3**2) * (s1 + sp.d4**2)
@@ -269,7 +261,6 @@ def riccati_constant(params, h, ctx):
     The same combination, with the *original* parameters, is constant on
     both lattices (the shifted seed's extra terms cancel identically).
     """
-    mp = ctx.mp
     h = ctx.real(h)
     c0 = ctx.real(params.c)
     a, bta, g, _ = params.as_reals(ctx)
@@ -277,7 +268,7 @@ def riccati_constant(params, h, ctx):
     def x0_at(ce):
         return initial_xy(_node_params(params, ce), ctx)[0]
 
-    x0p = central_derivative(x0_at, c0, h, 1, ctx, domain=(mp.mpf(0), mp.mpf(1)))
+    x0p = central_derivative(x0_at, c0, h, 1, ctx)
     x0 = x0_at(c0)
     return c0 * (1 - c0) * x0p + (1 - c0) * x0 * x0 + ((a + bta) * c0 - g - 1) * x0 - a * bta * c0
 

