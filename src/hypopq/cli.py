@@ -167,7 +167,7 @@ def _config(ns):
 
     ns.params = Params(
         *(parse(getattr(ns, name), name) for name in ("alpha", "beta", "gamma", "c")),
-        Lattice.parse(ns.lattice),
+        Lattice(ns.lattice),
     )
     if ns.bits is not None and ns.digits is not None:
         raise InvalidParam("give --bits or --digits, not both")
@@ -190,7 +190,7 @@ def _config(ns):
     if getattr(ns, "seed_x0", None) is not None:
         ns.seed_x0 = parse(ns.seed_x0, "seed-x0")
     if hasattr(ns, "source"):
-        ns.source = Source.parse(ns.source)
+        ns.source = Source(ns.source)
     if getattr(ns, "tol", None) is not None:
         ns.tol, _ = _parse_exact(ns.tol, "tol")
     if hasattr(ns, "digit_levels"):
@@ -240,7 +240,7 @@ def _cmd_coeffs(cfg):
 
 def _cmd_ladder(cfg):
     cs = coeffs_oracle(cfg.params, cfg.nmax, cfg.ctx)
-    lad = ladder_sequences(cfg.params, cs, cfg.ctx)
+    lad = ladder_sequences(cs)
     records = [
         {"n": n, "u": lad.u[n], "v": lad.v[n], "r": lad.r[n], "s": lad.s[n]}
         for n in range(cfg.nmax + 1)
@@ -250,7 +250,7 @@ def _cmd_ladder(cfg):
 
 def _cmd_xy(cfg):
     cs = coeffs_oracle(cfg.params, cfg.nmax, cfg.ctx)
-    xy = xy_from_coeffs(cfg.params, cs, cfg.ctx)
+    xy = xy_from_coeffs(cs)
     records = [
         {"n": n, "x": xy.x[n], "y": xy.y[n], "a2": cs.a2[n], "b": cs.b[n], "S": xy.S[n]}
         for n in range(cfg.nmax + 1)
@@ -280,16 +280,16 @@ def _cmd_verify(cfg):
     extra = {"suites": suites}
     if "identities" in suites:
         cs = coeffs_oracle(cfg.params, cfg.nmax, ctx)
-        xy = xy_from_coeffs(cfg.params, cs, ctx)
-        entries.extend(dp_residuals(cfg.params, xy, cs).entries)
+        xy = xy_from_coeffs(cs)
+        entries.extend(dp_residuals(xy, cs).entries)
         ladder_ok = (
             cfg.params.lattice is Lattice.STANDARD
             and cfg.params.alpha != cfg.params.beta
         )
         extra["ladder_included"] = ladder_ok
         if ladder_ok:
-            lad = ladder_sequences(cfg.params, cs, ctx)
-            entries.extend(ladder_residuals(cfg.params, lad, cs, ctx).entries)
+            lad = ladder_sequences(cs)
+            entries.extend(ladder_residuals(lad, cs).entries)
     if "toda" in suites:
         if cfg.nmax < 0:
             raise InvalidParam("nmax must be >= 0")

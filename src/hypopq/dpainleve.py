@@ -24,7 +24,7 @@ from mpmath.libmp import (fone, from_int, fzero, mpf_abs, mpf_add, mpf_div, mpf_
 
 from .errors import InvalidParam, PrecisionExhausted, SingularStep
 from .numerics import GUARD_BITS
-from .oracle import XYSeq, _coeffs_at
+from .oracle import XYSeq, _coeffs_at, _common_measure
 from .reporting import ResidualReport, normalized_residual
 from .weights import Lattice, initial_xy
 
@@ -265,17 +265,17 @@ def iterate(params, N: int, ctx, seed=None, strict: bool = False) -> XYSeq:
     return XYSeq(params, x, y, S, ctx, failure_index=failure, precision_suspect_at=suspect)
 
 
-def dp_residuals(params, xy: XYSeq, coeffs=None) -> ResidualReport:
-    """Residuals of both difference relations along a computed orbit, at the
-    orbit's precision ``xy.ctx``.
+def dp_residuals(xy: XYSeq, coeffs=None) -> ResidualReport:
+    """Residuals of both difference relations along a computed orbit, for
+    its measure ``xy.params`` and at its precision ``xy.ctx``.
 
-    Base entries "dp1" and "dp2" need only (x, y).  Passing the matching
-    CoeffSeq adds five cross-identities tying (x, y, S) to (a2, b).  All
-    residuals are normalized by the largest additive term.  The relations
-    take the same parameter form on both lattices, so no transform is
-    applied here.
+    Base entries "dp1" and "dp2" need only (x, y).  A CoeffSeq of the same
+    params and ctx (else ``InvalidParam``) adds five cross-identities tying
+    (x, y, S) to (a2, b).  All residuals are normalized by the largest
+    additive term.  The relations take the same parameter form on both
+    lattices, so no transform is applied here.
     """
-    ctx = xy.ctx
+    params, ctx = (xy.params, xy.ctx) if coeffs is None else _common_measure(xy, coeffs)
     mp = ctx.mp
     a, bta, g, c = params.as_reals(ctx)
     k = _invariants(ctx, a, bta, g, c)

@@ -171,12 +171,20 @@ def coeffs_oracle(params, N: int, ctx) -> CoeffSeq:
     return CoeffSeq(params=params, a2=a2_out, b=b_out, ctx=ctx)
 
 
-def ladder_sequences(params, coeffs: CoeffSeq, ctx) -> LadderSeq:
-    """Lowering/raising polynomial data (u, v, r, s) from the coefficients.
+def _common_measure(s, t):
+    """``(params, ctx)`` shared by the sequences ``s`` and ``t``, else ``InvalidParam``."""
+    if s.params != t.params or s.ctx != t.ctx:
+        raise InvalidParam(f"sequences disagree: {s.params} at {s.ctx.bits} bits, "
+                           f"{t.params} at {t.ctx.bits} bits")
+    return s.params, s.ctx
 
-    Defined only when alpha != beta (the formulas divide by alpha - beta)
-    and on the standard lattice.
+
+def ladder_sequences(coeffs: CoeffSeq) -> LadderSeq:
+    """Lowering/raising polynomial data (u, v, r, s) from the coefficients,
+    at their precision.  Defined only when alpha != beta (the formulas
+    divide by alpha - beta) and on the standard lattice.
     """
+    params, ctx = coeffs.params, coeffs.ctx
     if params.alpha == params.beta:
         raise InvalidParam("ladder sequences need alpha != beta")
     if params.lattice is not Lattice.STANDARD:
@@ -198,8 +206,10 @@ def ladder_sequences(params, coeffs: CoeffSeq, ctx) -> LadderSeq:
     return LadderSeq(params=params, u=u, v=v, r=r, s=s, ctx=ctx)
 
 
-def ladder_residuals(params, ladder: LadderSeq, coeffs: CoeffSeq, ctx) -> ResidualReport:
-    """Six consistency identities tying (u, v, r, s) back to (a2, b)."""
+def ladder_residuals(ladder: LadderSeq, coeffs: CoeffSeq) -> ResidualReport:
+    """Six consistency identities tying (u, v, r, s) back to (a2, b); the two
+    must share params and ctx, else ``InvalidParam``."""
+    params, ctx = _common_measure(ladder, coeffs)
     mp = ctx.mp
     a, bta, g, c = params.as_reals(ctx)
     q = (1 - c) / c
@@ -256,12 +266,13 @@ def ladder_residuals(params, ladder: LadderSeq, coeffs: CoeffSeq, ctx) -> Residu
     return rep
 
 
-def xy_from_coeffs(params, coeffs: CoeffSeq, ctx) -> XYSeq:
-    """Painleve variables from recurrence data.
+def xy_from_coeffs(coeffs: CoeffSeq) -> XYSeq:
+    """Painleve variables from recurrence data, at the coefficients' precision.
 
     The same affine relations hold on both lattices with the original
     parameters, so no transform is applied here.
     """
+    params, ctx = coeffs.params, coeffs.ctx
     mp = ctx.mp
     a, bta, g, c = params.as_reals(ctx)
     x, y, S = [], [], [mp.mpf(0)]
@@ -285,17 +296,17 @@ def _coeffs_at(mp, a, bta, g, c, x, y, S, n):
     return a2, b
 
 
-def coeffs_from_xy(params, xy: XYSeq, ctx) -> CoeffSeq:
+def coeffs_from_xy(xy: XYSeq) -> CoeffSeq:
     """Inverse of xy_from_coeffs; also lattice-independent."""
-    a, bta, g, c = params.as_reals(ctx)
-    pairs = [_coeffs_at(ctx.mp, a, bta, g, c, xy.x, xy.y, xy.S, n) for n in range(xy.N + 1)]
+    a, bta, g, c = xy.params.as_reals(xy.ctx)
+    pairs = [_coeffs_at(xy.ctx.mp, a, bta, g, c, xy.x, xy.y, xy.S, n) for n in range(xy.N + 1)]
     return CoeffSeq(
-        params=params, a2=[p[0] for p in pairs], b=[p[1] for p in pairs], ctx=ctx
+        params=xy.params, a2=[p[0] for p in pairs], b=[p[1] for p in pairs], ctx=xy.ctx
     )
 
 
-def eval_orthonormal(coeffs: CoeffSeq, m0, x, nmax: int, ctx) -> list:
-    """Orthonormal polynomial values [p_0(x), ..., p_nmax(x)].
+def eval_orthonormal(coeffs: CoeffSeq, m0, x, nmax: int) -> list:
+    """Orthonormal polynomial values [p_0(x), ..., p_nmax(x)] at ``coeffs.ctx``.
 
     p_0 = 1/sqrt(m0), p_1 = (x - b_0) p_0 / a_1, then the three-term
     recurrence a_{n+1} p_{n+1} = (x - b_n) p_n - a_n p_{n-1}.
@@ -304,7 +315,7 @@ def eval_orthonormal(coeffs: CoeffSeq, m0, x, nmax: int, ctx) -> list:
         raise InvalidParam("nmax must be >= 0")
     if nmax > coeffs.N:
         raise InvalidCoeffs(f"need coefficients to order {nmax}, have {coeffs.N}")
-    mp = ctx.mp
+    ctx, mp = coeffs.ctx, coeffs.ctx.mp
     if not m0 > 0:
         raise InvalidCoeffs("m0 must be positive")
     for n in range(1, nmax + 1):
@@ -321,14 +332,16 @@ def eval_orthonormal(coeffs: CoeffSeq, m0, x, nmax: int, ctx) -> list:
     return p
 
 
-def structure_residual(params, coeffs: CoeffSeq, xy: XYSeq, n: int, x, ctx):
+def structure_residual(coeffs: CoeffSeq, xy: XYSeq, n: int, x):
     """Raw defect of the first-order difference relation
 
         p_n(x+1) - p_n(x) = A_n(x) p_{n-1}(x) - B_n(x) p_n(x)
 
     with A_n(x) = a_n ((1-c)/c) (x + x_n) / ((x+alpha)(x+beta)) and
     B_n(x) = (-n x + y_n) / ((x+alpha)(x+beta)).  Returned unnormalized.
+    ``coeffs`` and ``xy`` must share params and ctx, else ``InvalidParam``.
     """
+    params, ctx = _common_measure(coeffs, xy)
     if params.lattice is not Lattice.STANDARD:
         raise InvalidParam("structure relation is verified on the standard lattice")
     if n < 1:
@@ -342,8 +355,8 @@ def structure_residual(params, coeffs: CoeffSeq, xy: XYSeq, n: int, x, ctx):
     if abs(x + a) <= eps or abs(x + bta) <= eps:
         raise PoleHit("x is within working precision of -alpha or -beta")
     m0 = moment(params, 0, ctx)
-    pc = eval_orthonormal(coeffs, m0, x, n, ctx)
-    pl = eval_orthonormal(coeffs, m0, x + 1, n, ctx)
+    pc = eval_orthonormal(coeffs, m0, x, n)
+    pl = eval_orthonormal(coeffs, m0, x + 1, n)
     den = (x + a) * (x + bta)
     A = mp.sqrt(coeffs.a2[n]) * (1 - c) / c * (x + xy.x[n]) / den
     B = (-mp.mpf(n) * x + xy.y[n]) / den

@@ -39,13 +39,6 @@ class Source(enum.Enum):
     ORACLE = "oracle"
     ITERATE = "iterate"
 
-    @classmethod
-    def parse(cls, text):
-        for member in cls:
-            if member.value == str(text).strip().lower():
-                return member
-        raise InvalidParam(f"unknown source {text!r}; use 'oracle' or 'iterate'")
-
 
 def _exact_fraction(x):
     """The exact rational value of a finite BigReal (always dyadic)."""
@@ -76,10 +69,10 @@ def _node_sequences(node, N, ctx, source):
     """(CoeffSeq, XYSeq) to order N at the node; shared, so never mutated."""
     if source is Source.ORACLE:
         cs = coeffs_oracle(node, N, ctx)
-        return cs, xy_from_coeffs(node, cs, ctx)
+        return cs, xy_from_coeffs(cs)
     if source is Source.ITERATE:
         xy = iterate(node, N, ctx, strict=True)
-        return coeffs_from_xy(node, xy, ctx), xy
+        return coeffs_from_xy(xy), xy
     raise InvalidParam(f"unknown source {source!r}")
 
 

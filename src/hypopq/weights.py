@@ -41,13 +41,6 @@ class Lattice(enum.Enum):
     STANDARD = "standard"
     SHIFTED = "shifted"
 
-    @classmethod
-    def parse(cls, text):
-        try:
-            return cls(str(text).strip().lower())
-        except ValueError:
-            raise InvalidParam(f"unknown lattice {text!r} (standard|shifted)") from None
-
 
 def _rational(value, name):
     """Exact rational from int/Fraction/str.  Floats are rejected: binary
@@ -93,7 +86,7 @@ class Params:
         object.__setattr__(self, "gamma", _rational(self.gamma, "gamma"))
         object.__setattr__(self, "c", _rational(self.c, "c"))
         if not isinstance(self.lattice, Lattice):
-            object.__setattr__(self, "lattice", Lattice.parse(self.lattice))
+            raise InvalidParam(f"lattice must be a Lattice, not {self.lattice!r}")
         for name in ("alpha", "beta", "gamma"):
             if getattr(self, name) <= 0:
                 raise InvalidParam(f"{name} must be positive")
@@ -179,14 +172,15 @@ def weight_sequence(params, kmax, ctx):
 
 
 # Cap on the terms of a seed series before ``NonConvergent``; raised from c
-# and the precision for c > 0.9.
+# and the precision for c > 0.9, up to the budget, which is refused outright.
 _SERIES_MAX_TERMS = 100000
+_SERIES_TERM_BUDGET = 10**8
 
 
 def _effective_cap(c, prec):
     """Series term cap at working precision ``prec``; raised deterministically
-    for c close to 1.  A c that rounds to 1.0 as a float has no finite cap
-    and raises ``NonConvergent``."""
+    for c close to 1.  ``NonConvergent``, before any summing, when c rounds
+    to 1.0 as a float or the cap would exceed ``_SERIES_TERM_BUDGET``."""
     cap = _SERIES_MAX_TERMS
     cf = float(c)
     if cf == 1.0:
@@ -194,6 +188,9 @@ def _effective_cap(c, prec):
     if cf > 0.9:
         need = math.ceil(1.2 * prec * math.log(2) / -math.log(cf))
         cap = max(cap, need + 1000)
+    if cap > _SERIES_TERM_BUDGET:
+        raise NonConvergent(f"moment series for c={c} needs about {cap} terms at {prec} bits, "
+                            f"over the budget of {_SERIES_TERM_BUDGET}")
     return cap
 
 

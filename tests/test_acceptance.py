@@ -53,7 +53,7 @@ def seqs512(params):
     key = params.key()
     if key not in _SEQ512:
         cs = coeffs_oracle(params, 30, CTX512)
-        _SEQ512[key] = (cs, xy_from_coeffs(params, cs, CTX512))
+        _SEQ512[key] = (cs, xy_from_coeffs(cs))
     return _SEQ512[key]
 
 
@@ -87,7 +87,7 @@ def test_criterion_01_meixner_closed_forms():
                 if n:
                     worst = max(worst, _rel(cs.a2[n], a2w))
                 worst = max(worst, _rel(cs.b[n], bw))
-            xy = xy_from_coeffs(p, cs, CTX256)
+            xy = xy_from_coeffs(cs)
             for n in range(51):
                 worst = max(worst, _rel(xy.x[n], g))
                 worst = max(worst, _rel(xy.y[n], -n * g))
@@ -126,13 +126,13 @@ def test_criterion_03_identity_residual_suite():
     names_seen = set()
     for p in (ASYM, SYM):
         cs, xy = seqs512(p)
-        rep = dp_residuals(p, xy, cs)
+        rep = dp_residuals(xy, cs)
         names_seen |= set(rep.names())
         worst = max(worst, rep.max_residual())
     # ladder identities need alpha != beta, so they run on the first set only
     cs, _ = seqs512(ASYM)
-    lad = ladder_sequences(ASYM, cs, CTX512)
-    lrep = ladder_residuals(ASYM, lad, cs, CTX512)
+    lad = ladder_sequences(cs)
+    lrep = ladder_residuals(lad, cs)
     names_seen |= set(lrep.names())
     worst = max(worst, lrep.max_residual())
     ok = worst < 1e-20 and names_seen >= {
@@ -163,7 +163,7 @@ def test_criterion_04_structure_relation():
     worst = CTX512.mp.mpf(0)
     for n in range(1, 11):
         for x in (0, 1, 2, 5):
-            worst = max(worst, abs(structure_residual(ASYM, cs, xy, n, x, CTX512)))
+            worst = max(worst, abs(structure_residual(cs, xy, n, x)))
     ok = worst < 1e-15
     _verdict(
         4, "structure-relation", ok, f"max residual {CTX512.mp.nstr(worst, 3)}"
@@ -313,8 +313,8 @@ def test_criterion_11_swap_symmetry():
         cp = coeffs_oracle(p, 10, CTX256)
         cq = coeffs_oracle(q, 10, CTX256)
         worst = max(worst, *[_rel(a, b) for a, b in zip(cp.a2 + cp.b, cq.a2 + cq.b)])
-        xp = xy_from_coeffs(p, cp, CTX256)
-        xq = xy_from_coeffs(q, cq, CTX256)
+        xp = xy_from_coeffs(cp)
+        xq = xy_from_coeffs(cq)
         worst = max(worst, *[_rel(a, b) for a, b in zip(xp.x + xp.y, xq.x + xq.y)])
         ip = iterate(p, 10, CTX256)
         iq = iterate(q, 10, CTX256)
@@ -322,8 +322,8 @@ def test_criterion_11_swap_symmetry():
         worst = max(worst, *[_rel(a, b) for a, b in zip(ip.x + ip.y, iq.x + iq.y)])
         if p.alpha != p.beta:
             # the ladder pair swaps roles: u <-> v and r <-> s
-            lp = ladder_sequences(p, cp, CTX256)
-            lq = ladder_sequences(q, cq, CTX256)
+            lp = ladder_sequences(cp)
+            lq = ladder_sequences(cq)
             worst = max(worst, *[_rel(a, b) for a, b in zip(lp.u + lp.r, lq.v + lq.s)])
             worst = max(worst, *[_rel(a, b) for a, b in zip(lp.v + lp.s, lq.u + lq.r)])
     ok = ok and worst < tol

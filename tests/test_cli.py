@@ -5,6 +5,7 @@ with capsys, so these are full end-to-end runs minus the interpreter fork.
 """
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -56,7 +57,7 @@ def test_coeffs_json_schema(capsys, ctx256):
     recs = doc["records"]
     assert [r["n"] for r in recs] == [0, 1, 2, 3]
     assert set(recs[0]) == {"n", "u", "v", "r", "s"}
-    lad = H.ladder_sequences(asym_params(), coeffs_oracle(asym_params(), 3, ctx256), ctx256)
+    lad = H.ladder_sequences(coeffs_oracle(asym_params(), 3, ctx256))
     for r in recs:
         for k in "uvrs":
             assert ctx256.real(r[k]) == getattr(lad, k)[r["n"]], (k, r["n"])
@@ -277,6 +278,21 @@ def test_c_rounding_to_one_exit3(capsys, command):
     assert f"c={c}" in payload["message"]
 
 
+@pytest.mark.parametrize("command", ["moments", "iterate", "coeffs"])
+def test_c_over_term_budget_exit3(capsys, command):
+    # c = 1 - 1e-9 would sum about 1.2e11 series terms; refused at once
+    c = "999999999/1000000000"
+    t0 = time.perf_counter()
+    code = run([command, *ASYM[:6], "--c", c, "--nmax", "4", "--bits", "128"])
+    elapsed = time.perf_counter() - t0
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "NonConvergent"
+    assert f"c={c}" in payload["message"]
+    assert elapsed < 1
+
+
 def test_verify_tol_exit3_with_output(capsys):
     code = run(["verify", *ASYM, "--nmax", "3", "--tol", "1e-200"])
     out, err = capsys.readouterr()
@@ -320,14 +336,17 @@ def test_bad_arguments_exit2(capsys, tmp_path):
     capsys.readouterr()
     # Decimal("inf") parses but has no Fraction, the toda suite has no index
     # to check below nmax = 0, options are never abbreviated ("--h" is not
-    # --help, "--nma" not --nmax), and an --output that cannot be written is
-    # a bad argument too: exit 2 with one JSON line
+    # --help, "--nma" not --nmax), a lattice or source outside the choices
+    # and an --output that cannot be written are bad arguments too: exit 2
+    # with one JSON line
     for argv in (
         ["coeffs", "--alpha", "inf", *ASYM[2:], "--nmax", "1"],
         ["iterate", *ASYM, "--nmax", "1", "--seed-x0", "inf"],
         ["verify", *ASYM, "--nmax", "-1", "--suite", "toda"],
         ["coeffs", *ASYM, "--nmax", "2", "--h", "x"],
         ["coeffs", *ASYM, "--nma", "2"],
+        ["coeffs", *ASYM, "--nmax", "1", "--lattice", "diagonal"],
+        ["sigma", *ASYM, "--n", "1", "--source", "guess"],
         ["coeffs", *ASYM, "--nmax", "1", "--output", str(tmp_path / "no_dir" / "x.json")],
     ):
         assert run(argv) == 2

@@ -49,7 +49,7 @@ def dp2_step(p, m, x_prev, y_m, ctx):
 
 def test_steps_reproduce_oracle_orbit(ctx256):
     p = asym_params()
-    xy = xy_from_coeffs(p, coeffs_oracle(p, 12, ctx256), ctx256)
+    xy = xy_from_coeffs(coeffs_oracle(p, 12, ctx256))
     for n in range(8):
         y1 = dp1_step(p, n, xy.x[n], xy.y[n], ctx256)
         assert abs(y1 - xy.y[n + 1]) < 1e-60, n
@@ -103,7 +103,7 @@ def test_dp2_guard_policies_differ(ctx128):
     one = ctx128.mp.mpf(1)
     xy = XYSeq(p, [one] * 3, [ctx128.real(v) for v in (0, F(-3, 2), -2)],
                [ctx128.real(v) for v in range(4)], ctx128)
-    rep = dp_residuals(p, xy)
+    rep = dp_residuals(xy)
     assert dict(rep.by_name("dp2")) == {1: ctx128.mp.inf, 2: 0}
     with pytest.raises(SingularStep) as exc:
         dp2_step(p, 1, 1, F(-3, 2), ctx128)
@@ -197,7 +197,7 @@ def test_iterate_matches_oracle(ctx256):
         Params(F(5, 6), F(1, 2), F(5, 6), F(3, 8), Lattice.SHIFTED),
     ):
         xy_rec = iterate(p, 20, ctx256)
-        xy_ora = xy_from_coeffs(p, coeffs_oracle(p, 20, ctx256), ctx256)
+        xy_ora = xy_from_coeffs(coeffs_oracle(p, 20, ctx256))
         assert xy_rec.failure_index is None
         assert xy_rec.precision_suspect_at is None
         for n in range(21):
@@ -300,8 +300,8 @@ def test_iterate_swap_symmetry(a, b, g, c):
 def test_dp_residuals_tiny_on_oracle_orbit(ctx256):
     p = asym_params()
     coeffs = coeffs_oracle(p, 25, ctx256)
-    xy = xy_from_coeffs(p, coeffs, ctx256)
-    rep = dp_residuals(p, xy, coeffs)
+    xy = xy_from_coeffs(coeffs)
+    rep = dp_residuals(xy, coeffs)
     assert set(rep.names()) == {
         "dp1",
         "dp2",
@@ -319,7 +319,7 @@ def test_dp_residuals_tiny_on_oracle_orbit(ctx256):
 
 def test_dp_residuals_without_coeffs(ctx256):
     p = asym_params()
-    rep = dp_residuals(p, iterate(p, 10, ctx256))
+    rep = dp_residuals(iterate(p, 10, ctx256))
     assert set(rep.names()) == {"dp1", "dp2"}
     assert rep.max_residual() < 1e-60
 
@@ -327,7 +327,7 @@ def test_dp_residuals_without_coeffs(ctx256):
 def test_dp_residuals_meixner_exact_zero(ctx256):
     # the closed orbit satisfies the first-kind relation exactly (0 = 0)
     p = meixner_params()
-    rep = dp_residuals(p, iterate(p, 10, ctx256))
+    rep = dp_residuals(iterate(p, 10, ctx256))
     for _, value in rep.by_name("dp1"):
         assert value == 0
 
@@ -335,7 +335,7 @@ def test_dp_residuals_meixner_exact_zero(ctx256):
 def test_dp_residuals_shifted_lattice(ctx256):
     p = asym_params(Lattice.SHIFTED)
     coeffs = coeffs_oracle(p, 15, ctx256)
-    rep = dp_residuals(p, xy_from_coeffs(p, coeffs, ctx256), coeffs)
+    rep = dp_residuals(xy_from_coeffs(coeffs), coeffs)
     assert rep.max_residual() < 1e-60
 
 
@@ -343,11 +343,11 @@ def test_dp_residuals_detect_tampering(ctx256):
     # perturbing one y by 1e-5 must push residuals above 1e-8 at that index
     p = asym_params()
     coeffs = coeffs_oracle(p, 12, ctx256)
-    xy = xy_from_coeffs(p, coeffs, ctx256)
+    xy = xy_from_coeffs(coeffs)
     bad_y = list(xy.y)
     bad_y[6] += ctx256.mp.mpf("1e-5")
     tampered = XYSeq(p, list(xy.x), bad_y, list(xy.S), ctx256)
-    rep = dp_residuals(p, tampered, coeffs)
+    rep = dp_residuals(tampered, coeffs)
     hits = [n for n, v in rep.by_name("dp1") if n in (5, 6) and v > 1e-8]
     assert hits, "dp1 residual did not react to the perturbation"
     assert rep.max_residual() > 1e-8

@@ -23,7 +23,7 @@ from hypopq.numerics import (
     digits_for_bits,
 )
 from hypopq.toda_sigma import clear_cache
-from hypopq.weights import Params, _seed_sums
+from hypopq.weights import Params, _effective_cap, _seed_sums
 
 
 # ---------------------------------------------------------------- contexts
@@ -134,6 +134,13 @@ def test_sum_series_nonconvergent(monkeypatch):
             _seed_sums(LOG2_SERIES, 64 + GUARD_BITS)
     finally:
         clear_cache()
+
+
+def test_series_over_term_budget_refused():
+    # c = 1 - 1e-9 would need about 2.3e11 terms at 272 bits; refused before
+    # any summing
+    with pytest.raises(NonConvergent, match="over the budget of 100000000"):
+        _effective_cap(Fraction(999999999, 10**9), 272)
 
 
 def test_sum_series_survives_interior_dip(ctx256):

@@ -188,9 +188,9 @@ def test_coeffs_a2_positive(a, b, g, c):
 def test_xy_round_trip(ctx256):
     p = asym_params()
     coeffs = coeffs_oracle(p, 12, ctx256)
-    xy = xy_from_coeffs(p, coeffs, ctx256)
+    xy = xy_from_coeffs(coeffs)
     assert len(xy.S) == len(xy.x) + 1
-    back = coeffs_from_xy(p, xy, ctx256)
+    back = coeffs_from_xy(xy)
     for n in range(13):
         assert abs(back.a2[n] - coeffs.a2[n]) < 1e-70
         assert abs(back.b[n] - coeffs.b[n]) < 1e-70
@@ -198,7 +198,7 @@ def test_xy_round_trip(ctx256):
 
 def test_xy_seed_matches_initial(ctx256):
     p = asym_params()
-    xy = xy_from_coeffs(p, coeffs_oracle(p, 6, ctx256), ctx256)
+    xy = xy_from_coeffs(coeffs_oracle(p, 6, ctx256))
     x0, y0 = initial_xy(p, ctx256)
     assert abs(xy.x[0] - x0) < 1e-70
     assert abs(xy.y[0] - y0) < 1e-70
@@ -210,17 +210,17 @@ def test_xy_seed_matches_initial(ctx256):
 
 def test_ladder_guards(ctx256):
     with pytest.raises(InvalidParam):
-        ladder_sequences(sym_params(), coeffs_oracle(sym_params(), 4, ctx256), ctx256)
+        ladder_sequences(coeffs_oracle(sym_params(), 4, ctx256))
     p = asym_params(Lattice.SHIFTED)
     with pytest.raises(InvalidParam):
-        ladder_sequences(p, coeffs_oracle(p, 4, ctx256), ctx256)
+        ladder_sequences(coeffs_oracle(p, 4, ctx256))
 
 
 def test_ladder_residuals_tiny(ctx256):
     p = asym_params()
     coeffs = coeffs_oracle(p, 20, ctx256)
-    ladder = ladder_sequences(p, coeffs, ctx256)
-    report = ladder_residuals(p, ladder, coeffs, ctx256)
+    ladder = ladder_sequences(coeffs)
+    report = ladder_residuals(ladder, coeffs)
     assert set(report.names()) == {
         "uv_sum",
         "rs_sum",
@@ -236,7 +236,7 @@ def test_ladder_sum_identities_exactly(ctx256):
     # u_n + v_n = (1-c)/c and r_n + s_n = -n hold by construction; check the
     # sequences themselves rather than the report
     p = asym_params()
-    ladder = ladder_sequences(p, coeffs_oracle(p, 10, ctx256), ctx256)
+    ladder = ladder_sequences(coeffs_oracle(p, 10, ctx256))
     q = (1 - ctx256.real(p.c)) / ctx256.real(p.c)
     for n in range(len(ladder.u)):
         assert abs(ladder.u[n] + ladder.v[n] - q) < 1e-70
@@ -255,7 +255,7 @@ def test_orthonormality_by_lattice_sum(ctx256):
     w = weight_sequence(p, K, ctx256)
     gram = [[ctx256.mp.mpf(0)] * 4 for _ in range(4)]
     for k in range(K + 1):
-        vals = eval_orthonormal(coeffs, m0, k, 3, ctx256)
+        vals = eval_orthonormal(coeffs, m0, k, 3)
         for i in range(4):
             for j in range(i + 1):
                 gram[i][j] += w[k] * vals[i] * vals[j]
@@ -269,17 +269,17 @@ def test_eval_orthonormal_guards(ctx256):
     p = asym_params()
     coeffs = coeffs_oracle(p, 3, ctx256)
     m0 = moment(p, 0, ctx256)
-    assert len(eval_orthonormal(coeffs, m0, 0, 0, ctx256)) == 1
+    assert len(eval_orthonormal(coeffs, m0, 0, 0)) == 1
     with pytest.raises(InvalidParam):
-        eval_orthonormal(coeffs, m0, 0, -1, ctx256)
+        eval_orthonormal(coeffs, m0, 0, -1)
     with pytest.raises(InvalidCoeffs):
-        eval_orthonormal(coeffs, m0, 0, 4, ctx256)  # only have order 3
+        eval_orthonormal(coeffs, m0, 0, 4)  # only have order 3
     with pytest.raises(InvalidCoeffs):
-        eval_orthonormal(coeffs, ctx256.mp.mpf(0), 0, 2, ctx256)
+        eval_orthonormal(coeffs, ctx256.mp.mpf(0), 0, 2)
     bad = CoeffSeq(p, [ctx256.mp.mpf(v) for v in (0, -1, 2, 3)],
                    list(coeffs.b), ctx256)
     with pytest.raises(InvalidCoeffs):
-        eval_orthonormal(bad, m0, 0, 2, ctx256)
+        eval_orthonormal(bad, m0, 0, 2)
 
 
 # ------------------------------------------------------- structure relation
@@ -288,38 +288,56 @@ def test_eval_orthonormal_guards(ctx256):
 def test_structure_residual_small(ctx512):
     p = asym_params()
     coeffs = coeffs_oracle(p, 3, ctx512)
-    xy = xy_from_coeffs(p, coeffs, ctx512)
+    xy = xy_from_coeffs(coeffs)
     floor = ctx512.mp.ldexp(1, -(512 - 40))
     for n in (1, 2, 3):
         for x in (0, 1, F(7, 3)):
-            assert abs(structure_residual(p, coeffs, xy, n, x, ctx512)) < floor
+            assert abs(structure_residual(coeffs, xy, n, x)) < floor
 
 
 def test_structure_residual_guards(ctx256):
     p = asym_params()
     coeffs = coeffs_oracle(p, 3, ctx256)
-    xy = xy_from_coeffs(p, coeffs, ctx256)
+    xy = xy_from_coeffs(coeffs)
     with pytest.raises(InvalidParam):
-        structure_residual(p, coeffs, xy, 0, 0, ctx256)
+        structure_residual(coeffs, xy, 0, 0)
     with pytest.raises(InvalidParam):
-        structure_residual(p, coeffs, xy, 4, 0, ctx256)
+        structure_residual(coeffs, xy, 4, 0)
     with pytest.raises(PoleHit):
-        structure_residual(p, coeffs, xy, 1, -p.alpha, ctx256)
-    ps = asym_params(Lattice.SHIFTED)
-    with pytest.raises(InvalidParam):
-        structure_residual(ps, coeffs, xy, 1, 0, ctx256)
+        structure_residual(coeffs, xy, 1, -p.alpha)
+    shifted = coeffs_oracle(asym_params(Lattice.SHIFTED), 3, ctx256)
+    with pytest.raises(InvalidParam, match="standard lattice"):
+        structure_residual(shifted, xy_from_coeffs(shifted), 1, 0)
+
+
+@pytest.mark.parametrize("combine", ["dp_residuals", "ladder_residuals", "structure_residual"])
+@pytest.mark.parametrize("differ", ["params", "bits"])
+def test_combining_mismatched_sequences_raises(combine, differ, ctx128):
+    p = asym_params()
+    if differ == "params":
+        other = coeffs_oracle(Params(p.alpha, p.beta, p.gamma, F(1, 4)), 3, ctx128)
+    else:
+        other = coeffs_oracle(p, 3, H.PrecisionCtx(256))
+    coeffs = coeffs_oracle(p, 3, ctx128)
+    calls = {
+        "dp_residuals": lambda: H.dp_residuals(xy_from_coeffs(coeffs), other),
+        "ladder_residuals": lambda: ladder_residuals(ladder_sequences(coeffs), other),
+        "structure_residual": lambda: structure_residual(other, xy_from_coeffs(coeffs), 1, 0),
+    }
+    with pytest.raises(InvalidParam, match="sequences disagree"):
+        calls[combine]()
 
 
 def test_structure_residual_detects_tampering(ctx256):
     # corrupting x_n must show up: the relation is sensitive to the pair (x,y)
     p = asym_params()
     coeffs = coeffs_oracle(p, 2, ctx256)
-    xy = xy_from_coeffs(p, coeffs, ctx256)
-    clean = abs(structure_residual(p, coeffs, xy, 1, 0, ctx256))
+    xy = xy_from_coeffs(coeffs)
+    clean = abs(structure_residual(coeffs, xy, 1, 0))
     bad_x = list(xy.x)
     bad_x[1] += ctx256.mp.mpf("1e-8")
     from hypopq.oracle import XYSeq
 
     tampered = XYSeq(p, bad_x, list(xy.y), list(xy.S), ctx256)
-    dirty = abs(structure_residual(p, coeffs, tampered, 1, 0, ctx256))
+    dirty = abs(structure_residual(coeffs, tampered, 1, 0))
     assert dirty > 1e-10 > clean

@@ -36,13 +36,6 @@ F = Fraction
 # ------------------------------------------------------------ source / nodes
 
 
-def test_source_parse():
-    assert Source.parse("oracle") is Source.ORACLE
-    assert Source.parse("iterate") is Source.ITERATE
-    with pytest.raises(InvalidParam):
-        Source.parse("guess")
-
-
 def test_exact_fraction(ctx256):
     mp = ctx256.mp
     assert _exact_fraction(mp.mpf(0)) == 0
@@ -143,7 +136,7 @@ def test_sigma_value_n0_closed_form(ctx256):
 def test_sigma_value_uses_partial_sum(ctx256):
     p = asym_params()
     n = 3
-    xy = xy_from_coeffs(p, coeffs_oracle(p, n, ctx256), ctx256)
+    xy = xy_from_coeffs(coeffs_oracle(p, n, ctx256))
     sp = sigma_parameters(p, n, ctx256)
     c = ctx256.real(F(1, 2))
     want = (c - 1) * xy.S[n] + sp.K * c + sp.L

@@ -67,11 +67,11 @@ def test_params_shifted_admissibility():
         Params(F(1, 3), F(3), F(3, 2), F(1, 2), Lattice.SHIFTED)
 
 
-def test_lattice_parse():
-    assert Lattice.parse("standard") is Lattice.STANDARD
-    assert Lattice.parse("shifted") is Lattice.SHIFTED
-    with pytest.raises(InvalidParam):
-        Lattice.parse("diagonal")
+def test_params_requires_lattice():
+    # lattice text is checked by the CLI's choices; Params takes only a Lattice
+    assert asym_params(Lattice.SHIFTED).lattice is Lattice.SHIFTED
+    with pytest.raises(InvalidParam, match="must be a Lattice"):
+        asym_params("shifted")
 
 
 def test_params_helpers():

@@ -9,6 +9,9 @@ Comparing two trees is a ``diff`` of their outputs:
 
     PYTHONPATH=src python tools/cli_digest.py > new.txt
 
+``tests/cli_digest.txt`` holds the expected lines, and
+``tests/test_cli_digest.py`` runs this grid against them.
+
 Uses only the standard library and the package under test.
 """
 
@@ -142,6 +145,10 @@ OPTION_RUNS = (
     ({}, "moments", (*RETRY, "--nmax", "21", *B)),
     ({}, "coeffs", (*RETRY, "--nmax", "10", *B)),
     ({}, "coeffs", (*RETRY, "--nmax", "18", *B)),
+    # c = 1 - 1e-9 would need about 1.2e11 seed-series terms, over the term
+    # budget: refused (exit 3) before any summing
+    *(({}, name, (*P[:6], "--c", "999999999/1000000000", "--nmax", "4", *B))
+      for name in ("moments", "coeffs", "iterate")),
 )
 
 
@@ -176,18 +183,26 @@ def digest(argv, env=None):
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def main():
+def grid():
+    """(environment settings, argv) of every invocation, in print order."""
     for a, b, g, c, lattice in SETS:
         for command in COMMANDS:
             name, *rest = command.split()
-            argv = [name, "--alpha", a, "--beta", b, "--gamma", g, "--c", c,
-                    "--lattice", lattice, "--bits", "128", *rest]
-            print(f"{digest(argv)}  {shlex.join(argv)}", flush=True)
+            yield {}, [name, "--alpha", a, "--beta", b, "--gamma", g, "--c", c,
+                       "--lattice", lattice, "--bits", "128", *rest]
     for env, name, args in OPTION_RUNS:
-        argv = [name, *args]
-        shown = " ".join(f"{k}={v}" for k, v in env.items())
-        print(f"{digest(argv, env)}  {shown + ' ' if shown else ''}{shlex.join(argv)}",
-              flush=True)
+        yield env, [name, *args]
+
+
+def label(env, argv):
+    """The invocation as printed after its digest."""
+    shown = " ".join(f"{k}={v}" for k, v in env.items())
+    return f"{shown + ' ' if shown else ''}{shlex.join(argv)}"
+
+
+def main():
+    for env, argv in grid():
+        print(f"{digest(argv, env)}  {label(env, argv)}", flush=True)
     return 0
 
 
