@@ -7,11 +7,13 @@ riccati), and studies (asymptotics, precision-study, perturb).
 JSON is the authoritative format: {"meta": {...}, "records": [...]} with
 every BigReal rendered as a decimal string that round-trips at the working
 precision.  CSV mirrors the records but truncates to 30 digits.  Identical
-invocations produce byte-identical output.
+invocations produce byte-identical output: the output depends on argv
+alone.  The precision is --bits, else --digits, else 256 bits.
 
 Exit codes: 0 success, 2 invalid input (including domain/pole/step
 violations), 3 precision or convergence breakdown, 4 fatal singular step.
-Every error is also written as a one-line JSON object to stderr.
+Every non-zero exit comes from an exception, written as a one-line JSON
+object to stderr.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ from .weights import Lattice, Params, _moment_list, _require_standard
 
 _VALIDATION_ERRORS = (InvalidParam, InvalidCoeffs, DomainExceeded, StepTooSmall, PoleHit)
 _PRECISION_ERRORS = (PrecisionExhausted, NonConvergent)
+_DEFAULT_BITS = 256
 
 
 class _Parser(argparse.ArgumentParser):
@@ -104,52 +107,47 @@ def _build_parser():
     common.add_argument("--digits", type=int, default=None, help="alternative to --bits")
     common.add_argument("--format", dest="fmt", default="json", choices=["json", "csv"])
     common.add_argument("--output", default=None, help="write to file instead of stdout")
+    nmax = _Parser(add_help=False)
+    nmax.add_argument("--nmax", type=int, required=True)
 
     top = _Parser(prog="hypopq", description=__doc__.splitlines()[0])
     top.add_argument("--version", action="version", version=f"hypopq {__version__}")
     sub = top.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("moments", parents=[common], help="power moments m_0..m_nmax")
-    p.add_argument("--nmax", type=int, required=True)
+    def command(name, handler, help, parents=(common, nmax)):
+        p = sub.add_parser(name, parents=list(parents), help=help)
+        p.set_defaults(command=handler)
+        return p
 
-    p = sub.add_parser("coeffs", parents=[common], help="recurrence coefficients (oracle)")
-    p.add_argument("--nmax", type=int, required=True)
+    command("moments", _cmd_moments, "power moments m_0..m_nmax")
+    command("coeffs", _cmd_coeffs, "recurrence coefficients (oracle)")
+    command("ladder", _cmd_ladder, "ladder data u, v, r, s")
+    command("xy", _cmd_xy, "Painleve variables via the oracle")
 
-    p = sub.add_parser("ladder", parents=[common], help="ladder data u, v, r, s")
-    p.add_argument("--nmax", type=int, required=True)
-
-    p = sub.add_parser("xy", parents=[common], help="Painleve variables via the oracle")
-    p.add_argument("--nmax", type=int, required=True)
-
-    p = sub.add_parser("iterate", parents=[common], help="Painleve variables via the recursion")
-    p.add_argument("--nmax", type=int, required=True)
+    p = command("iterate", _cmd_iterate, "Painleve variables via the recursion")
     p.add_argument("--seed-x0", default=None, help="override the canonical x_0")
     p.add_argument("--strict", action="store_true", help="raise instead of truncating")
 
-    p = sub.add_parser("verify", parents=[common], help="identity residual suites")
-    p.add_argument("--nmax", type=int, required=True)
+    p = command("verify", _cmd_verify, "identity residual suites")
     p.add_argument("--suite", default="identities", choices=["identities", "toda", "all"])
     p.add_argument("--h", default=None, help="stencil step (toda), e.g. 2^-40")
     p.add_argument("--source", default="oracle", choices=["oracle", "iterate"])
     p.add_argument("--tol", default=None, help="fail (exit 3) if max residual exceeds this")
 
-    p = sub.add_parser("sigma", parents=[common], help="sigma function and its ODE residual")
+    p = command("sigma", _cmd_sigma, "sigma function and its ODE residual", [common])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--h", default=None)
     p.add_argument("--source", default="oracle", choices=["oracle", "iterate"])
 
-    p = sub.add_parser("riccati", parents=[common], help="seed Riccati combination (expected -gamma)")
+    p = command("riccati", _cmd_riccati, "seed Riccati combination (expected -gamma)", [common])
     p.add_argument("--h", default=None)
 
-    p = sub.add_parser("asymptotics", parents=[common], help="gaps to the conjectured limits")
-    p.add_argument("--nmax", type=int, required=True)
+    command("asymptotics", _cmd_asymptotics, "gaps to the conjectured limits")
 
-    p = sub.add_parser("precision-study", parents=[common], help="divergence index per digit level")
-    p.add_argument("--nmax", type=int, required=True)
+    p = command("precision-study", _cmd_precision_study, "divergence index per digit level")
     p.add_argument("--digit-levels", required=True, help="comma-separated, e.g. 10,20,50")
 
-    p = sub.add_parser("perturb", parents=[common], help="seed sensitivity study")
-    p.add_argument("--nmax", type=int, required=True)
+    p = command("perturb", _cmd_perturb, "seed sensitivity study")
     p.add_argument("--deltas", required=True, help="comma-separated seed offsets")
     p.add_argument("--seed-x0", default=None, help="override the baseline x_0")
     return top
@@ -169,18 +167,11 @@ def _config(ns):
         *(parse(getattr(ns, name), name) for name in ("alpha", "beta", "gamma", "c")),
         Lattice(ns.lattice),
     )
-    if ns.bits is not None and ns.digits is not None:
-        raise InvalidParam("give --bits or --digits, not both")
-    if ns.bits is not None:
-        bits = ns.bits
-    elif ns.digits is not None:
-        bits = bits_for_digits(ns.digits)
-    else:
-        try:
-            bits = int(os.environ.get("HYPOPQ_DEFAULT_BITS", "256"))
-        except ValueError as exc:
-            raise InvalidParam("HYPOPQ_DEFAULT_BITS must be an integer") from exc
-    ns.ctx = PrecisionCtx(bits=bits)
+    if ns.digits is not None:
+        if ns.bits is not None:
+            raise InvalidParam("give --bits or --digits, not both")
+        ns.bits = bits_for_digits(ns.digits)
+    ns.ctx = PrecisionCtx(bits=_DEFAULT_BITS if ns.bits is None else ns.bits)
 
     if getattr(ns, "h", None) is not None:
         ns.h, ex = _parse_step(ns.h)
@@ -207,7 +198,7 @@ def _config(ns):
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations: each returns (records, extra_meta, exit, error)
+# subcommand implementations: each returns (records, extra_meta)
 
 
 def _step_value(cfg):
@@ -227,7 +218,7 @@ def _cmd_moments(cfg):
         raise InvalidParam("nmax must be >= 0")
     _require_standard(cfg.params, "moments")
     ms = _moment_list(cfg.params, cfg.nmax + 1, cfg.ctx)
-    return [{"n": n, "m": ms[n]} for n in range(cfg.nmax + 1)], {}, 0, None
+    return [{"n": n, "m": ms[n]} for n in range(cfg.nmax + 1)], {}
 
 
 def _cmd_coeffs(cfg):
@@ -235,7 +226,7 @@ def _cmd_coeffs(cfg):
     records = [
         {"n": n, "a2": cs.a2[n], "b": cs.b[n]} for n in range(cfg.nmax + 1)
     ]
-    return records, {}, 0, None
+    return records, {}
 
 
 def _cmd_ladder(cfg):
@@ -245,7 +236,7 @@ def _cmd_ladder(cfg):
         {"n": n, "u": lad.u[n], "v": lad.v[n], "r": lad.r[n], "s": lad.s[n]}
         for n in range(cfg.nmax + 1)
     ]
-    return records, {}, 0, None
+    return records, {}
 
 
 def _cmd_xy(cfg):
@@ -255,7 +246,7 @@ def _cmd_xy(cfg):
         {"n": n, "x": xy.x[n], "y": xy.y[n], "a2": cs.a2[n], "b": cs.b[n], "S": xy.S[n]}
         for n in range(cfg.nmax + 1)
     ]
-    return records, {}, 0, None
+    return records, {}
 
 
 def _cmd_iterate(cfg):
@@ -270,7 +261,7 @@ def _cmd_iterate(cfg):
         "failure_index": xy.failure_index,
         "precision_suspect_at": xy.precision_suspect_at,
     }
-    return records, extra, 0, None
+    return records, extra
 
 
 def _cmd_verify(cfg):
@@ -282,13 +273,12 @@ def _cmd_verify(cfg):
         cs = coeffs_oracle(cfg.params, cfg.nmax, ctx)
         xy = xy_from_coeffs(cs)
         entries.extend(dp_residuals(xy, cs).entries)
-        ladder_ok = (
-            cfg.params.lattice is Lattice.STANDARD
-            and cfg.params.alpha != cfg.params.beta
-        )
-        extra["ladder_included"] = ladder_ok
-        if ladder_ok:
+        try:
             lad = ladder_sequences(cs)
+        except InvalidParam:  # the ladder is not defined for these params
+            lad = None
+        extra["ladder_included"] = lad is not None
+        if lad is not None:
             entries.extend(ladder_residuals(lad, cs).entries)
     if "toda" in suites:
         if cfg.nmax < 0:
@@ -301,16 +291,10 @@ def _cmd_verify(cfg):
     records = [{"name": e.name, "n": e.n, "residual": e.value} for e in entries]
     maxres = max((e.value for e in entries), default=ctx.mp.mpf(0))
     extra["max_residual"] = ctx.to_decimal(maxres)
-    code, err = 0, None
-    if cfg.tol is not None:
-        tol = ctx.real(cfg.tol)
-        if not maxres <= tol:
-            code = 3
-            err = {
-                "error": "PrecisionExhausted",
-                "message": f"max residual {ctx.to_decimal(maxres, 8)} exceeds tol",
-            }
-    return records, extra, code, err
+    if cfg.tol is not None and not maxres <= ctx.real(cfg.tol):
+        _emit(cfg, _render(cfg, records, extra))  # the table is written all the same
+        raise PrecisionExhausted(f"max residual {ctx.to_decimal(maxres, 8)} exceeds tol")
+    return records, extra
 
 
 def _cmd_sigma(cfg):
@@ -321,7 +305,7 @@ def _cmd_sigma(cfg):
     res = sigma_pvi_residual(cfg.params, n, h, cfg.source, ctx)
     extra = {"h": ctx.to_decimal(h), "source": cfg.source.value}
     records = [{"n": n, "c": ctx.real(cfg.params.c), "sigma": sv, "pvi_residual": res}]
-    return records, extra, 0, None
+    return records, extra
 
 
 def _cmd_riccati(cfg):
@@ -332,17 +316,17 @@ def _cmd_riccati(cfg):
     records = [
         {"constant": const, "expected": expected, "abs_error": abs(const - expected)}
     ]
-    return records, {"h": ctx.to_decimal(h)}, 0, None
+    return records, {"h": ctx.to_decimal(h)}
 
 
 def _cmd_asymptotics(cfg):
     rep = limit_report(cfg.params, cfg.nmax, cfg.ctx)
-    return [_study_record(rep)], {}, 0, None
+    return [_study_record(rep)], {}
 
 
 def _cmd_precision_study(cfg):
     reports = precision_study(cfg.params, cfg.digit_levels, cfg.nmax)
-    return [_study_record(r) for r in reports], {}, 0, None
+    return [_study_record(r) for r in reports], {}
 
 
 def _cmd_perturb(cfg):
@@ -352,22 +336,7 @@ def _cmd_perturb(cfg):
     records = [
         _study_record(rep, delta=token) for token, rep in zip(tokens, reports)
     ]
-    return records, {}, 0, None
-
-
-_COMMANDS = {
-    "moments": _cmd_moments,
-    "coeffs": _cmd_coeffs,
-    "ladder": _cmd_ladder,
-    "xy": _cmd_xy,
-    "iterate": _cmd_iterate,
-    "verify": _cmd_verify,
-    "sigma": _cmd_sigma,
-    "riccati": _cmd_riccati,
-    "asymptotics": _cmd_asymptotics,
-    "precision-study": _cmd_precision_study,
-    "perturb": _cmd_perturb,
-}
+    return records, {}
 
 
 # ---------------------------------------------------------------------------
@@ -445,11 +414,9 @@ def run(argv=None) -> int:
             _write_output(cfg, "", "a")  # appending leaves an existing file as it is
             if not existed:
                 os.remove(cfg.output)
-        records, extra, code, err = _COMMANDS[cfg.subcommand](cfg)
+        records, extra = cfg.command(cfg)
         _emit(cfg, _render(cfg, records, extra))
-        if err is not None:
-            _print_error(err["error"], err["message"])
-        return code
+        return 0
     except SingularStep as exc:
         _print_error(type(exc).__name__, str(exc))
         return 4

@@ -182,7 +182,8 @@ def _common_measure(s, t):
 def ladder_sequences(coeffs: CoeffSeq) -> LadderSeq:
     """Lowering/raising polynomial data (u, v, r, s) from the coefficients,
     at their precision.  Defined only when alpha != beta (the formulas
-    divide by alpha - beta) and on the standard lattice.
+    divide by alpha - beta) and on the standard lattice; elsewhere it raises
+    ``InvalidParam``, and callers use that to learn where the ladder exists.
     """
     params, ctx = coeffs.params, coeffs.ctx
     if params.alpha == params.beta:
@@ -208,7 +209,13 @@ def ladder_sequences(coeffs: CoeffSeq) -> LadderSeq:
 
 def ladder_residuals(ladder: LadderSeq, coeffs: CoeffSeq) -> ResidualReport:
     """Six consistency identities tying (u, v, r, s) back to (a2, b); the two
-    must share params and ctx, else ``InvalidParam``."""
+    must share params and ctx, else ``InvalidParam``.
+
+    On a ladder built by :func:`ladder_sequences` every identity follows
+    algebraically from how u, v, r, s are defined, so the residuals sit at
+    rounding level for any (a2, b), true coefficients or not: this suite
+    checks the ladder formulas and the arithmetic, not the coefficients.
+    """
     params, ctx = _common_measure(ladder, coeffs)
     mp = ctx.mp
     a, bta, g, c = params.as_reals(ctx)

@@ -79,13 +79,28 @@ def test_iterate_seed_override(capsys):
     assert doc["records"][0]["x"].startswith("1.2000000")
 
 
-def test_verify_identities_schema(capsys):
-    doc, _ = run_json(capsys, ["verify", *ASYM, "--nmax", "5"])
+LADDER_NAMES = {"uv_sum", "rs_sum", "uv_weighted", "rs_weighted", "b_from_ladder",
+                "a2_from_ladder"}
+
+
+@pytest.mark.parametrize(
+    "params, ladder",
+    [
+        (ASYM, True),
+        (["--alpha", "1", "--beta", "1", "--gamma", "2", "--c", "1/2"], False),
+        ([*ASYM, "--lattice", "shifted"], False),
+    ],
+    ids=["asym", "sym", "asym-shifted"],
+)
+def test_verify_identities_schema(capsys, params, ladder):
+    # the ladder suite joins exactly where ladder_sequences is defined
+    doc, _ = run_json(capsys, ["verify", *params, "--nmax", "5"])
     meta = doc["meta"]
     assert meta["suites"] == ["identities"]
-    assert meta["ladder_included"] is True
+    assert meta["ladder_included"] is ladder
     names = {r["name"] for r in doc["records"]}
-    assert {"dp1", "dp2", "y_pair_sum", "uv_sum", "rs_sum"} <= names
+    assert {"dp1", "dp2", "y_pair_sum"} <= names
+    assert names & LADDER_NAMES == (LADDER_NAMES if ladder else set())
     assert float(meta["max_residual"]) < 1e-60
 
 
@@ -220,12 +235,17 @@ def test_digits_flag_sets_bits(capsys):
 
 
 def test_env_default_bits(capsys, monkeypatch):
-    monkeypatch.setenv("HYPOPQ_DEFAULT_BITS", "128")
-    doc, _ = run_json(capsys, ["coeffs", *ASYM, "--nmax", "1"])
-    assert doc["meta"]["bits"] == 128
-    monkeypatch.setenv("HYPOPQ_DEFAULT_BITS", "not-a-number")
-    assert run(["coeffs", *ASYM, "--nmax", "1"]) == 2
-    capsys.readouterr()
+    # the output depends on argv alone: no environment variable sets the
+    # default precision
+    argv = ["coeffs", *ASYM, "--nmax", "1"]
+    monkeypatch.delenv("HYPOPQ_DEFAULT_BITS", raising=False)
+    assert run(argv) == 0
+    unset, _ = capsys.readouterr()
+    monkeypatch.setenv("HYPOPQ_DEFAULT_BITS", "96")
+    assert run(argv) == 0
+    out, _ = capsys.readouterr()
+    assert out == unset
+    assert json.loads(out)["meta"]["bits"] == 256
 
 
 def test_bits_digits_conflict(capsys):

@@ -21,19 +21,17 @@ def _load_tool():
     return tool
 
 
-def test_cli_output_matches_golden_digest(monkeypatch):
-    # invocations without --bits or --digits read the default
-    monkeypatch.delenv("HYPOPQ_DEFAULT_BITS", raising=False)
+def test_cli_output_matches_golden_digest():
     tool = _load_tool()
     golden = {}
     for line in (HERE / "cli_digest.txt").read_text(encoding="utf-8").splitlines():
         digest, shown = line.split("  ", 1)
         golden[shown] = digest
     problems, seen = [], set()
-    for env, argv in tool.grid():
-        shown = tool.label(env, argv)
+    for argv in tool.grid():
+        shown = tool.label(argv)
         seen.add(shown)
-        got = tool.digest(argv, env)
+        got = tool.digest(argv)
         if shown not in golden:
             problems.append(f"not in the golden file: {shown}")
         elif got != golden[shown]:
