@@ -80,7 +80,7 @@ def limit_report(params, N: int, ctx) -> StudyReport:
             f"unhealthy at {cur.bits} bits "
             f"(failure_index={xy.failure_index}, suspect={xy.precision_suspect_at}); doubling"
         )
-        cur = cur.with_bits(cur.bits * 2)
+        cur = PrecisionCtx(cur.bits * 2)
     rep = _study_report(params, cur.bits, xy, (), _targets(params, cur))
     return replace(rep, notes="; ".join(notes))
 

@@ -58,6 +58,8 @@ class PrecisionCtx:
         return _mp_for(self.bits)
 
     def with_bits(self, bits):
+        """``PrecisionCtx(bits)``; the package calls the constructor, and this
+        stays for the benchmark harness in ``perfbench/``, which calls it."""
         return PrecisionCtx(bits)
 
     def real(self, value):

@@ -4,6 +4,8 @@ Everything here is driven by quotients of leading principal minors of the
 two moment matrices (plain and first-column-shifted).  Gautschi's Chebyshev
 algorithm produces both families of quotients at once in O(N^2) operations
 from the power moments (two lattice series, then the Pearson recurrence).
+Both O(N^2) loops run on Python integers, one rounding per element; libmp
+sees only O(N) work.
 
 The oracle is deliberately redundant: every sequence is computed at the
 requested precision and again at twice the precision, and the two runs must
@@ -14,12 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from mpmath.libmp import fzero, mpf_div, mpf_mul, mpf_pos, mpf_sub, round_nearest
+from mpmath.libmp import from_man_exp, fzero, mpf_div, mpf_pos, mpf_sub, round_nearest
 
 from .errors import InvalidCoeffs, InvalidParam, PoleHit, PrecisionExhausted
-from .numerics import GUARD_BITS
+from .numerics import GUARD_BITS, PrecisionCtx
 from .reporting import ResidualReport, normalized_residual
-from .weights import Lattice, _moment_batch_raw, moment, shifted_params
+from .weights import _FLOOR_BITS, _ZERO, Lattice, _moment_batch_raw, _pair, moment, shifted_params
 
 _rnd = round_nearest
 
@@ -85,23 +87,37 @@ def _chebyshev_quotients(moments_raw, N, bits, prec):
         b[k]  = sigma_{k,k+1} / sigma_{k,k} - sigma_{k-1,k} / sigma_{k-1,k-1}
 
     from ``sigma_{-1,l} = 0`` and ``sigma_{0,l} = m_l``, for k <= l <= 2N+1-k.
+    Each sigma is a signed ``(mantissa, exponent)`` pair: exact mantissa
+    products, cut at the floor of :func:`weights._round_sum` (zero terms set
+    no floor, a zero sum stays zero) and rounded once to ``prec``, written out
+    here as it is the hot loop; only the O(N) quotients go through libmp.
     Returns raw (a2, b) of length N+1 rounded to ``bits``.  Rows are built in
     a fixed order, so growing N leaves the leading quotients bit-identical.
     A zero diagonal entry raises ``ZeroDivisionError``.
     """
-    top = 2 * N + 2
-    prev, row = [fzero] * top, list(moments_raw[:top])
-    q = mpf_div(row[1], row[0], prec, _rnd)
+    top, drop = 2 * N + 2, prec + _FLOOR_BITS
+    prev, row = [_ZERO] * top, [_pair(m) for m in moments_raw[:top]]
+    diag = moments_raw[0]
+    q = mpf_div(moments_raw[1], diag, prec, _rnd)
     a2_k, b_k = fzero, q
     a2, b = [fzero], [mpf_pos(q, bits, _rnd)]
     for k in range(1, N + 1):
-        new = [fzero] * top
+        (mb, eb), (ma, ea) = _pair(b_k), _pair(a2_k)
+        new = [_ZERO] * top
         for l in range(k, top - k):
-            t = mpf_sub(row[l + 1], mpf_mul(b_k, row[l], prec, _rnd), prec, _rnd)
-            new[l] = mpf_sub(t, mpf_mul(a2_k, prev[l], prec, _rnd), prec, _rnd)
-        a2_k = mpf_div(new[k], row[k - 1], prec, _rnd)
-        q_k = mpf_div(new[k + 1], new[k], prec, _rnd)
-        b_k, q = mpf_sub(q_k, q, prec, _rnd), q_k
+            (m1, e1), (m2, e2), (m3, e3) = row[l + 1], row[l], prev[l]
+            m2, e2, m3, e3 = m2 * mb, e2 + eb, m3 * ma, e3 + ea
+            f = max(e1 + m1.bit_length(), e2 + m2.bit_length(), e3 + m3.bit_length()) - drop
+            s = ((m1 << e1 - f if e1 >= f else m1 >> f - e1)
+                 - (m2 << e2 - f if e2 >= f else m2 >> f - e2)
+                 - (m3 << e3 - f if e3 >= f else m3 >> f - e3))
+            if s:
+                n = s.bit_length() - prec
+                new[l] = ((s + (1 << n - 1)) >> n, f + n) if n > 0 else (s, f)
+        dk = from_man_exp(*new[k])
+        a2_k = mpf_div(dk, diag, prec, _rnd)
+        q_k = mpf_div(from_man_exp(*new[k + 1]), dk, prec, _rnd)
+        b_k, q, diag = mpf_sub(q_k, q, prec, _rnd), q_k, dk
         a2.append(mpf_pos(a2_k, bits, _rnd))
         b.append(mpf_pos(b_k, bits, _rnd))
         prev, row = row, new
@@ -127,12 +143,12 @@ def coeffs_oracle(params, N: int, ctx) -> CoeffSeq:
             return _chebyshev_quotients(moments, N, bits, bits + GUARD_BITS)
         except ZeroDivisionError as exc:
             raise PrecisionExhausted(
-                f"Chebyshev algorithm met a zero Hankel ratio at {ctx.bits} bits"
+                f"Chebyshev algorithm met a zero Hankel ratio at {bits} bits"
             ) from exc
 
     a2_lo, b_lo = quotients(ctx.bits)
     a2_hi, b_hi = quotients(2 * ctx.bits)
-    hi = ctx.with_bits(2 * ctx.bits)
+    hi = PrecisionCtx(2 * ctx.bits)
     mph = hi.mp
     tol = mph.mpf("1e-10")
 

@@ -15,21 +15,9 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 
-from mpmath.libmp import (
-    fzero,
-    from_rational,
-    mpf_add,
-    mpf_div,
-    mpf_gt,
-    mpf_mul,
-    mpf_mul_int,
-    mpf_pos,
-    mpf_sub,
-    from_man_exp,
-    round_nearest,
-)
+from mpmath.libmp import from_man_exp, from_rational, mpf_div, mpf_gt, mpf_pos, round_nearest
 
 from .errors import InvalidParam, NonConvergent
 from .numerics import GUARD_BITS
@@ -263,6 +251,37 @@ def _seed_sums(params, prec):
         frac += max(e.bit_length() + prec + 2 - s.bit_length() for s, e in ((s0, e0), (s1, e1)))
 
 
+# Bits an integer sum keeps below its largest term's last bit at ``prec``; and
+# zero as a ``(mantissa, exponent)`` pair, whose exponent never sets that floor.
+_FLOOR_BITS = 32
+_ZERO = (0, -(1 << 62))
+
+
+def _pair(x):
+    """Raw mpf ``x`` as a signed ``(mantissa, exponent)`` pair."""
+    sign, man, exp, _ = x
+    return (-man if sign else man, exp) if man else _ZERO
+
+
+def _times(x, y):
+    """Exact product of two ``(mantissa, exponent)`` pairs."""
+    return x[0] * y[0], x[1] + y[1]
+
+
+def _round_sum(terms, prec):
+    """The sum of the signed ``(mantissa, exponent)`` pairs ``terms``, rounded
+    once to ``prec`` bits.  Every term is cut (floored) at ``_FLOOR_BITS``
+    bits below the last bit at ``prec`` of the largest nonzero term, losing
+    less than ``2**-(prec + 31)`` of it; a sum that is exactly zero stays
+    ``_ZERO``."""
+    f = max(e + m.bit_length() for m, e in terms) - prec - _FLOOR_BITS
+    s = sum(m << e - f if e >= f else m >> f - e for m, e in terms)
+    if not s:
+        return _ZERO
+    n = s.bit_length() - prec
+    return ((s + (1 << n - 1)) >> n, f + n) if n > 0 else (s, f)
+
+
 def _moment_batch_raw(params, count, bits, guard=GUARD_BITS):
     """Moments ``m_0 .. m_{count-1}`` as raw mpfs at ``bits + guard`` or more.
 
@@ -270,6 +289,10 @@ def _moment_batch_raw(params, count, bits, guard=GUARD_BITS):
     follow from the Pearson relation ``w_{k+1} (gamma+k)(k+1) = c (alpha+k)(beta+k) w_k``
     summed against ``(k+1)^n``: with ``U_i = m_{i+2} + (alpha+beta) m_{i+1}
     + alpha beta m_i``, ``m_{n+2} + (gamma-1) m_{n+1} = c sum_{i<=n} C(n,i) U_i``.
+    With ``tail = (alpha+beta) m_{n+1} + alpha beta m_n``, each of
+    ``tail + sum_{i<n} C(n,i) U_i``, ``m_{n+2}`` and ``U_n`` is one integer
+    sum of exact mantissa products with one rounding (:func:`_round_sum`),
+    so the O(count^2) binomial loop makes no libmp call.
 
     For gamma > 1, solving for ``m_{n+2}`` cancels until ``m_{n+2}/m_{n+1}``
     (which only grows) passes ``(gamma-1)/(1-c)``.  The bits lost up to there,
@@ -281,32 +304,31 @@ def _moment_batch_raw(params, count, bits, guard=GUARD_BITS):
     """
     prec = bits + guard
     p = params
-    moms = list(_seed_sums(p, prec))
-    add = partial(mpf_add, prec=prec, rnd=_RND)
-    mul = partial(mpf_mul, prec=prec, rnd=_RND)
-    ab_sum, ab_prod = _raw(p.alpha + p.beta, prec), _raw(p.alpha * p.beta, prec)
-    ratio, shift = _raw(p.c / (1 - p.c), prec), _raw((p.gamma - 1) / (1 - p.c), prec)
+    out = list(_seed_sums(p, prec))
+    moms = [_pair(m) for m in out]
+    ab_sum, ab_prod, ratio, shift = (_pair(_raw(q, prec)) for q in (
+        p.alpha + p.beta, p.alpha * p.beta, p.c / (1 - p.c), (p.gamma - 1) / (1 - p.c)))
     U, lost, n, cancels = [], 0.0, 0, p.gamma > 1 and count > 2
     while n < count - 2 or cancels:
-        tail = add(mul(ab_sum, moms[n + 1]), mul(ab_prod, moms[n]))
-        acc = tail
-        for i in range(n):
-            acc = add(acc, mpf_mul_int(U[i], math.comb(n, i), prec, _RND))
-        big = mul(shift, moms[n + 1])
-        m = mpf_sub(mul(ratio, acc), big, prec, _RND)
-        if lost >= prec or not mpf_gt(m, fzero):  # every bit lost (moments are > 0)
+        tail = [_times(ab_sum, moms[n + 1]), _times(ab_prod, moms[n])]
+        acc = _round_sum(tail + [(math.comb(n, i) * u, e) for i, (u, e) in enumerate(U)], prec)
+        big = _times(shift, moms[n + 1])
+        m = _round_sum([_times(ratio, acc), (-big[0], big[1])], prec)
+        if lost >= prec or m[0] <= 0:  # every bit lost (moments are > 0)
             lost = max(lost, prec)
             break
-        cancels = mpf_gt(big, m)
+        big_raw, m_raw = from_man_exp(*big), from_man_exp(*m)
+        cancels = mpf_gt(big_raw, m_raw)
         if cancels:
-            _, man, exp, _ = mpf_div(big, m, 53, _RND)
+            _, man, exp, _ = mpf_div(big_raw, m_raw, 53, _RND)
             lost += math.log2(man) + exp
         moms.append(m)
-        U.append(add(m, tail))
+        out.append(m_raw)
+        U.append(_round_sum([m] + tail, prec))
         n += 1
     if lost > guard / 2:
         return _moment_batch_raw(params, count, bits, 2 * math.ceil(lost))
-    return moms[:count]
+    return out[:count]
 
 
 def _moment_list(params, count, ctx):

@@ -7,14 +7,33 @@ recurrence coefficient is a known Fraction, computed in-test with no
 package arithmetic.
 """
 
+import math
+import sys
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import from_int
+from mpmath.libmp import (
+    fzero,
+    from_int,
+    from_rational,
+    mpf_abs,
+    mpf_add,
+    mpf_div,
+    mpf_gt,
+    mpf_mul,
+    mpf_mul_int,
+    mpf_pos,
+    mpf_sub,
+    round_nearest,
+    to_float,
+)
 
 import hypopq as H
+import hypopq.oracle
+import hypopq.weights
 from hypopq.errors import (
     InvalidCoeffs,
     InvalidParam,
@@ -32,9 +51,12 @@ from hypopq.oracle import (
     structure_residual,
     xy_from_coeffs,
 )
+from hypopq.numerics import GUARD_BITS
+from hypopq.toda_sigma import clear_cache
 from hypopq.weights import (
     Lattice,
     Params,
+    _seed_sums,
     initial_xy,
     moment,
     shifted_params,
@@ -104,6 +126,117 @@ def test_hankel_det_singular():
         _chebyshev_quotients(flat, 2, 256, 272)
 
 
+# ------------------------------------------------ reference loops (libmp)
+#
+# The moment batch and the Chebyshev pass with every product and sum rounded
+# by libmp at the working precision, in the order of the formulas.  The
+# integer kernels, which round once per element, must be at least about as
+# accurate as these loops.
+
+_rnd = round_nearest
+
+
+def _ref_moment_batch(p, count, bits, guard=GUARD_BITS):
+    prec = bits + guard
+    moms = list(_seed_sums(p, prec))
+    add = partial(mpf_add, prec=prec, rnd=_rnd)
+    mul = partial(mpf_mul, prec=prec, rnd=_rnd)
+
+    def raw(q):
+        return from_rational(q.numerator, q.denominator, prec, _rnd)
+
+    ab_sum, ab_prod = raw(p.alpha + p.beta), raw(p.alpha * p.beta)
+    ratio, shift = raw(p.c / (1 - p.c)), raw((p.gamma - 1) / (1 - p.c))
+    U, lost, n, cancels = [], 0.0, 0, p.gamma > 1 and count > 2
+    while n < count - 2 or cancels:
+        tail = add(mul(ab_sum, moms[n + 1]), mul(ab_prod, moms[n]))
+        acc = tail
+        for i in range(n):
+            acc = add(acc, mpf_mul_int(U[i], math.comb(n, i), prec, _rnd))
+        big = mul(shift, moms[n + 1])
+        m = mpf_sub(mul(ratio, acc), big, prec, _rnd)
+        if lost >= prec or not mpf_gt(m, fzero):
+            lost = max(lost, prec)
+            break
+        cancels = mpf_gt(big, m)
+        if cancels:
+            _, man, exp, _ = mpf_div(big, m, 53, _rnd)
+            lost += math.log2(man) + exp
+        moms.append(m)
+        U.append(add(m, tail))
+        n += 1
+    if lost > guard / 2:
+        return _ref_moment_batch(p, count, bits, 2 * math.ceil(lost))
+    return moms[:count]
+
+
+def _ref_chebyshev(moments_raw, N, bits, prec):
+    top = 2 * N + 2
+    prev, row = [fzero] * top, list(moments_raw[:top])
+    q = mpf_div(row[1], row[0], prec, _rnd)
+    a2_k, b_k = fzero, q
+    a2, b = [fzero], [mpf_pos(q, bits, _rnd)]
+    for k in range(1, N + 1):
+        new = [fzero] * top
+        for l in range(k, top - k):
+            t = mpf_sub(row[l + 1], mpf_mul(b_k, row[l], prec, _rnd), prec, _rnd)
+            new[l] = mpf_sub(t, mpf_mul(a2_k, prev[l], prec, _rnd), prec, _rnd)
+        a2_k = mpf_div(new[k], row[k - 1], prec, _rnd)
+        q_k = mpf_div(new[k + 1], new[k], prec, _rnd)
+        b_k, q = mpf_sub(q_k, q, prec, _rnd), q_k
+        a2.append(mpf_pos(a2_k, bits, _rnd))
+        b.append(mpf_pos(b_k, bits, _rnd))
+        prev, row = row, new
+    return a2, b
+
+
+def _quotients(moments, chebyshev, p, N, bits):
+    return chebyshev(moments(p, 2 * N + 2, bits), N, bits, bits + GUARD_BITS)
+
+
+def _correct_bits(got, ref, bits):
+    """Worst correct bits over a2[1..N] and b[0..N] against ``ref``; an
+    exact match counts as bits + 1."""
+    worst = bits + 1.0
+    for seq, want in ((got[0][1:], ref[0][1:]), (got[1], ref[1])):
+        for g, r in zip(seq, want):
+            err = mpf_abs(mpf_sub(g, r, 8 * bits, _rnd))
+            if err != fzero:
+                worst = min(worst, -math.log2(to_float(mpf_div(err, mpf_abs(r), 53, _rnd))))
+    return worst
+
+
+_KERNEL_SETS = {
+    "generic": asym_params(),
+    "shifted": shifted_params(asym_params(Lattice.SHIFTED)),
+    "meixner": meixner_params(),
+    "pearson-retry": Params(F(1, 3), F(1, 2), 20, F(1, 16)),
+    "c=15/16": Params(F(3, 2), 3, F(1, 3), F(15, 16)),
+    "c=1/16": Params(F(3, 2), 3, F(1, 3), F(1, 16)),
+}
+
+
+@pytest.mark.parametrize("bits", [128, 256, 512])
+@pytest.mark.parametrize("name", list(_KERNEL_SETS))
+def test_kernels_as_accurate_as_reference_loops(name, bits, monkeypatch):
+    # the integer kernels round once per element where the loops round two to
+    # four times, so they keep at least the loops' correct bits (within 8)
+    p, N = _KERNEL_SETS[name], 20
+    guards = []
+    batch = hypopq.weights._moment_batch_raw
+
+    def spy(params, count, b, guard=GUARD_BITS):
+        guards.append(guard)
+        return batch(params, count, b, guard)
+
+    monkeypatch.setattr(hypopq.weights, "_moment_batch_raw", spy)
+    kernel = _quotients(spy, _chebyshev_quotients, p, N, bits)
+    loop = _quotients(_ref_moment_batch, _ref_chebyshev, p, N, bits)
+    ref = _quotients(_ref_moment_batch, _ref_chebyshev, p, N, 4 * bits)
+    assert _correct_bits(kernel, ref, bits) >= _correct_bits(loop, ref, bits) - 8
+    assert (len(guards) > 1) == (name == "pearson-retry")
+
+
 # ------------------------------------------------------------ coeffs_oracle
 
 
@@ -129,21 +262,66 @@ def test_coeffs_b0_is_moment_ratio(ctx256):
     assert abs(seq.b[0] - want) < abs(want) * 1e-70
 
 
+_C_CONTRACT = (F(1, 2), F(1, 16), F(15, 16))
+
+
 def test_coeffs_prefix_stability(ctx256):
-    p = asym_params()
-    small = coeffs_oracle(p, 8, ctx256)
-    big = coeffs_oracle(p, 16, ctx256)
-    for n in range(9):
-        assert small.a2[n]._mpf_ == big.a2[n]._mpf_
-        assert small.b[n]._mpf_ == big.b[n]._mpf_
+    for c in _C_CONTRACT:
+        p = Params(F(3, 2), 3, F(1, 3), c)
+        small = coeffs_oracle(p, 8, ctx256)
+        big = coeffs_oracle(p, 16, ctx256)
+        for n in range(9):
+            assert small.a2[n]._mpf_ == big.a2[n]._mpf_, (c, n)
+            assert small.b[n]._mpf_ == big.b[n]._mpf_, (c, n)
 
 
 def test_coeffs_swap_bit_identity(ctx256):
-    p = asym_params()
-    s1 = coeffs_oracle(p, 12, ctx256)
-    s2 = coeffs_oracle(p.swapped(), 12, ctx256)
-    assert [v._mpf_ for v in s1.a2] == [v._mpf_ for v in s2.a2]
-    assert [v._mpf_ for v in s1.b] == [v._mpf_ for v in s2.b]
+    for c in _C_CONTRACT:
+        p = Params(F(3, 2), 3, F(1, 3), c)
+        s1 = coeffs_oracle(p, 12, ctx256)
+        s2 = coeffs_oracle(p.swapped(), 12, ctx256)
+        assert [v._mpf_ for v in s1.a2] == [v._mpf_ for v in s2.a2], c
+        assert [v._mpf_ for v in s1.b] == [v._mpf_ for v in s2.b], c
+
+
+def _libmp_entry_calls(fn):
+    """Calls of libmp functions from outside libmp while ``fn`` runs."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_globals.get("__name__", "").startswith("mpmath.libmp"):
+            caller = frame.f_back
+            if not caller.f_globals.get("__name__", "").startswith("mpmath.libmp"):
+                count += 1
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+def test_oracle_libmp_calls_linear_in_N(ctx256):
+    # the two O(N^2) loops run on Python integers; only O(N) work reaches libmp
+    counts = {}
+    for N in (10, 40):
+        clear_cache()
+        counts[N] = _libmp_entry_calls(lambda: coeffs_oracle(asym_params(), N, ctx256))
+    assert counts[40] <= 5 * counts[10], counts
+
+
+def test_coeffs_zero_hankel_names_the_run(monkeypatch):
+    # flat moments (a zero Hankel ratio) only in the 2*bits run
+    real = hypopq.oracle._moment_batch_raw
+
+    def flat_at_512(params, count, bits):
+        return [from_int(1)] * count if bits == 512 else real(params, count, bits)
+
+    monkeypatch.setattr(hypopq.oracle, "_moment_batch_raw", flat_at_512)
+    with pytest.raises(PrecisionExhausted, match="zero Hankel ratio at 512 bits"):
+        coeffs_oracle(asym_params(), 4, H.PrecisionCtx(256))
 
 
 def test_coeffs_too_few_bits_raises():
