@@ -16,12 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from mpmath.libmp import from_man_exp, fzero, mpf_div, mpf_pos, mpf_sub, round_nearest
+from mpmath.libmp import (from_man_exp, from_str, fone, fzero, mpf_abs, mpf_add,
+                          mpf_div, mpf_gt, mpf_le, mpf_pos, mpf_sub, round_nearest)
 
 from .errors import InvalidCoeffs, InvalidParam, PoleHit, PrecisionExhausted
-from .numerics import GUARD_BITS, PrecisionCtx
+from .numerics import GUARD_BITS
 from .reporting import ResidualReport, normalized_residual
-from .weights import _FLOOR_BITS, _ZERO, Lattice, _moment_batch_raw, _pair, moment, shifted_params
+from .weights import (_FLOOR_BITS, _ZERO, Lattice, _moment_batch_raw, _pair, _raw, moment,
+                      shifted_params)
 
 _rnd = round_nearest
 
@@ -147,43 +149,40 @@ def coeffs_oracle(params, N: int, ctx) -> CoeffSeq:
             ) from exc
 
     a2_lo, b_lo = quotients(ctx.bits)
-    a2_hi, b_hi = quotients(2 * ctx.bits)
-    hi = PrecisionCtx(2 * ctx.bits)
-    mph = hi.mp
-    tol = mph.mpf("1e-10")
+    hb = 2 * ctx.bits
+    a2_hi, b_hi = quotients(hb)
+    tol, mk = from_str("1e-10", hb, _rnd), ctx.mp.make_mpf
 
-    def _agree(lo_raw, hi_raw, label, n):
-        lo_v = mph.make_mpf(mpf_pos(lo_raw, hi.bits, _rnd))
-        hi_v = mph.make_mpf(hi_raw)
-        if hi_v == 0:
-            ok = lo_v == 0
+    def _agree(lo, hi, label, n):
+        if hi == fzero:
+            ok = lo == fzero
         else:
-            ok = abs(lo_v - hi_v) / abs(hi_v) <= tol
+            gap = mpf_abs(mpf_sub(lo, hi, hb, _rnd), hb, _rnd)
+            ok = mpf_le(mpf_div(gap, mpf_abs(hi, hb, _rnd), hb, _rnd), tol)
         if not ok:
             raise PrecisionExhausted(
                 f"{label}[{n}] agrees to fewer than 10 digits between "
-                f"{ctx.bits}- and {2 * ctx.bits}-bit runs; raise bits"
+                f"{ctx.bits}- and {hb}-bit runs; raise bits"
             )
-        return hi_v
+        return hi
 
-    a2_out = [ctx.mp.mpf(0)]
-    b_out = []
+    a2_out, b_out = [mk(fzero)], []
     shift = None
     if params.lattice is Lattice.SHIFTED:
-        shift = mph.mpf(1) - hi.real(params.gamma)
+        shift = mpf_sub(fone, _raw(params.gamma, hb), hb, _rnd)
     for n in range(N + 1):
         bv = _agree(b_lo[n], b_hi[n], "b", n)
         if shift is not None:
-            bv = bv + shift
-        b_out.append(ctx.real(bv))
+            bv = mpf_add(bv, shift, hb, _rnd)
+        b_out.append(mk(mpf_pos(bv, ctx.bits, _rnd)))
         if n >= 1:
             av = _agree(a2_lo[n], a2_hi[n], "a2", n)
-            if not av > 0:
+            if not mpf_gt(av, fzero):
                 raise PrecisionExhausted(
-                    f"a2[{n}] lost positivity at {2 * ctx.bits} bits; "
+                    f"a2[{n}] lost positivity at {hb} bits; "
                     "the Hankel chain is below working precision"
                 )
-            a2_out.append(ctx.real(av))
+            a2_out.append(mk(mpf_pos(av, ctx.bits, _rnd)))
     return CoeffSeq(params=params, a2=a2_out, b=b_out, ctx=ctx)
 
 

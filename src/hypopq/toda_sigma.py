@@ -6,14 +6,16 @@ sums S_n satisfy a second-order second-degree ODE in c (the sigma form),
 and the n=0 seed x_0(c) satisfies a first-order Riccati relation whose
 combination collapses to the constant -gamma.
 
-All d/dc derivatives are realized with fourth-order central stencils.  The
-sequences at each stencil node come from one bounded ``lru_cache`` keyed on
-(node parameters, exact N, precision context, source), so the lookups of
-one call resolve to one producer run per node.  Below that, the seed sums
-m_0, m_1 of the moment oracle sit in a bounded ``lru_cache`` in ``weights``
-keyed on (parameters, working precision), so the same node at another N,
-a Riccati stencil and an ``ITERATE`` seed reuse them.  ``clear_cache()``
-empties both memos.
+All d/dc derivatives are realized with fourth-order central stencils, and a
+call looks each node up once.  A lookup to order N reads one producer run to
+the horizon H = max(4, the least power of two >= N), memoized in a bounded
+``lru_cache`` on (node parameters, H, precision context, source); prefix
+stability makes its entries those of an exact-N run.  A refusal of H is
+memoized too, and an exact-N run from a second bounded ``lru_cache`` serves
+instead.  The seed sums m_0, m_1 sit in a bounded ``lru_cache`` in
+``weights`` keyed on (parameters, working precision), shared by every
+horizon, Riccati stencil and ``ITERATE`` seed at a node.  ``clear_cache()``
+empties all three memos.
 """
 
 from __future__ import annotations
@@ -21,12 +23,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from mpmath.libmp import finf, fnan, fninf, to_rational
 
 from .dpainleve import iterate
-from .errors import InvalidParam
+from .errors import InvalidParam, PrecisionExhausted, SingularStep
 from .numerics import central_derivative
 from .oracle import coeffs_from_xy, coeffs_oracle, xy_from_coeffs
 from .reporting import ResidualReport, normalized_residual
@@ -56,10 +58,12 @@ def _node_params(params, c_eval):
 
 
 _NODE_MEMO_SIZE = 256
+_HORIZON_FLOOR = 4  # an order-16 run costs more than the small runs it would replace
 
 
 def clear_cache():
-    """Empty the node memo and the seed-sum memo of ``weights``."""
+    """Empty the node memos and the seed-sum memo of ``weights``."""
+    _horizon_sequences.cache_clear()
     _node_sequences.cache_clear()
     _seed_sums.cache_clear()
 
@@ -76,9 +80,22 @@ def _node_sequences(node, N, ctx, source):
     raise InvalidParam(f"unknown source {source!r}")
 
 
+@lru_cache(maxsize=_NODE_MEMO_SIZE)
+def _horizon_sequences(node, H, ctx, source):
+    """The unmemoized :func:`_node_sequences` to order H, or None where it refuses H."""
+    try:
+        return _node_sequences.__wrapped__(node, H, ctx, source)
+    except (PrecisionExhausted, SingularStep):
+        return None
+
+
 def _sequences_at(params, c_eval, N, source, ctx):
-    """(CoeffSeq, XYSeq) to order N at weight parameter c = c_eval."""
-    return _node_sequences(_node_params(params, c_eval), N, ctx, source)
+    """(CoeffSeq, XYSeq) to order at least N at weight parameter c = c_eval."""
+    node = _node_params(params, c_eval)
+    # order 0 alone skips the Pearson retry, so b[0] may come from wider seeds
+    # here: the same bits bar a rounding tie, a chance of about 2^-(bits+16)
+    H = max(_HORIZON_FLOOR, 1 << (N - 1).bit_length())
+    return _horizon_sequences(node, H, ctx, source) or _node_sequences(node, N, ctx, source)
 
 
 def toda_residuals(params, n: int, h, source: Source, ctx) -> ResidualReport:
@@ -105,16 +122,11 @@ def toda_residuals(params, n: int, h, source: Source, ctx) -> ResidualReport:
     a, bta, g, _ = params.as_reals(ctx)
     need = n + 1
 
-    def d(pick):
-        def f(ce):
-            return pick(*_sequences_at(params, ce, need, source, ctx))
+    def picks(ce):
+        cs, xy = _sequences_at(params, ce, need, source, ctx)
+        return cs.a2[n], cs.b[n], xy.x[n], xy.y[n]
 
-        return central_derivative(f, c, h, 1, ctx)
-
-    da2 = d(lambda cs, xy: cs.a2[n])
-    db = d(lambda cs, xy: cs.b[n])
-    dx = d(lambda cs, xy: xy.x[n])
-    dy = d(lambda cs, xy: xy.y[n])
+    da2, db, dx, dy = central_derivative(picks, c, h, 1, ctx)
     cs, xy = _sequences_at(params, c, need, source, ctx)
 
     rep = ResidualReport(params=params, ctx=ctx)
@@ -233,6 +245,7 @@ def sigma_pvi_residual(params, n: int, h, source: Source, ctx, sigma_params=None
     c0 = ctx.real(params.c)
     sp = sigma_params or sigma_parameters(params, n, ctx)
 
+    @cache  # s0, s' and s'' share f(c0) and the stencil nodes
     def f(ce):
         return sigma_value(params, n, ce, source, ctx, sigma_params=sp)
 

@@ -12,11 +12,14 @@ from fractions import Fraction
 
 import pytest
 
-from hypopq.errors import DomainExceeded, InvalidParam
+import hypopq.toda_sigma as ts
+from hypopq.errors import DomainExceeded, InvalidParam, PrecisionExhausted, SingularStep
+from hypopq.dpainleve import iterate
 from hypopq.oracle import coeffs_oracle, xy_from_coeffs
 from hypopq.toda_sigma import (
     Source,
     _exact_fraction,
+    _horizon_sequences,
     _node_params,
     _node_sequences,
     clear_cache,
@@ -222,8 +225,9 @@ def test_node_cache_keys_whole_context(ctx128, ctx256):
 def test_seed_sums_once_per_node_and_precision(ctx512, monkeypatch):
     # criterion 05's calls: 7 distinct nodes (c, c +- h/2, c +- h, c +- 2h),
     # each summed at 512 and 1024 bits, however often a node regrows; the
-    # oracle itself runs once per (node, N): 5 times for one cold call (4
-    # stencil nodes and the midpoint), 57 times for the whole sweep
+    # oracle itself runs once per (node, horizon): 5 times for one cold call
+    # (4 stencil nodes and the midpoint), 17 times for the whole sweep (the
+    # 5 nodes at horizons 4, 8 and 16, then the 2 new nodes at h/2)
     calls = []
 
     def counted(*args):
@@ -239,13 +243,81 @@ def test_seed_sums_once_per_node_and_precision(ctx512, monkeypatch):
         if n == 0:
             assert len(calls) == 5
     toda_residuals(p, 2, h / 2, Source.ORACLE, ctx512)
-    assert len(calls) == 57
+    assert len(calls) == 17
     assert _seed_sums.cache_info().misses == 14
     riccati_constant(p, h, ctx512)  # initial_xy at the same nodes
     assert _seed_sums.cache_info().misses == 14
     clear_cache()
     assert _seed_sums.cache_info().currsize == 0
     assert _node_sequences.cache_info().currsize == 0
+
+
+def test_one_lookup_per_node_per_call(ctx256, monkeypatch):
+    # a Toda call differentiates a2, b, x and y from one fetch per stencil
+    # node plus the midpoint; a sigma-PVI call shares f(c0) and the nodes
+    # between s, s' and s''
+    looked_up, lookup = [], ts._sequences_at
+
+    def counted(*args):
+        looked_up.append(args)
+        return lookup(*args)
+
+    monkeypatch.setattr(ts, "_sequences_at", counted)
+    p = asym_params()
+    h = ctx256.mp.ldexp(1, -30)
+    for n in (1, 3):
+        looked_up.clear()
+        toda_residuals(p, n, h, Source.ORACLE, ctx256)
+        assert len(looked_up) == 5, n
+    looked_up.clear()
+    sigma_pvi_residual(p, 2, h, Source.ORACLE, ctx256)
+    assert len(looked_up) == 5
+
+
+@pytest.mark.parametrize(
+    "source, name, producer, refusal",
+    [
+        (Source.ORACLE, "coeffs_oracle", coeffs_oracle, PrecisionExhausted),
+        (Source.ITERATE, "iterate", iterate, SingularStep),
+    ],
+)
+def test_refused_horizon_falls_back_to_exact_order(ctx128, monkeypatch, source, name,
+                                                   producer, refusal):
+    # a producer that refuses every order above 7: the sweep n = 0..6 asks
+    # for orders 1..7, so horizon 4 serves orders 1..4 and horizon 8 is
+    # refused, once per node, in favour of exact runs at orders 5, 6 and 7
+    p = asym_params()
+    h = F(2) ** -16
+
+    def exact(params, c_eval, N, source, ctx):
+        return _node_sequences(_node_params(params, c_eval), N, ctx, source)
+
+    clear_cache()
+    with monkeypatch.context() as m:
+        m.setattr(ts, "_sequences_at", exact)
+        want = [toda_residuals(p, n, h, source, ctx128).entries for n in range(7)]
+
+    orders = []
+
+    def capped(node, N, ctx, **kwargs):
+        orders.append(N)
+        if N > 7:
+            raise refusal(f"order {N} refused")
+        return producer(node, N, ctx, **kwargs)
+
+    monkeypatch.setattr(ts, name, capped)
+    clear_cache()
+    got = [toda_residuals(p, n, h, source, ctx128).entries for n in range(7)]
+    for w, g in zip(want, got):
+        assert [(e.name, e.n, e.value._mpf_) for e in w] == [
+            (e.name, e.n, e.value._mpf_) for e in g
+        ]
+    assert sorted(orders) == [4] * 5 + [5] * 5 + [6] * 5 + [7] * 5 + [8] * 5
+    toda_residuals(p, 5, h, source, ctx128)  # the refusal and order 6 are memoized
+    assert len(orders) == 25
+    clear_cache()
+    for memo in (_horizon_sequences, _node_sequences, _seed_sums):
+        assert memo.cache_info().currsize == 0
 
 
 def test_cache_thread_smoke(ctx128):

@@ -146,6 +146,12 @@ OPTION_RUNS = (
     # budget: refused (exit 3) before any summing
     *((name, (*P[:6], "--c", "999999999/1000000000", "--nmax", "4", *B))
       for name in ("moments", "coeffs", "iterate")),
+    # a Toda sweep whose stencil nodes are served from power-of-two horizons:
+    # at 48 bits the oracle refuses order 16 where orders 9 and 10 certify, so
+    # those fall back to exact-order runs; the recursion serves all three
+    # horizons (4, 8, 16)
+    *(("verify", (*P, "--bits", "48", "--suite", "toda", "--nmax", "9", "--h", "2^-20",
+                  "--source", source)) for source in ("oracle", "iterate")),
 )
 
 
