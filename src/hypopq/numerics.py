@@ -107,7 +107,7 @@ def central_derivative(f, c0, h, order, ctx):
 
     ``order`` 1 returns ``(-f2 + 8 f1 - 8 f-1 + f-2) / (12 h)``; ``order`` 2
     returns ``(-f2 + 16 f1 - 30 f0 + 16 f-1 - f-2) / (12 h**2)``.  Both have
-    O(h^4) truncation error.  A tuple-valued ``f`` gives the tuple of derivatives.
+    O(h^4) truncation error.
 
     ``f`` is a quantity parameterized by the weight's c, so every stencil
     node must lie strictly inside (0, 1); otherwise ``DomainExceeded`` is
@@ -128,16 +128,14 @@ def central_derivative(f, c0, h, order, ctx):
         raise DomainExceeded(
             f"stencil [{mp.nstr(c0 - 2 * h, 8)}, {mp.nstr(c0 + 2 * h, 8)}] leaves (0.0, 1.0)"
         )
-
-    def stencil(f2, f1, fm1, fm2, f0=None):
-        if order == 1:
-            return (-f2 + 8 * f1 - 8 * fm1 + fm2) / (12 * h)
-        return (-f2 + 16 * f1 - 30 * f0 + 16 * fm1 - fm2) / (12 * h * h)
-
-    values = [f(node) for node in (c0 + 2 * h, c0 + h, c0 - h, c0 - 2 * h, c0)[: order + 3]]
-    if isinstance(values[0], tuple):
-        return tuple(stencil(*map(ctx.real, column)) for column in zip(*values))
-    return stencil(*map(ctx.real, values))
+    f2 = ctx.real(f(c0 + 2 * h))
+    f1 = ctx.real(f(c0 + h))
+    fm1 = ctx.real(f(c0 - h))
+    fm2 = ctx.real(f(c0 - 2 * h))
+    if order == 1:
+        return (-f2 + 8 * f1 - 8 * fm1 + fm2) / (12 * h)
+    f0 = ctx.real(f(c0))
+    return (-f2 + 16 * f1 - 30 * f0 + 16 * fm1 - fm2) / (12 * h * h)
 
 
 def bits_for_digits(digits):

@@ -167,9 +167,8 @@ def coeffs_oracle(params, N: int, ctx) -> CoeffSeq:
         return hi
 
     a2_out, b_out = [mk(fzero)], []
-    shift = None
-    if params.lattice is Lattice.SHIFTED:
-        shift = mpf_sub(fone, _raw(params.gamma, hb), hb, _rnd)
+    shifted = params.lattice is Lattice.SHIFTED
+    shift = mpf_sub(fone, _raw(params.gamma, hb), hb, _rnd) if shifted else None
     for n in range(N + 1):
         bv = _agree(b_lo[n], b_hi[n], "b", n)
         if shift is not None:

@@ -7,15 +7,13 @@ and the n=0 seed x_0(c) satisfies a first-order Riccati relation whose
 combination collapses to the constant -gamma.
 
 All d/dc derivatives are realized with fourth-order central stencils, and a
-call looks each node up once.  A lookup to order N reads one producer run to
-the horizon H = max(4, the least power of two >= N), memoized in a bounded
-``lru_cache`` on (node parameters, H, precision context, source); prefix
-stability makes its entries those of an exact-N run.  A refusal of H is
-memoized too, and an exact-N run from a second bounded ``lru_cache`` serves
-instead.  The seed sums m_0, m_1 sit in a bounded ``lru_cache`` in
-``weights`` keyed on (parameters, working precision), shared by every
-horizon, Riccati stencil and ``ITERATE`` seed at a node.  ``clear_cache()``
-empties all three memos.
+call looks each node up once.  Runs sit in a bounded ``lru_cache`` keyed on
+(node parameters, order, precision context, source).  A node's first lookup
+to order N runs to max(4, N); a later one past that, as in an ascending sweep,
+to max(4, the least power of two >= N), or to exactly N from an order the
+producer refused there.  Prefix stability makes every entry that of an exact-N
+run.  The seed sums m_0, m_1 sit in a bounded ``lru_cache`` in ``weights``,
+shared by every run at a node.  ``clear_cache()`` empties every memo.
 """
 
 from __future__ import annotations
@@ -63,7 +61,7 @@ _HORIZON_FLOOR = 4  # an order-16 run costs more than the small runs it would re
 
 def clear_cache():
     """Empty the node memos and the seed-sum memo of ``weights``."""
-    _horizon_sequences.cache_clear()
+    _node_record.cache_clear()
     _node_sequences.cache_clear()
     _seed_sums.cache_clear()
 
@@ -81,21 +79,27 @@ def _node_sequences(node, N, ctx, source):
 
 
 @lru_cache(maxsize=_NODE_MEMO_SIZE)
-def _horizon_sequences(node, H, ctx, source):
-    """The unmemoized :func:`_node_sequences` to order H, or None where it refuses H."""
-    try:
-        return _node_sequences.__wrapped__(node, H, ctx, source)
-    except (PrecisionExhausted, SingularStep):
-        return None
+def _node_record(node, ctx, source):
+    """[longest run served at the node, least order refused there], updated in place."""
+    return [None, float("inf")]
 
 
 def _sequences_at(params, c_eval, N, source, ctx):
     """(CoeffSeq, XYSeq) to order at least N at weight parameter c = c_eval."""
     node = _node_params(params, c_eval)
-    # order 0 alone skips the Pearson retry, so b[0] may come from wider seeds
-    # here: the same bits bar a rounding tie, a chance of about 2^-(bits+16)
-    H = max(_HORIZON_FLOOR, 1 << (N - 1).bit_length())
-    return _horizon_sequences(node, H, ctx, source) or _node_sequences(node, N, ctx, source)
+    if N == 0:  # only an order-0 run skips the Pearson check, so b[0] is its own
+        return _node_sequences(node, 0, ctx, source)
+    record = _node_record(node, ctx, source)
+    if record[0] is None or record[0][0].N < N:
+        H = max(_HORIZON_FLOOR, 1 << (N - 1).bit_length())
+        if (record[0] or H == _HORIZON_FLOOR) and N < H < record[1]:
+            try:
+                record[0] = _node_sequences(node, H, ctx, source)
+                return record[0]
+            except (PrecisionExhausted, SingularStep):
+                record[1] = H
+        record[0] = _node_sequences(node, N, ctx, source)
+    return record[0]
 
 
 def toda_residuals(params, n: int, h, source: Source, ctx) -> ResidualReport:
@@ -120,14 +124,19 @@ def toda_residuals(params, n: int, h, source: Source, ctx) -> ResidualReport:
     h = ctx.real(h)
     c = ctx.real(params.c)
     a, bta, g, _ = params.as_reals(ctx)
-    need = n + 1
 
-    def picks(ce):
-        cs, xy = _sequences_at(params, ce, need, source, ctx)
-        return cs.a2[n], cs.b[n], xy.x[n], xy.y[n]
+    @cache  # the four derivatives and the midpoint share one fetch per node
+    def fetch(ce):
+        return _sequences_at(params, ce, n + 1, source, ctx)
 
-    da2, db, dx, dy = central_derivative(picks, c, h, 1, ctx)
-    cs, xy = _sequences_at(params, c, need, source, ctx)
+    def d(pick):
+        return central_derivative(lambda ce: pick(*fetch(ce)), c, h, 1, ctx)
+
+    da2 = d(lambda cs, xy: cs.a2[n])
+    db = d(lambda cs, xy: cs.b[n])
+    dx = d(lambda cs, xy: xy.x[n])
+    dy = d(lambda cs, xy: xy.y[n])
+    cs, xy = fetch(c)
 
     rep = ResidualReport(params=params, ctx=ctx)
     if n >= 1:
@@ -213,15 +222,11 @@ def sigma_value(params, n: int, c_eval, source: Source, ctx, sigma_params=None):
         raise InvalidParam("sigma function is defined on the standard lattice")
     if n < 0:
         raise InvalidParam("n must be >= 0")
-    mp = ctx.mp
     ce = ctx.real(c_eval)
     if not (0 < ce < 1):
         raise InvalidParam("c_eval must lie in (0, 1)")
     sp = sigma_params or sigma_parameters(params, n, ctx)
-    if n == 0:
-        Sn = mp.mpf(0)
-    else:
-        Sn = _sequences_at(params, ce, n - 1, source, ctx)[1].S[n]
+    Sn = _sequences_at(params, ce, n - 1, source, ctx)[1].S[n] if n else ctx.mp.mpf(0)
     return (ce - 1) * Sn + sp.K * ce + sp.L
 
 
@@ -240,7 +245,6 @@ def sigma_pvi_residual(params, n: int, h, source: Source, ctx, sigma_params=None
     """
     if n < 1:
         raise InvalidParam("n must be >= 1")
-    mp = ctx.mp
     h = ctx.real(h)
     c0 = ctx.real(params.c)
     sp = sigma_params or sigma_parameters(params, n, ctx)
@@ -255,7 +259,7 @@ def sigma_pvi_residual(params, n: int, h, source: Source, ctx, sigma_params=None
     t1 = s1 * (c0 * (c0 - 1) * s2) ** 2
     t2 = (s1 * (2 * s0 - (2 * c0 - 1) * s1) + sp.d1 * sp.d2 * sp.d3 * sp.d4) ** 2
     t3 = (s1 + sp.d1**2) * (s1 + sp.d2**2) * (s1 + sp.d3**2) * (s1 + sp.d4**2)
-    return normalized_residual(mp, [t1, t2], [t3])
+    return normalized_residual(ctx.mp, [t1, t2], [t3])
 
 
 def riccati_constant(params, h, ctx):

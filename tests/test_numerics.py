@@ -210,24 +210,6 @@ def test_central_derivative_halving_ratio(ctx512):
     assert 14 < ratio < 18
 
 
-@pytest.mark.parametrize("order", [1, 2])
-def test_central_derivative_tuple_is_componentwise(ctx256, order):
-    # a tuple-valued f is evaluated once per node, and each component gets
-    # the same bits as a scalar stencil of that component
-    mp = ctx256.mp
-    x0, h = mp.mpf(1) / 3, mp.ldexp(1, -30)
-    nodes = []
-
-    def both(x):
-        nodes.append(x)
-        return mp.sin(x), mp.cos(x)
-
-    got = central_derivative(both, x0, h, order, ctx256)
-    assert len(nodes) == order + 3
-    want = tuple(central_derivative(g, x0, h, order, ctx256) for g in (mp.sin, mp.cos))
-    assert [v._mpf_ for v in got] == [v._mpf_ for v in want]
-
-
 def test_central_derivative_guards(ctx256):
     mp = ctx256.mp
     f = mp.sin

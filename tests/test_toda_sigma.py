@@ -19,9 +19,10 @@ from hypopq.oracle import coeffs_oracle, xy_from_coeffs
 from hypopq.toda_sigma import (
     Source,
     _exact_fraction,
-    _horizon_sequences,
     _node_params,
+    _node_record,
     _node_sequences,
+    _sequences_at,
     clear_cache,
     riccati_constant,
     sigma_parameters,
@@ -206,19 +207,24 @@ def test_node_cache_is_transparent(ctx128):
 
 def test_node_cache_keys_whole_context(ctx128, ctx256):
     # the same node and N at another bit count must not be served the data
-    # computed at 128 bits
+    # computed at 128 bits, neither by the run memo nor by the per-node
+    # record that a lookup reads first
     p = asym_params()
     clear_cache()
     for source in Source:
-        cs128, xy128 = _node_sequences(p, 3, ctx128, source)
-        before = _node_sequences.cache_info()
-        cs256, xy256 = _node_sequences(p, 3, ctx256, source)
-        after = _node_sequences.cache_info()
-        assert (after.hits, after.misses) == (before.hits, before.misses + 1)
-        assert _node_sequences(p, 3, ctx128, source)[0] is cs128  # a hit
-        for seq, bits in ((cs128.b, 128), (xy128.x, 128), (cs256.b, 256), (xy256.x, 256)):
-            assert all(v.context.prec == bits for v in seq)
-        assert max(v._mpf_[3] for v in cs256.b) > 128  # bits a 128-bit run lacks
+        for memo, lookup in (
+            (_node_sequences, lambda ctx: _node_sequences(p, 3, ctx, source)),
+            (_node_record, lambda ctx: _sequences_at(p, ctx.real(p.c), 3, source, ctx)),
+        ):
+            cs128, xy128 = lookup(ctx128)
+            before = memo.cache_info()
+            cs256, xy256 = lookup(ctx256)
+            after = memo.cache_info()
+            assert (after.hits, after.misses) == (before.hits, before.misses + 1)
+            assert lookup(ctx128)[0] is cs128  # a hit
+            for seq, bits in ((cs128.b, 128), (xy128.x, 128), (cs256.b, 256), (xy256.x, 256)):
+                assert all(v.context.prec == bits for v in seq)
+            assert max(v._mpf_[3] for v in cs256.b) > 128  # bits a 128-bit run lacks
     clear_cache()
 
 
@@ -274,6 +280,29 @@ def test_one_lookup_per_node_per_call(ctx256, monkeypatch):
     assert len(looked_up) == 5
 
 
+def test_lone_lookup_runs_exact_order(ctx256, monkeypatch):
+    # a node's first lookup above the floor runs to exactly N, so a lone call
+    # costs what exact-N runs cost; looked up again past N, the node runs to
+    # its horizon; order 0 always runs alone
+    orders = []
+
+    def counted(node, N, ctx):
+        orders.append(N)
+        return coeffs_oracle(node, N, ctx)
+
+    monkeypatch.setattr(ts, "coeffs_oracle", counted)
+    p = asym_params()
+    h = F(2) ** -30
+    clear_cache()
+    toda_residuals(p, 8, h, Source.ORACLE, ctx256)
+    assert orders == [9] * 5
+    toda_residuals(p, 9, h, Source.ORACLE, ctx256)
+    assert orders == [9] * 5 + [16] * 5
+    sigma_pvi_residual(p, 1, h, Source.ORACLE, ctx256)
+    assert orders == [9] * 5 + [16] * 5 + [0] * 5
+    clear_cache()
+
+
 @pytest.mark.parametrize(
     "source, name, producer, refusal",
     [
@@ -316,7 +345,7 @@ def test_refused_horizon_falls_back_to_exact_order(ctx128, monkeypatch, source, 
     toda_residuals(p, 5, h, source, ctx128)  # the refusal and order 6 are memoized
     assert len(orders) == 25
     clear_cache()
-    for memo in (_horizon_sequences, _node_sequences, _seed_sums):
+    for memo in (_node_record, _node_sequences, _seed_sums):
         assert memo.cache_info().currsize == 0
 
 
