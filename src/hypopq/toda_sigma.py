@@ -9,11 +9,11 @@ combination collapses to the constant -gamma.
 All d/dc derivatives are realized with fourth-order central stencils, and a
 call looks each node up once.  Runs sit in a bounded ``lru_cache`` keyed on
 (node parameters, order, precision context, source).  A node's first lookup
-to order N runs to max(4, N); a later one past that, as in an ascending sweep,
-to max(4, the least power of two >= N), or to exactly N from an order the
-producer refused there.  Prefix stability makes every entry that of an exact-N
-run.  The seed sums m_0, m_1 sit in a bounded ``lru_cache`` in ``weights``,
-shared by every run at a node.  ``clear_cache()`` empties every memo.
+to order N runs to N, or to 4 for 0 < N < 4; one past its longest run, as in
+a sweep, runs to max(4, the least power of two >= N), or to N from an order
+refused there.  Prefix stability makes each entry that of an exact-N run;
+oracle order 0 runs alone, as only its batch skips the Pearson check.  Seed
+sums are memoized in ``weights``.  ``clear_cache()`` empties every memo.
 """
 
 from __future__ import annotations
@@ -87,12 +87,12 @@ def _node_record(node, ctx, source):
 def _sequences_at(params, c_eval, N, source, ctx):
     """(CoeffSeq, XYSeq) to order at least N at weight parameter c = c_eval."""
     node = _node_params(params, c_eval)
-    if N == 0:  # only an order-0 run skips the Pearson check, so b[0] is its own
+    if N == 0 and source is Source.ORACLE:  # order 0 alone skips the Pearson check
         return _node_sequences(node, 0, ctx, source)
     record = _node_record(node, ctx, source)
     if record[0] is None or record[0][0].N < N:
         H = max(_HORIZON_FLOOR, 1 << (N - 1).bit_length())
-        if (record[0] or H == _HORIZON_FLOOR) and N < H < record[1]:
+        if (record[0] or 0 < N <= _HORIZON_FLOOR) and N < H < record[1]:
             try:
                 record[0] = _node_sequences(node, H, ctx, source)
                 return record[0]

@@ -283,7 +283,7 @@ def test_one_lookup_per_node_per_call(ctx256, monkeypatch):
 def test_lone_lookup_runs_exact_order(ctx256, monkeypatch):
     # a node's first lookup above the floor runs to exactly N, so a lone call
     # costs what exact-N runs cost; looked up again past N, the node runs to
-    # its horizon; order 0 always runs alone
+    # its horizon; an oracle lookup to order 0 runs alone
     orders = []
 
     def counted(node, N, ctx):
@@ -300,6 +300,19 @@ def test_lone_lookup_runs_exact_order(ctx256, monkeypatch):
     assert orders == [9] * 5 + [16] * 5
     sigma_pvi_residual(p, 1, h, Source.ORACLE, ctx256)
     assert orders == [9] * 5 + [16] * 5 + [0] * 5
+    # the recursion's order 0 is a prefix of any longer run
+    steps = []
+
+    def stepped(node, N, ctx, strict):
+        steps.append(N)
+        return iterate(node, N, ctx, strict=strict)
+
+    monkeypatch.setattr(ts, "iterate", stepped)
+    clear_cache()
+    sigma_pvi_residual(p, 1, h, Source.ITERATE, ctx256)
+    toda_residuals(p, 0, h, Source.ITERATE, ctx256)
+    sigma_pvi_residual(p, 1, h, Source.ITERATE, ctx256)
+    assert steps == [0] * 5 + [4] * 5
     clear_cache()
 
 
