@@ -9,11 +9,11 @@ combination collapses to the constant -gamma.
 All d/dc derivatives are realized with fourth-order central stencils, and a
 call looks each node up once.  Runs sit in a bounded ``lru_cache`` keyed on
 (node parameters, order, precision context, source).  A node's first lookup
-to order N runs to exactly N, so a lone lookup costs its exact run; one past
-the node's longest run, as in an ascending sweep, runs to max(4, the least
-power of two >= N), or to N from an order refused there.  Prefix stability
-makes each entry that of an exact-N run; oracle order 0 runs alone, as only
-its batch skips the Pearson check.  ``clear_cache()`` empties every memo.
+to order N runs to N, or to 4 for 0 < N < 4; one past its longest run, as in
+a sweep, runs to max(4, the least power of two >= N), or to N from an order
+refused there.  Prefix stability makes each entry that of an exact-N run;
+oracle order 0 runs alone, as only its batch skips the Pearson check.  Seed
+sums are memoized in ``weights``.  ``clear_cache()`` empties every memo.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ def _sequences_at(params, c_eval, N, source, ctx):
     record = _node_record(node, ctx, source)
     if record[0] is None or record[0][0].N < N:
         H = max(_HORIZON_FLOOR, 1 << (N - 1).bit_length())
-        if record[0] and N < H < record[1]:  # a node looked up again: a sweep
+        if (record[0] or 0 < N <= _HORIZON_FLOOR) and N < H < record[1]:
             try:
                 record[0] = _node_sequences(node, H, ctx, source)
                 return record[0]

@@ -231,10 +231,9 @@ def test_node_cache_keys_whole_context(ctx128, ctx256):
 def test_seed_sums_once_per_node_and_precision(ctx512, monkeypatch):
     # criterion 05's calls: 7 distinct nodes (c, c +- h/2, c +- h, c +- 2h),
     # each summed at 512 and 1024 bits, however often a node regrows; the
-    # oracle itself runs once per (node, order run): 5 times for one cold
-    # call (4 stencil nodes and the midpoint), 22 times for the whole sweep
-    # (the 5 nodes at order 1, then at horizons 4, 8 and 16, then the 2 new
-    # nodes at h/2 at order 3)
+    # oracle itself runs once per (node, horizon): 5 times for one cold call
+    # (4 stencil nodes and the midpoint), 17 times for the whole sweep (the
+    # 5 nodes at horizons 4, 8 and 16, then the 2 new nodes at h/2)
     calls = []
 
     def counted(*args):
@@ -250,7 +249,7 @@ def test_seed_sums_once_per_node_and_precision(ctx512, monkeypatch):
         if n == 0:
             assert len(calls) == 5
     toda_residuals(p, 2, h / 2, Source.ORACLE, ctx512)
-    assert len(calls) == 22
+    assert len(calls) == 17
     assert _seed_sums.cache_info().misses == 14
     riccati_constant(p, h, ctx512)  # initial_xy at the same nodes
     assert _seed_sums.cache_info().misses == 14
@@ -282,9 +281,9 @@ def test_one_lookup_per_node_per_call(ctx256, monkeypatch):
 
 
 def test_lone_lookup_runs_exact_order(ctx256, monkeypatch):
-    # a node's first lookup runs to exactly N, so a lone call costs what
-    # exact-N runs cost; looked up again past N, the node runs to its
-    # horizon; an oracle lookup to order 0 runs alone
+    # a node's first lookup runs to exactly N from the floor up, so a lone
+    # call costs what exact-N runs cost; looked up again past N, the node
+    # runs to its horizon; an oracle lookup to order 0 runs alone
     orders = []
 
     def counted(node, N, ctx):
@@ -302,8 +301,8 @@ def test_lone_lookup_runs_exact_order(ctx256, monkeypatch):
     sigma_pvi_residual(p, 1, h, Source.ORACLE, ctx256)
     assert orders == [9] * 5 + [16] * 5 + [0] * 5
     clear_cache()
-    toda_residuals(p, 1, h, Source.ORACLE, ctx256)  # below the floor too
-    assert orders[15:] == [2] * 5
+    toda_residuals(p, 1, h, Source.ORACLE, ctx256)  # below the floor: the floor
+    assert orders[15:] == [4] * 5
     # the recursion's order 0 is a prefix of any longer run
     steps = []
 
@@ -330,9 +329,8 @@ def test_lone_lookup_runs_exact_order(ctx256, monkeypatch):
 def test_refused_horizon_falls_back_to_exact_order(ctx128, monkeypatch, source, name,
                                                    producer, refusal):
     # a producer that refuses every order above 7: the sweep n = 0..6 asks
-    # for orders 1..7, so order 1 runs first, horizon 4 serves orders 2..4
-    # and horizon 8 is refused, once per node, in favour of exact runs at
-    # orders 5, 6 and 7
+    # for orders 1..7, so horizon 4 serves orders 1..4 and horizon 8 is
+    # refused, once per node, in favour of exact runs at orders 5, 6 and 7
     p = asym_params()
     h = F(2) ** -16
 
@@ -359,9 +357,9 @@ def test_refused_horizon_falls_back_to_exact_order(ctx128, monkeypatch, source, 
         assert [(e.name, e.n, e.value._mpf_) for e in w] == [
             (e.name, e.n, e.value._mpf_) for e in g
         ]
-    assert sorted(orders) == [1] * 5 + [4] * 5 + [5] * 5 + [6] * 5 + [7] * 5 + [8] * 5
+    assert sorted(orders) == [4] * 5 + [5] * 5 + [6] * 5 + [7] * 5 + [8] * 5
     toda_residuals(p, 5, h, source, ctx128)  # the refusal and order 6 are memoized
-    assert len(orders) == 30
+    assert len(orders) == 25
     clear_cache()
     for memo in (_node_record, _node_sequences, _seed_sums):
         assert memo.cache_info().currsize == 0
