@@ -80,9 +80,10 @@ class PrecisionCtx:
             )
         if isinstance(value, str):
             s = value.strip()
-            if "/" in s:
-                return self.real(Fraction(s))
-            return mp.mpf(s)
+            try:
+                return self.real(Fraction(s)) if "/" in s else mp.mpf(s)
+            except (ValueError, ZeroDivisionError):
+                raise InvalidParam(f"cannot convert {value!r} to BigReal") from None
         if isinstance(value, float):
             return mp.mpf(value)
         raise InvalidParam(f"cannot convert {type(value).__name__} to BigReal")

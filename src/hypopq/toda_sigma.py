@@ -7,13 +7,13 @@ and the n=0 seed x_0(c) satisfies a first-order Riccati relation whose
 combination collapses to the constant -gamma.
 
 All d/dc derivatives are realized with fourth-order central stencils, and a
-call looks each node up once.  Runs sit in a bounded ``lru_cache`` keyed on
-(node parameters, order, precision context, source).  A node's first lookup
-to order N runs to N, or to 4 for 0 < N < 4; one past its longest run, as in
-a sweep, runs to max(4, the least power of two >= N), or to N from an order
-refused there.  Prefix stability makes each entry that of an exact-N run;
-oracle order 0 runs alone, as only its batch skips the Pearson check.  Seed
-sums are memoized in ``weights``.  ``clear_cache()`` empties every memo.
+call looks each node up once.  A bounded ``lru_cache`` keyed on (node
+parameters, precision context, source) records the node's longest run and
+least refused order.  A node's first lookup to order N runs to N, or to 4 for
+0 < N < 4; one past its longest run, as in a sweep, runs to max(4, the least
+power of two >= N), or to N from an order refused there.  Every run is a
+prefix of every longer one, order 0 included, so the longest run serves all.
+Seed sums are memoized in ``weights``; ``clear_cache()`` empties both memos.
 """
 
 from __future__ import annotations
@@ -60,13 +60,11 @@ _HORIZON_FLOOR = 4  # an order-16 run costs more than the small runs it would re
 
 
 def clear_cache():
-    """Empty the node memos and the seed-sum memo of ``weights``."""
+    """Empty the node records and the seed-sum memo of ``weights``."""
     _node_record.cache_clear()
-    _node_sequences.cache_clear()
     _seed_sums.cache_clear()
 
 
-@lru_cache(maxsize=_NODE_MEMO_SIZE)
 def _node_sequences(node, N, ctx, source):
     """(CoeffSeq, XYSeq) to order N at the node; shared, so never mutated."""
     if source is Source.ORACLE:
@@ -87,8 +85,6 @@ def _node_record(node, ctx, source):
 def _sequences_at(params, c_eval, N, source, ctx):
     """(CoeffSeq, XYSeq) to order at least N at weight parameter c = c_eval."""
     node = _node_params(params, c_eval)
-    if N == 0 and source is Source.ORACLE:  # order 0 alone skips the Pearson check
-        return _node_sequences(node, 0, ctx, source)
     record = _node_record(node, ctx, source)
     if record[0] is None or record[0][0].N < N:
         H = max(_HORIZON_FLOOR, 1 << (N - 1).bit_length())
@@ -226,6 +222,8 @@ def sigma_value(params, n: int, c_eval, source: Source, ctx, sigma_params=None):
     if not (0 < ce < 1):
         raise InvalidParam("c_eval must lie in (0, 1)")
     sp = sigma_params or sigma_parameters(params, n, ctx)
+    if sp.n != n:
+        raise InvalidParam(f"sigma_params are for n={sp.n}, not n={n}")
     Sn = _sequences_at(params, ce, n - 1, source, ctx)[1].S[n] if n else ctx.mp.mpf(0)
     return (ce - 1) * Sn + sp.K * ce + sp.L
 
@@ -240,8 +238,8 @@ def sigma_pvi_residual(params, n: int, h, source: Source, ctx, sigma_params=None
         t3 = prod_i (s' + d_i^2)
 
     must satisfy t1 + t2 = t3; the returned residual is
-    |t1 + t2 - t3| / max(|t1|, |t2|, |t3|).  Passing a tampered
-    ``sigma_params`` (e.g. K+1) is the supported sensitivity control.
+    |t1 + t2 - t3| / max(|t1|, |t2|, |t3|).  A tampered ``sigma_params``
+    of the same n (e.g. K+1) is the supported sensitivity control.
     """
     if n < 1:
         raise InvalidParam("n must be >= 1")

@@ -297,10 +297,10 @@ def _moment_batch_raw(params, count, bits, guard=GUARD_BITS):
     For gamma > 1, solving for ``m_{n+2}`` cancels until ``m_{n+2}/m_{n+1}``
     (which only grows) passes ``(gamma-1)/(1-c)``.  The bits lost up to there,
     past ``count`` if need be, must stay below half of ``guard``, else the
-    batch is redone with ``guard`` twice the loss.  So batches of more than
-    two moments are prefix-stable (the seeds need no recurrence and no check).
-    The constants see alpha and beta only through their sum and product, so
-    the batch is bit-identical under the swap.
+    batch is redone with ``guard`` twice the loss, its wider seeds feeding only
+    the recurrence.  The loss is the same for any ``count`` > 2, so every
+    batch is prefix-stable.  The constants see alpha and beta only through
+    their sum and product, so the batch is bit-identical under the swap.
     """
     prec = bits + guard
     p = params
@@ -327,7 +327,7 @@ def _moment_batch_raw(params, count, bits, guard=GUARD_BITS):
         U.append(_round_sum([m] + tail, prec))
         n += 1
     if lost > guard / 2:
-        return _moment_batch_raw(params, count, bits, 2 * math.ceil(lost))
+        return out[:2] + _moment_batch_raw(params, count, bits, 2 * math.ceil(lost))[2:]
     return out[:count]
 
 

@@ -175,6 +175,23 @@ def test_byte_identical_reruns(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("source", ["oracle", "iterate"])
+def test_sigma_output_independent_of_history(capsys, source):
+    # a Toda sweep leaves longer runs at the sigma call's stencil nodes; what
+    # they serve must print the same bytes as the order-0 runs of a cold call
+    p = ["--alpha", "1/3", "--beta", "1", "--gamma", "8", "--c", "1/16",
+         "--bits", "128", "--source", source]
+    H.clear_cache()
+    assert run(["sigma", *p, "--n", "1"]) == 0
+    cold, _ = capsys.readouterr()
+    H.clear_cache()
+    assert run(["verify", *p, "--suite", "toda", "--nmax", "3"]) == 0
+    capsys.readouterr()
+    assert run(["sigma", *p, "--n", "1"]) == 0
+    warm, _ = capsys.readouterr()
+    assert warm == cold
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "out.json"
     code = run(["coeffs", *ASYM, "--nmax", "2", "--output", str(target)])

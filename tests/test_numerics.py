@@ -63,6 +63,14 @@ def test_real_conversions(ctx256):
         ctx256.real(object())
 
 
+@pytest.mark.parametrize("text", ["1/0", "abc", "", "  ", "1/x", "3 / 4"])
+def test_real_refuses_unparsable_strings(ctx256, text):
+    # the same error as any other unsupported value, not ZeroDivisionError
+    # or ValueError
+    with pytest.raises(InvalidParam):
+        ctx256.real(text)
+
+
 def test_real_cross_context_rerounds(ctx256, ctx128):
     x = ctx256.real(Fraction(1, 3))
     y = ctx128.real(x)

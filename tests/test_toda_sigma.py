@@ -168,6 +168,18 @@ def test_sigma_pvi_residual_small(ctx256):
         assert r < 1e-25, n
 
 
+def test_sigma_params_of_another_n_refused(ctx256):
+    # constants made for n = 2 fed to an n = 3 residual read like a failed
+    # identity (about 1.93) instead of an error
+    p = asym_params()
+    h = ctx256.mp.ldexp(1, -30)
+    sp = sigma_parameters(p, 2, ctx256)
+    with pytest.raises(InvalidParam, match="n=2"):
+        sigma_pvi_residual(p, 3, h, Source.ORACLE, ctx256, sigma_params=sp)
+    with pytest.raises(InvalidParam, match="n=2"):
+        sigma_value(p, 3, F(1, 2), Source.ORACLE, ctx256, sigma_params=sp)
+
+
 def test_sigma_pvi_sensitive_to_constants(ctx256):
     # shifting K by 1 must break the ODE loudly: the residual is a real check
     p = asym_params()
@@ -207,24 +219,23 @@ def test_node_cache_is_transparent(ctx128):
 
 def test_node_cache_keys_whole_context(ctx128, ctx256):
     # the same node and N at another bit count must not be served the data
-    # computed at 128 bits, neither by the run memo nor by the per-node
-    # record that a lookup reads first
+    # computed at 128 bits by the per-node record, the one node memo
     p = asym_params()
     clear_cache()
     for source in Source:
-        for memo, lookup in (
-            (_node_sequences, lambda ctx: _node_sequences(p, 3, ctx, source)),
-            (_node_record, lambda ctx: _sequences_at(p, ctx.real(p.c), 3, source, ctx)),
-        ):
-            cs128, xy128 = lookup(ctx128)
-            before = memo.cache_info()
-            cs256, xy256 = lookup(ctx256)
-            after = memo.cache_info()
-            assert (after.hits, after.misses) == (before.hits, before.misses + 1)
-            assert lookup(ctx128)[0] is cs128  # a hit
-            for seq, bits in ((cs128.b, 128), (xy128.x, 128), (cs256.b, 256), (xy256.x, 256)):
-                assert all(v.context.prec == bits for v in seq)
-            assert max(v._mpf_[3] for v in cs256.b) > 128  # bits a 128-bit run lacks
+
+        def lookup(ctx):
+            return _sequences_at(p, ctx.real(p.c), 3, source, ctx)
+
+        cs128, xy128 = lookup(ctx128)
+        before = _node_record.cache_info()
+        cs256, xy256 = lookup(ctx256)
+        after = _node_record.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses + 1)
+        assert lookup(ctx128)[0] is cs128  # a hit
+        for seq, bits in ((cs128.b, 128), (xy128.x, 128), (cs256.b, 256), (xy256.x, 256)):
+            assert all(v.context.prec == bits for v in seq)
+        assert max(v._mpf_[3] for v in cs256.b) > 128  # bits a 128-bit run lacks
     clear_cache()
 
 
@@ -255,7 +266,7 @@ def test_seed_sums_once_per_node_and_precision(ctx512, monkeypatch):
     assert _seed_sums.cache_info().misses == 14
     clear_cache()
     assert _seed_sums.cache_info().currsize == 0
-    assert _node_sequences.cache_info().currsize == 0
+    assert _node_record.cache_info().currsize == 0
 
 
 def test_one_lookup_per_node_per_call(ctx256, monkeypatch):
@@ -283,7 +294,7 @@ def test_one_lookup_per_node_per_call(ctx256, monkeypatch):
 def test_lone_lookup_runs_exact_order(ctx256, monkeypatch):
     # a node's first lookup runs to exactly N from the floor up, so a lone
     # call costs what exact-N runs cost; looked up again past N, the node
-    # runs to its horizon; an oracle lookup to order 0 runs alone
+    # runs to its horizon; order 0 is a prefix of any longer run
     orders = []
 
     def counted(node, N, ctx):
@@ -298,12 +309,15 @@ def test_lone_lookup_runs_exact_order(ctx256, monkeypatch):
     assert orders == [9] * 5
     toda_residuals(p, 9, h, Source.ORACLE, ctx256)
     assert orders == [9] * 5 + [16] * 5
-    sigma_pvi_residual(p, 1, h, Source.ORACLE, ctx256)
-    assert orders == [9] * 5 + [16] * 5 + [0] * 5
+    sigma_pvi_residual(p, 1, h, Source.ORACLE, ctx256)  # served by the horizon runs
+    assert orders == [9] * 5 + [16] * 5
+    clear_cache()
+    sigma_pvi_residual(p, 1, h, Source.ORACLE, ctx256)  # cold: order 0
+    assert orders[10:] == [0] * 5
     clear_cache()
     toda_residuals(p, 1, h, Source.ORACLE, ctx256)  # below the floor: the floor
     assert orders[15:] == [4] * 5
-    # the recursion's order 0 is a prefix of any longer run
+    # the recursion likewise
     steps = []
 
     def stepped(node, N, ctx, strict):
@@ -361,7 +375,7 @@ def test_refused_horizon_falls_back_to_exact_order(ctx128, monkeypatch, source, 
     toda_residuals(p, 5, h, source, ctx128)  # the refusal and order 6 are memoized
     assert len(orders) == 25
     clear_cache()
-    for memo in (_node_record, _node_sequences, _seed_sums):
+    for memo in (_node_record, _seed_sums):
         assert memo.cache_info().currsize == 0
 
 
