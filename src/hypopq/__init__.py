@@ -3,9 +3,10 @@ discrete orthogonal polynomials, with numerical verification of the
 nonlinear difference system, the Toda-type deformation flow, the sigma-form
 ODE, the Riccati seed relation, and the large-n limit conjectures.
 
-Two independent pipelines produce the same sequences: a moment oracle
-(Chebyshev algorithm on the power moments, certified by precision doubling)
-and the difference recursion (fast, fragile).
+Two pipelines produce the same sequences: a moment oracle (Chebyshev
+algorithm on the power moments, certified by precision doubling) and the
+difference recursion (fast, fragile).  They are independent past the seed:
+both read m_0 and m_1 from ``weights._seed_sums`` (ROADMAP item 11).
 Everything else in the package measures how well they agree with each
 other and with the identities they are supposed to satisfy.
 """

@@ -22,7 +22,6 @@ _MAX_ESCALATIONS = 3
 class StudyReport:
     """Outcome of one run: how close to the conjectured limits it got."""
 
-    params: object
     bits: int
     N: int
     x_limit_gap: object
@@ -32,19 +31,19 @@ class StudyReport:
     notes: str = ""
 
 
-def _study_report(params, bits, xy, diverged, targets, conv=None, digits=None):
-    """StudyReport of the run ``xy``.  Its divergence index is the first n
-    at which ``diverged`` (one flag per n) is true, else the index of a
-    singular step, which the notes then name; its gaps are taken at the last
-    index, on values passed through ``conv`` (the caller's context)."""
+def _study_report(xy, diverged, targets, conv=None, digits=None):
+    """StudyReport of the run ``xy``, at its precision.  Its divergence index
+    is the first n at which ``diverged`` (one flag per n) is true, else the
+    index of a singular step, which the notes then name; its gaps are taken
+    at the last index, on values passed through ``conv`` (the caller's
+    context)."""
     conv = conv or (lambda v: v)
     fail = xy.failure_index
     div = next((n for n, hit in enumerate(diverged) if hit), fail)
     last = len(xy.x) - 1
     tx, ty = targets
     return StudyReport(
-        params=params,
-        bits=bits,
+        bits=xy.ctx.bits,
         N=last,
         x_limit_gap=abs(conv(xy.x[last]) - tx),
         y_limit_gap=abs(conv(xy.y[last]) + last * tx - ty),
@@ -81,7 +80,7 @@ def limit_report(params, N: int, ctx) -> StudyReport:
             f"(failure_index={xy.failure_index}, suspect={xy.precision_suspect_at}); doubling"
         )
         cur = PrecisionCtx(cur.bits * 2)
-    rep = _study_report(params, cur.bits, xy, (), _targets(params, cur))
+    rep = _study_report(xy, (), _targets(params, cur))
     return replace(rep, notes="; ".join(notes))
 
 
@@ -112,7 +111,7 @@ def perturbation_study(params, deltas, N: int, ctx, seed_x0=None) -> list:
         dr = ctx.real(delta)
         xy = iterate(params, N, ctx, seed=(x0 + dr, mp.mpf(0)))
         diverged = (abs(xy.x[n] - tx) > 10 * base_gap[n] for n in range(len(xy.x)))
-        reports.append(_study_report(params, ctx.bits, xy, diverged, (tx, ty)))
+        reports.append(_study_report(xy, diverged, (tx, ty)))
     return reports
 
 
@@ -153,15 +152,11 @@ def precision_study(params, digit_levels, N: int) -> list:
     tx, ty = _targets(params, ref_ctx)
     reports = []
     for d in levels:
-        bits = max(24, bits_for_digits(d))
-        run_ctx = PrecisionCtx(bits=bits)
-        xy = iterate(params, N, run_ctx)
+        xy = iterate(params, N, PrecisionCtx(bits=max(24, bits_for_digits(d))))
         diverged = (
             _rel_dev(ref_ctx.real(xy.x[n]), ref.x[n], mpr) > tol
             or _rel_dev(ref_ctx.real(xy.y[n]), ref.y[n], mpr) > tol
             for n in range(len(xy.x))
         )
-        reports.append(
-            _study_report(params, bits, xy, diverged, (tx, ty), ref_ctx.real, d)
-        )
+        reports.append(_study_report(xy, diverged, (tx, ty), ref_ctx.real, d))
     return reports

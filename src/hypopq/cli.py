@@ -206,11 +206,7 @@ def _step_value(cfg):
 
 
 def _study_record(rep, **extra):
-    rec = dict(extra)
-    for f in fields(rep):
-        if f.name != "params":
-            rec[f.name] = getattr(rep, f.name)
-    return rec
+    return {**extra, **{f.name: getattr(rep, f.name) for f in fields(rep)}}
 
 
 def _cmd_moments(cfg):
@@ -274,12 +270,10 @@ def _cmd_verify(cfg):
         xy = xy_from_coeffs(cs)
         entries.extend(dp_residuals(xy, cs).entries)
         try:
-            lad = ladder_sequences(cs)
+            entries.extend(ladder_residuals(cs).entries)
+            extra["ladder_included"] = True
         except InvalidParam:  # the ladder is not defined for these params
-            lad = None
-        extra["ladder_included"] = lad is not None
-        if lad is not None:
-            entries.extend(ladder_residuals(lad, cs).entries)
+            extra["ladder_included"] = False
     if "toda" in suites:
         if cfg.nmax < 0:
             raise InvalidParam("nmax must be >= 0")

@@ -280,7 +280,7 @@ def dp_residuals(xy: XYSeq, coeffs=None) -> ResidualReport:
     a, bta, g, c = params.as_reals(ctx)
     k = _invariants(ctx, a, bta, g, c)
     prec, mk = ctx.bits, mp.make_mpf
-    rep = ResidualReport(params=params, ctx=ctx)
+    rep = ResidualReport(ctx=ctx)
     N = xy.N
     x, y, S = xy.x, xy.y, xy.S
     for n in range(N):

@@ -80,9 +80,10 @@ class XYSeq:
         return len(self.x) - 1
 
 
-def _chebyshev_quotients(moments_raw, N, bits, prec):
+def _chebyshev_quotients(moments_raw, N, bits):
     """Gautschi's Chebyshev algorithm (*Orthogonal Polynomials: Computation
-    and Approximation*, 2004, 2.1.7) on ``m_0 .. m_{2N+1}``, at ``prec``:
+    and Approximation*, 2004, 2.1.7) on ``m_0 .. m_{2N+1}``, at
+    ``prec = bits + GUARD_BITS``:
 
         sigma_{k,l} = sigma_{k-1,l+1} - b_{k-1} sigma_{k-1,l} - a2_{k-1} sigma_{k-2,l}
         a2[k] = sigma_{k,k} / sigma_{k-1,k-1}
@@ -97,6 +98,7 @@ def _chebyshev_quotients(moments_raw, N, bits, prec):
     a fixed order, so growing N leaves the leading quotients bit-identical.
     A zero diagonal entry raises ``ZeroDivisionError``.
     """
+    prec = bits + GUARD_BITS
     top, drop = 2 * N + 2, prec + _FLOOR_BITS
     prev, row = [_ZERO] * top, [_pair(m) for m in moments_raw[:top]]
     diag = moments_raw[0]
@@ -142,7 +144,7 @@ def coeffs_oracle(params, N: int, ctx) -> CoeffSeq:
     def quotients(bits):
         moments = _moment_batch_raw(std, 2 * N + 2, bits)
         try:
-            return _chebyshev_quotients(moments, N, bits, bits + GUARD_BITS)
+            return _chebyshev_quotients(moments, N, bits)
         except ZeroDivisionError as exc:
             raise PrecisionExhausted(
                 f"Chebyshev algorithm met a zero Hankel ratio at {bits} bits"
@@ -221,25 +223,26 @@ def ladder_sequences(coeffs: CoeffSeq) -> LadderSeq:
     return LadderSeq(params=params, u=u, v=v, r=r, s=s, ctx=ctx)
 
 
-def ladder_residuals(ladder: LadderSeq, coeffs: CoeffSeq) -> ResidualReport:
-    """Six consistency identities tying (u, v, r, s) back to (a2, b); the two
-    must share params and ctx, else ``InvalidParam``.
+def ladder_residuals(coeffs: CoeffSeq) -> ResidualReport:
+    """Six consistency identities tying the ladder data (u, v, r, s) of
+    :func:`ladder_sequences` back to (a2, b); ``InvalidParam`` where the
+    ladder is not defined.
 
-    On a ladder built by :func:`ladder_sequences` every identity follows
-    algebraically from how u, v, r, s are defined, so the residuals sit at
-    rounding level for any (a2, b), true coefficients or not: this suite
-    checks the ladder formulas and the arithmetic, not the coefficients.
+    Every identity follows algebraically from how u, v, r, s are defined, so
+    the residuals sit at rounding level for any (a2, b), true coefficients
+    or not: this suite checks the ladder formulas and the arithmetic, not
+    the coefficients.
     """
-    params, ctx = _common_measure(ladder, coeffs)
+    ladder = ladder_sequences(coeffs)
+    params, ctx = coeffs.params, coeffs.ctx
     mp = ctx.mp
     a, bta, g, c = params.as_reals(ctx)
     q = (1 - c) / c
     cf = c / (1 - c)
-    rep = ResidualReport(params=params, ctx=ctx)
-    N = min(ladder.N, coeffs.N)
+    rep = ResidualReport(ctx=ctx)
     bsum = mp.mpf(0)
     usum = mp.mpf(0)
-    for n in range(N + 1):
+    for n in range(coeffs.N + 1):
         u, v, r, s = ladder.u[n], ladder.v[n], ladder.r[n], ladder.s[n]
         rep.add("uv_sum", n, normalized_residual(mp, [u, v], [q]))
         rep.add("rs_sum", n, normalized_residual(mp, [r, s], [-mp.mpf(n)]))
@@ -326,24 +329,25 @@ def coeffs_from_xy(xy: XYSeq) -> CoeffSeq:
     )
 
 
-def eval_orthonormal(coeffs: CoeffSeq, m0, x, nmax: int) -> list:
+def eval_orthonormal(coeffs: CoeffSeq, x, nmax: int) -> list:
     """Orthonormal polynomial values [p_0(x), ..., p_nmax(x)] at ``coeffs.ctx``.
 
-    p_0 = 1/sqrt(m0), p_1 = (x - b_0) p_0 / a_1, then the three-term
-    recurrence a_{n+1} p_{n+1} = (x - b_n) p_n - a_n p_{n-1}.
+    p_0 = 1/sqrt(m_0), p_1 = (x - b_0) p_0 / a_1, then the three-term
+    recurrence a_{n+1} p_{n+1} = (x - b_n) p_n - a_n p_{n-1}.  The mass m_0
+    is that of ``coeffs.params``; on the shifted lattice it is read from the
+    standard form, whose weights are the same.
     """
     if nmax < 0:
         raise InvalidParam("nmax must be >= 0")
     if nmax > coeffs.N:
         raise InvalidCoeffs(f"need coefficients to order {nmax}, have {coeffs.N}")
     ctx, mp = coeffs.ctx, coeffs.ctx.mp
-    if not m0 > 0:
-        raise InvalidCoeffs("m0 must be positive")
     for n in range(1, nmax + 1):
         if not coeffs.a2[n] > 0:
             raise InvalidCoeffs(f"a2[{n}] is not positive; cannot take sqrt")
-    x = ctx.real(x)
-    p = [1 / mp.sqrt(m0)]
+    params, x = coeffs.params, ctx.real(x)
+    std = shifted_params(params) if params.lattice is Lattice.SHIFTED else params
+    p = [1 / mp.sqrt(moment(std, 0, ctx))]
     if nmax == 0:
         return p
     roots = [None] + [mp.sqrt(coeffs.a2[n]) for n in range(1, nmax + 1)]
@@ -375,9 +379,8 @@ def structure_residual(coeffs: CoeffSeq, xy: XYSeq, n: int, x):
     eps = mp.ldexp(1, -(ctx.bits - GUARD_BITS))
     if abs(x + a) <= eps or abs(x + bta) <= eps:
         raise PoleHit("x is within working precision of -alpha or -beta")
-    m0 = moment(params, 0, ctx)
-    pc = eval_orthonormal(coeffs, m0, x, n)
-    pl = eval_orthonormal(coeffs, m0, x + 1, n)
+    pc = eval_orthonormal(coeffs, x, n)
+    pl = eval_orthonormal(coeffs, x + 1, n)
     den = (x + a) * (x + bta)
     A = mp.sqrt(coeffs.a2[n]) * (1 - c) / c * (x + xy.x[n]) / den
     B = (-mp.mpf(n) * x + xy.y[n]) / den

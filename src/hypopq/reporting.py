@@ -36,7 +36,6 @@ class ResidualEntry:
 class ResidualReport:
     """Named residuals, one entry per (identity, n)."""
 
-    params: object
     ctx: object
     entries: list = field(default_factory=list)
 

@@ -134,7 +134,7 @@ def toda_residuals(params, n: int, h, source: Source, ctx) -> ResidualReport:
     dy = d(lambda cs, xy: xy.y[n])
     cs, xy = fetch(c)
 
-    rep = ResidualReport(params=params, ctx=ctx)
+    rep = ResidualReport(ctx=ctx)
     if n >= 1:
         rep.add(
             "toda_a2",
@@ -182,7 +182,6 @@ def toda_residuals(params, n: int, h, source: Source, ctx) -> ResidualReport:
 class SigmaParams:
     """Constants entering sigma_n(c) = (c-1) S_n + K c + L and its ODE."""
 
-    n: int
     K: object
     L: object
     d1: object
@@ -198,7 +197,6 @@ def sigma_parameters(params, n: int, ctx) -> SigmaParams:
     K = a * bta - (a + bta + n) ** 2 / 4
     L = ((a + bta + g + 1) * n + a * a + bta * bta - (a + bta) * (g + 1) + 2 * g) / 4
     return SigmaParams(
-        n=n,
         K=K,
         L=L,
         d1=(n + a - bta) / 2,
@@ -208,27 +206,28 @@ def sigma_parameters(params, n: int, ctx) -> SigmaParams:
     )
 
 
-def sigma_value(params, n: int, c_eval, source: Source, ctx, sigma_params=None):
-    """sigma_n evaluated with the weight parameter moved to c_eval in (0,1).
-
-    The affine constants K, L are fixed by ``params`` (not by c_eval), so
-    differentiating this function in c_eval probes only S_n.
-    """
-    if params.lattice is not Lattice.STANDARD:
-        raise InvalidParam("sigma function is defined on the standard lattice")
-    if n < 0:
-        raise InvalidParam("n must be >= 0")
-    ce = ctx.real(c_eval)
-    if not (0 < ce < 1):
-        raise InvalidParam("c_eval must lie in (0, 1)")
-    sp = sigma_params or sigma_parameters(params, n, ctx)
-    if sp.n != n:
-        raise InvalidParam(f"sigma_params are for n={sp.n}, not n={n}")
+def _sigma(params, n, ce, source, ctx, sp):
+    """sigma_n at the BigReal node ``ce``, with the constants ``sp`` of (params, n)."""
     Sn = _sequences_at(params, ce, n - 1, source, ctx)[1].S[n] if n else ctx.mp.mpf(0)
     return (ce - 1) * Sn + sp.K * ce + sp.L
 
 
-def sigma_pvi_residual(params, n: int, h, source: Source, ctx, sigma_params=None):
+def sigma_value(params, n: int, c_eval, source: Source, ctx):
+    """sigma_n evaluated with the weight parameter moved to c_eval in (0,1).
+
+    The affine constants K, L are fixed by ``params`` and n (not by c_eval),
+    so differentiating this function in c_eval probes only S_n.
+    """
+    if params.lattice is not Lattice.STANDARD:
+        raise InvalidParam("sigma function is defined on the standard lattice")
+    sp = sigma_parameters(params, n, ctx)
+    ce = ctx.real(c_eval)
+    if not (0 < ce < 1):
+        raise InvalidParam("c_eval must lie in (0, 1)")
+    return _sigma(params, n, ce, source, ctx, sp)
+
+
+def sigma_pvi_residual(params, n: int, h, source: Source, ctx):
     """Defect of the second-degree ODE for sigma_n at c = params.c.
 
     With s = sigma_n, s' and s'' from stencils, the three additive terms
@@ -238,18 +237,20 @@ def sigma_pvi_residual(params, n: int, h, source: Source, ctx, sigma_params=None
         t3 = prod_i (s' + d_i^2)
 
     must satisfy t1 + t2 = t3; the returned residual is
-    |t1 + t2 - t3| / max(|t1|, |t2|, |t3|).  A tampered ``sigma_params``
-    of the same n (e.g. K+1) is the supported sensitivity control.
+    |t1 + t2 - t3| / max(|t1|, |t2|, |t3|).  The constants come from
+    :func:`sigma_parameters`, computed once per call.
     """
     if n < 1:
         raise InvalidParam("n must be >= 1")
+    if params.lattice is not Lattice.STANDARD:
+        raise InvalidParam("sigma function is defined on the standard lattice")
     h = ctx.real(h)
     c0 = ctx.real(params.c)
-    sp = sigma_params or sigma_parameters(params, n, ctx)
+    sp = sigma_parameters(params, n, ctx)
 
     @cache  # s0, s' and s'' share f(c0) and the stencil nodes
     def f(ce):
-        return sigma_value(params, n, ce, source, ctx, sigma_params=sp)
+        return _sigma(params, n, ce, source, ctx, sp)
 
     s0 = f(c0)
     s1 = central_derivative(f, c0, h, 1, ctx)

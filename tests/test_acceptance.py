@@ -19,6 +19,7 @@ from fractions import Fraction
 import conftest
 
 import hypopq as H
+from hypopq import toda_sigma
 from hypopq.asymptotics import limit_report, perturbation_study, precision_study
 from hypopq.dpainleve import dp_residuals, iterate
 from hypopq.oracle import (
@@ -131,8 +132,7 @@ def test_criterion_03_identity_residual_suite():
         worst = max(worst, rep.max_residual())
     # ladder identities need alpha != beta, so they run on the first set only
     cs, _ = seqs512(ASYM)
-    lad = ladder_sequences(cs)
-    lrep = ladder_residuals(lad, cs)
+    lrep = ladder_residuals(cs)
     names_seen |= set(lrep.names())
     worst = max(worst, lrep.max_residual())
     ok = worst < 1e-20 and names_seen >= {
@@ -194,16 +194,19 @@ def test_criterion_05_toda_flow():
     )
 
 
-def test_criterion_06_sigma_pvi():
+def test_criterion_06_sigma_pvi(monkeypatch):
     h = F(2) ** -40
     worst = CTX512.mp.mpf(0)
     for p in (ASYM, SYM):
         for n in (1, 3, 5, 10):
             worst = max(worst, sigma_pvi_residual(p, n, h, Source.ORACLE, CTX512))
-    sp = sigma_parameters(ASYM, 1, CTX512)
-    tampered = sigma_pvi_residual(
-        ASYM, 1, h, Source.ORACLE, CTX512, sigma_params=replace(sp, K=sp.K + 1)
-    )
+
+    def k_plus_one(*args):  # the control: constants with K shifted by 1
+        sp = sigma_parameters(*args)
+        return replace(sp, K=sp.K + 1)
+
+    monkeypatch.setattr(toda_sigma, "sigma_parameters", k_plus_one)
+    tampered = sigma_pvi_residual(ASYM, 1, h, Source.ORACLE, CTX512)
     ok = worst < 1e-20 and tampered > 1e-2
     _verdict(
         6,

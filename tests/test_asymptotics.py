@@ -12,7 +12,7 @@ from hypopq.asymptotics import (
     perturbation_study,
     precision_study,
 )
-from hypopq.errors import InvalidParam
+from hypopq.errors import InvalidParam, PrecisionExhausted
 from hypopq.numerics import bits_for_digits
 from hypopq.weights import Lattice
 
@@ -78,6 +78,9 @@ def test_perturbation_study_seed_override(ctx128):
     assert reports[0].N == 20
     with pytest.raises(InvalidParam):
         perturbation_study(p, [0], 0, ctx128)
+    # the seed x_0 = gamma makes the first step singular: there is no baseline
+    with pytest.raises(PrecisionExhausted, match="baseline run hit a singular step at n=0"):
+        perturbation_study(H.Params(3, 2, 3, F(1, 2)), [0], 10, ctx128, seed_x0=3)
 
 
 def test_precision_study():
@@ -110,3 +113,6 @@ def test_precision_study_validation():
         precision_study(p, [0, 10], 50)
     with pytest.raises(InvalidParam):
         precision_study(p, [10], 0)
+    # the 133-bit reference run of this set is singular at n = 0
+    with pytest.raises(PrecisionExhausted, match="reference run at 133 bits"):
+        precision_study(H.Params(F(5, 2), F(1, 2), F(3, 2), F(1, 2)), [10], 20)

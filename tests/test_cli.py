@@ -5,8 +5,12 @@ with capsys, so these are full end-to-end runs minus the interpreter fork.
 """
 
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -380,6 +384,7 @@ def test_bad_arguments_exit2(capsys, tmp_path):
         ["coeffs", "--alpha", "inf", *ASYM[2:], "--nmax", "1"],
         ["iterate", *ASYM, "--nmax", "1", "--seed-x0", "inf"],
         ["verify", *ASYM, "--nmax", "-1", "--suite", "toda"],
+        ["moments", *ASYM, "--nmax", "-1"],
         ["coeffs", *ASYM, "--nmax", "2", "--h", "x"],
         ["coeffs", *ASYM, "--nma", "2"],
         ["coeffs", *ASYM, "--nmax", "1", "--lattice", "diagonal"],
@@ -397,3 +402,20 @@ def test_version_flag(capsys):
     assert exc.value.code == 0
     out, _ = capsys.readouterr()
     assert out.startswith("hypopq ")
+
+
+def test_console_entry_point():
+    # ``python -m hypopq.cli`` runs cli.main, which hands run()'s code to the shell
+    src = str(Path(H.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+
+    def launch(*args):
+        return subprocess.run([sys.executable, "-m", "hypopq.cli", *args], capture_output=True,
+                              text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+
+    done = launch("--version")
+    assert (done.returncode, done.stdout) == (0, f"hypopq {H.__version__}\n")
+    done = launch("coeffs", *ASYM)  # missing --nmax
+    assert (done.returncode, done.stdout) == (2, "")
+    [line] = done.stderr.splitlines()
+    assert json.loads(line)["error"] == "InvalidParam"

@@ -125,7 +125,7 @@ def test_hankel_det_singular():
     # noise; coeffs_oracle reports it as PrecisionExhausted.
     flat = [from_int(1)] * 6
     with pytest.raises(ZeroDivisionError):
-        _chebyshev_quotients(flat, 2, 256, 272)
+        _chebyshev_quotients(flat, 2, 256)
 
 
 # ------------------------------------------------ reference loops (libmp)
@@ -172,7 +172,8 @@ def _ref_moment_batch(p, count, bits, guard=GUARD_BITS):
     return moms[:count]
 
 
-def _ref_chebyshev(moments_raw, N, bits, prec):
+def _ref_chebyshev(moments_raw, N, bits):
+    prec = bits + GUARD_BITS
     top = 2 * N + 2
     prev, row = [fzero] * top, list(moments_raw[:top])
     q = mpf_div(row[1], row[0], prec, _rnd)
@@ -193,7 +194,7 @@ def _ref_chebyshev(moments_raw, N, bits, prec):
 
 
 def _quotients(moments, chebyshev, p, N, bits):
-    return chebyshev(moments(p, 2 * N + 2, bits), N, bits, bits + GUARD_BITS)
+    return chebyshev(moments(p, 2 * N + 2, bits), N, bits)
 
 
 def _correct_bits(got, ref, bits):
@@ -417,8 +418,7 @@ def test_ladder_guards(ctx256):
 def test_ladder_residuals_tiny(ctx256):
     p = asym_params()
     coeffs = coeffs_oracle(p, 20, ctx256)
-    ladder = ladder_sequences(coeffs)
-    report = ladder_residuals(ladder, coeffs)
+    report = ladder_residuals(coeffs)
     assert set(report.names()) == {
         "uv_sum",
         "rs_sum",
@@ -445,39 +445,39 @@ def test_ladder_sum_identities_exactly(ctx256):
 
 
 def test_orthonormality_by_lattice_sum(ctx256):
-    # sum_k w_k p_n(k) p_m(k) = delta_{nm}; tail beyond k=400 is ~2^-400
-    p = asym_params()
-    coeffs = coeffs_oracle(p, 3, ctx256)
-    m0 = moment(p, 0, ctx256)
+    # sum_k w_k p_n(x_k) p_m(x_k) = delta_{nm} on x_k = k, and on the shifted
+    # lattice x_k = k + 1 - gamma with the weights of the standard form; the
+    # tail beyond k=400 is ~2^-400
     K = 400
-    w = weight_sequence(p, K, ctx256)
-    gram = [[ctx256.mp.mpf(0)] * 4 for _ in range(4)]
-    for k in range(K + 1):
-        vals = eval_orthonormal(coeffs, m0, k, 3)
+    for lattice in Lattice:
+        p = asym_params(lattice)
+        shifted = lattice is Lattice.SHIFTED
+        coeffs = coeffs_oracle(p, 3, ctx256)
+        w = weight_sequence(shifted_params(p) if shifted else p, K, ctx256)
+        gram = [[ctx256.mp.mpf(0)] * 4 for _ in range(4)]
+        for k in range(K + 1):
+            vals = eval_orthonormal(coeffs, k + 1 - p.gamma if shifted else k, 3)
+            for i in range(4):
+                for j in range(i + 1):
+                    gram[i][j] += w[k] * vals[i] * vals[j]
         for i in range(4):
-            for j in range(i + 1):
-                gram[i][j] += w[k] * vals[i] * vals[j]
-    for i in range(4):
-        assert abs(gram[i][i] - 1) < 1e-60, i
-        for j in range(i):
-            assert abs(gram[i][j]) < 1e-60, (i, j)
+            assert abs(gram[i][i] - 1) < 1e-60, (lattice, i)
+            for j in range(i):
+                assert abs(gram[i][j]) < 1e-60, (lattice, i, j)
 
 
 def test_eval_orthonormal_guards(ctx256):
     p = asym_params()
     coeffs = coeffs_oracle(p, 3, ctx256)
-    m0 = moment(p, 0, ctx256)
-    assert len(eval_orthonormal(coeffs, m0, 0, 0)) == 1
+    assert eval_orthonormal(coeffs, 0, 0) == [1 / ctx256.mp.sqrt(moment(p, 0, ctx256))]
     with pytest.raises(InvalidParam):
-        eval_orthonormal(coeffs, m0, 0, -1)
+        eval_orthonormal(coeffs, 0, -1)
     with pytest.raises(InvalidCoeffs):
-        eval_orthonormal(coeffs, m0, 0, 4)  # only have order 3
-    with pytest.raises(InvalidCoeffs):
-        eval_orthonormal(coeffs, ctx256.mp.mpf(0), 0, 2)
+        eval_orthonormal(coeffs, 0, 4)  # only have order 3
     bad = CoeffSeq(p, [ctx256.mp.mpf(v) for v in (0, -1, 2, 3)],
                    list(coeffs.b), ctx256)
     with pytest.raises(InvalidCoeffs):
-        eval_orthonormal(bad, m0, 0, 2)
+        eval_orthonormal(bad, 0, 2)
 
 
 # ------------------------------------------------------- structure relation
@@ -508,7 +508,7 @@ def test_structure_residual_guards(ctx256):
         structure_residual(shifted, xy_from_coeffs(shifted), 1, 0)
 
 
-@pytest.mark.parametrize("combine", ["dp_residuals", "ladder_residuals", "structure_residual"])
+@pytest.mark.parametrize("combine", ["dp_residuals", "structure_residual"])
 @pytest.mark.parametrize("differ", ["params", "bits"])
 def test_combining_mismatched_sequences_raises(combine, differ, ctx128):
     p = asym_params()
@@ -519,7 +519,6 @@ def test_combining_mismatched_sequences_raises(combine, differ, ctx128):
     coeffs = coeffs_oracle(p, 3, ctx128)
     calls = {
         "dp_residuals": lambda: H.dp_residuals(xy_from_coeffs(coeffs), other),
-        "ladder_residuals": lambda: ladder_residuals(ladder_sequences(coeffs), other),
         "structure_residual": lambda: structure_residual(other, xy_from_coeffs(coeffs), 1, 0),
     }
     with pytest.raises(InvalidParam, match="sequences disagree"):

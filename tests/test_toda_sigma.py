@@ -107,6 +107,8 @@ def test_toda_guards(ctx128):
     with pytest.raises(DomainExceeded):
         # stencil c +- 2h leaves (0, 1)
         toda_residuals(p, 0, F(1, 3), Source.ORACLE, ctx128)
+    with pytest.raises(InvalidParam, match="unknown source"):
+        toda_residuals(p, 1, ctx128.mp.ldexp(1, -16), "oracle", ctx128)
 
 
 # ------------------------------------------------------------------ sigma
@@ -168,26 +170,21 @@ def test_sigma_pvi_residual_small(ctx256):
         assert r < 1e-25, n
 
 
-def test_sigma_params_of_another_n_refused(ctx256):
-    # constants made for n = 2 fed to an n = 3 residual read like a failed
-    # identity (about 1.93) instead of an error
-    p = asym_params()
-    h = ctx256.mp.ldexp(1, -30)
-    sp = sigma_parameters(p, 2, ctx256)
-    with pytest.raises(InvalidParam, match="n=2"):
-        sigma_pvi_residual(p, 3, h, Source.ORACLE, ctx256, sigma_params=sp)
-    with pytest.raises(InvalidParam, match="n=2"):
-        sigma_value(p, 3, F(1, 2), Source.ORACLE, ctx256, sigma_params=sp)
-
-
-def test_sigma_pvi_sensitive_to_constants(ctx256):
+def test_sigma_pvi_sensitive_to_constants(ctx256, monkeypatch):
     # shifting K by 1 must break the ODE loudly: the residual is a real check
     p = asym_params()
     h = ctx256.mp.ldexp(1, -30)
-    sp = sigma_parameters(p, 2, ctx256)
-    bad = replace(sp, K=sp.K + 1)
-    r = sigma_pvi_residual(p, 2, h, Source.ORACLE, ctx256, sigma_params=bad)
+    calls = []
+
+    def k_plus_one(*args):
+        calls.append(args[1])
+        sp = sigma_parameters(*args)
+        return replace(sp, K=sp.K + 1)
+
+    monkeypatch.setattr(ts, "sigma_parameters", k_plus_one)
+    r = sigma_pvi_residual(p, 2, h, Source.ORACLE, ctx256)
     assert r > 1e-2
+    assert calls == [2]  # the constants are computed once per call, for its n
 
 
 # ---------------------------------------------------------------- riccati

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import hypopq as H
 from hypopq.errors import InvalidParam
+from hypopq.numerics import GUARD_BITS
 from hypopq.weights import (
     Lattice,
     Params,
@@ -52,6 +53,9 @@ def test_params_validation():
         Params(F(1), F(1), F(1), F(0))
     with pytest.raises(InvalidParam):
         Params(1.5, F(1), F(1), F(1, 2))  # binary floats rejected
+    for value in (True, "x", object()):  # bools, non-rational strings, other types
+        with pytest.raises(InvalidParam):
+            Params(value, F(1), F(1), F(1, 2))
     p = Params("3/2", 3, F(1, 3), "0.5")  # strings and ints parse exactly
     assert p.alpha == F(3, 2) and p.c == F(1, 2)
 
@@ -227,6 +231,25 @@ def test_moment_guards(ctx256):
         moment(asym_params(), -1, ctx256)
     with pytest.raises(InvalidParam):
         moment(asym_params(Lattice.SHIFTED), 0, ctx256)
+
+
+def test_moment_batch_losing_every_bit(monkeypatch):
+    # at 24 bits the first Pearson passes of this gamma > 1 set lose every bit
+    # they carry; the retries must still end on moments good to 2^-20
+    p = Params(F(1, 3), F(1, 2), 40, F(9, 16))
+    guards = []
+    batch = H.weights._moment_batch_raw
+
+    def spy(params, count, bits, guard=GUARD_BITS):
+        guards.append(guard)
+        return batch(params, count, bits, guard)
+
+    monkeypatch.setattr(H.weights, "_moment_batch_raw", spy)
+    got = _moment_list(p, 12, H.PrecisionCtx(24))
+    assert guards[1] >= 2 * (24 + guards[0])  # the first pass lost all its bits
+    ref = _moment_list(p, 12, H.PrecisionCtx(512))
+    for g, r in zip(got, ref):
+        assert abs(g - r) <= abs(r) * 2.0**-20
 
 
 def test_moment_swap_invariance(ctx128):
