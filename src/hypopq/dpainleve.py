@@ -11,26 +11,34 @@ thing most worth double-checking:
 Seeds are x_0 = m_1/m_0 - ((alpha+beta)c - gamma)/(1-c), y_0 = 0.  Both
 relations, and everything built on them here, take the same form with the
 original parameters on the shifted lattice k + 1 - gamma.  The steps run on
-raw libmp values with the operations of the mpf operator form, in the same
-order and rounding, so every orbit is bit-identical to that form.
+signed ``(mantissa, exponent)`` integer pairs, as the oracle's kernels do:
+each of P, Q, D, numY and the two quartics is an exact sum of exact
+products, rounded once to nearest, and x_n, y_n become mpfs only when they
+are stored.  The consistency monitor stays in mpf operators.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
 
-from mpmath.libmp import (fone, from_int, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt,
-                          mpf_le, mpf_mul, mpf_mul_int, mpf_shift, mpf_sub, round_nearest)
+from mpmath.libmp import from_man_exp, mpf_add, round_nearest
 
 from .errors import InvalidParam, PrecisionExhausted, SingularStep
 from .numerics import GUARD_BITS
 from .oracle import XYSeq, _coeffs_at, _common_measure
 from .reporting import ResidualReport, normalized_residual
-from .weights import Lattice, initial_xy
+from .weights import _ZERO, Lattice, _pair, _quotient, _round, _sum, _times, initial_xy
 
 _rnd = round_nearest
 _MONITOR_EVERY = 10
 _MONITOR_THRESHOLD = "1e-6"
+# The step's sums are exact while their terms' exponents lie within
+# 4 prec + _STEP_WINDOW_BITS bits of each other, which holds on any orbit of
+# moderate magnitude: the widest, the first-kind quartic, spans 4 prec bits.
+# A sum that cancels, as P does when x_n lies on a root of the quartic, then
+# loses nothing, and a seed of extreme magnitude cannot blow the integers up.
+_STEP_WINDOW_BITS = 64
+_ONE = (1, 0)
 # Report order of the cross-identities: each group runs over its indices
 # before the next starts.
 _CROSS_ORDER = (
@@ -40,104 +48,147 @@ _CROSS_ORDER = (
 )
 
 
-def _invariants(ctx, a, bta, g, c):
-    """Raw ``(prec, alpha, beta, gamma, c, eps, alpha beta, alpha + beta,
-    (gamma-alpha)(gamma-beta), (1-alpha)(1-beta))`` from the reals ``a, bta, g,
-    c``: the loop invariants at ``prec = ctx.bits``, with the step guards'
-    ``eps = 2^-(bits - GUARD_BITS)`` (:data:`numerics.GUARD_BITS`)."""
+def _neg(v):
+    return -v[0], v[1]
+
+
+def _scaled(k, v):
+    """The pair ``v`` times the integer ``k``, exactly."""
+    return k * v[0], v[1]
+
+
+def _invariants(params, ctx):
+    """The loop invariants at ``prec = ctx.bits``: ``(prec, window, eps, c,
+    first, second)``.  ``window = 4 prec + _STEP_WINDOW_BITS`` is the exponent
+    window of every sum (:func:`weights._sum` with ``prec`` None); ``eps`` is
+    the exponent of the step guards' ``2^-(bits - GUARD_BITS)``
+    (:data:`numerics.GUARD_BITS`).  The rest are exact pairs of a, b, g, c:
+    alpha, beta, gamma and c rounded to ``prec`` (``params.as_reals``).
+    ``first = (ab, apb, q3, q2, q1, q0)``, with ``ab = a b``, ``apb = a + b``
+    and the coefficients of the first-kind quartic
+    ``(x-1)(x-a)(x-b)(x-g) = x^4 + q3 x^3 + q2 x^2 + q1 x + q0``.
+    ``second = (ab, apb, h, k1, k2, k3, g, g1, go, k4, k5)``: ``h = a + b - g``,
+    ``k1 = apb h - ab + g``, ``k2 = g - ab``, ``k3 = ab h`` and, with
+    ``gab = (g-a)(g-b)`` and ``oab = (1-a)(1-b)``, ``g1 = g + 1``,
+    ``go = gab + oab``, ``k4 = g oab + gab`` and ``k5 = gab oab``."""
     prec = ctx.bits
-    a, bta, g, c = a._mpf_, bta._mpf_, g._mpf_, c._mpf_
-    gab = mpf_mul(mpf_sub(g, a, prec, _rnd), mpf_sub(g, bta, prec, _rnd), prec, _rnd)
-    oab = mpf_mul(mpf_sub(fone, a, prec, _rnd), mpf_sub(fone, bta, prec, _rnd), prec, _rnd)
-    eps = mpf_shift(fone, -(prec - GUARD_BITS))
-    ab, apb = mpf_mul(a, bta, prec, _rnd), mpf_add(a, bta, prec, _rnd)
-    return prec, a, bta, g, c, eps, ab, apb, gab, oab
+    raw = [_pair(v._mpf_) for v in params.as_reals(ctx)]  # all positive
+    s = max(0, *(-e for _, e in raw))
+    # a = A / 2^s and so on: each invariant is an integer over a power of 2^s
+    A, B, G, C = (m << e + s for m, e in raw)
+    O, AB, APB, GAB = 1 << s, A * B, A + B, (G - A) * (G - B)
+    H, OAB = APB - G, (O - A) * (O - B)
+    q = [1]  # the quartic's coefficients, highest power first
+    for r in (O, A, B, G):
+        q = [u - r * v for u, v in zip(q + [0], [0] + q)]
+
+    def pair(num, k):  # num / 2^(k s)
+        return (num, -k * s) if num else _ZERO
+
+    first = (pair(AB, 2), pair(APB, 1), *(pair(u, j) for j, u in enumerate(q) if j))
+    second = (pair(AB, 2), pair(APB, 1), pair(H, 1), pair(APB * H - AB + G * O, 2),
+              pair(G * O - AB, 2), pair(AB * H, 3), pair(G, 1), pair(G + O, 1),
+              pair(GAB + OAB, 2), pair(G * OAB + GAB * O, 3), pair(GAB * OAB, 4))
+    return prec, 4 * prec + _STEP_WINDOW_BITS, GUARD_BITS - prec, pair(C, 1), first, second
 
 
-def _negligible(v, w, k, floor_one=False):
-    """The step guards' test ``|v| <= eps |w|``, or ``eps max(1, |w|)``."""
-    w = mpf_abs(w)
-    if floor_one and not mpf_gt(w, fone):
-        w = fone
-    return mpf_le(mpf_abs(v), mpf_mul(k[5], w, k[0], _rnd))
+def _below(v, w):
+    """``|v| <= |w|`` for the pairs ``v`` and ``w``."""
+    (mv, ev), (mw, ew) = v, w
+    if not mv or not mw:
+        return not mv
+    mv, mw = abs(mv), abs(mw)
+    tv, tw = ev + mv.bit_length(), ew + mw.bit_length()
+    if tv != tw:
+        return tv < tw
+    e = min(ev, ew)
+    return mv << ev - e <= mw << ew - e
 
 
-def _first_kind(k, n, x, y, y_next=fzero):
-    """Raw ``(P, Q, quartic)`` of the first-kind relation ``P Q = quartic``
-    at index n, with ``P = y - alpha beta + (alpha+beta+n) x - x^2``, ``Q`` the
-    same form at ``n + 1`` and ``y_next``, and the quartic
-    ``(x-1)(x-alpha)(x-beta)(x-gamma)/c``.  ``y_next = 0`` leaves the part of
-    Q free of y_{n+1}.  ``k`` holds the :func:`_invariants`; each operation
-    rounds to nearest at ``k[0]`` bits, in the order the formulas are written."""
-    prec, a, bta, g, c, _, ab, apb = k[:8]
-    s = mpf_add(apb, from_int(n), prec, _rnd)
-    xx = mpf_mul(x, x, prec, _rnd)
-    sx, s1x = mpf_mul(s, x, prec, _rnd), mpf_mul(mpf_add(s, fone, prec, _rnd), x, prec, _rnd)
-    P = mpf_sub(mpf_add(mpf_sub(y, ab, prec, _rnd), sx, prec, _rnd), xx, prec, _rnd)
-    Q = mpf_sub(mpf_add(mpf_sub(y_next, ab, prec, _rnd), s1x, prec, _rnd), xx, prec, _rnd)
-    quart = mpf_sub(x, fone, prec, _rnd)
-    for r in (a, bta, g):
-        quart = mpf_mul(quart, mpf_sub(x, r, prec, _rnd), prec, _rnd)
-    return P, Q, mpf_div(quart, c, prec, _rnd)
+def _negligible(v, w, eps):
+    """The step guards' test ``|v| <= 2^eps |w|``."""
+    return _below(v, (w[0], w[1] + eps))
+
+
+def _first_kind(k, n, x, y, y_next=_ZERO):
+    """``(P, Q, quartic)`` of the first-kind relation ``c P Q = quartic`` at
+    index n, as pairs: ``P = y - ab + (a+b+n) x - x^2``, ``Q`` the same form
+    at ``n + 1`` and ``y_next``, and ``quartic = (x-1)(x-a)(x-b)(x-g)``
+    (a, b, g = alpha, beta, gamma).  ``y_next = 0`` leaves the part of Q free
+    of y_{n+1}.  ``k`` holds the :func:`_invariants`; each of the three is
+    the exact value on the pairs given, rounded once to ``k[0]`` bits."""
+    prec, window, _, _, (ab, apb, q3, q2, q1, q0), _ = k
+    xx = _times(x, x)
+    common = [_neg(ab), _times(apb, x), _scaled(n, x), _neg(xx)]
+    P = _round(_sum([y, *common], floor=window), prec)
+    Q = _round(_sum([y_next, x, *common], floor=window), prec)
+    quart = [_times(xx, xx), _times(q3, _times(xx, x)), _times(q2, xx), _times(q1, x), q0]
+    return P, Q, _round(_sum(quart, floor=window), prec)
 
 
 def _dp1(k, params, n, x, y):
-    """Advance the first-kind relation: raw y_{n+1} from raw (x_n, y_n).
+    """Advance the first-kind relation: y_{n+1} from (x_n, y_n), as pairs.
 
-    The left side factors as P * (P + x_n), P = y_n - alpha*beta
-    + (alpha+beta+n) x_n - x_n^2; when |P| underflows relative to the
-    quartic right side the division is refused with SingularStep.
+    The relation reads c P Q = quartic with P = y_n - alpha*beta
+    + (alpha+beta+n) x_n - x_n^2; when |c P| underflows relative to the
+    quartic the division is refused with SingularStep.
+    ``y_{n+1} = quartic / (c P) - Q``, Q free of y_{n+1}: the quotient is
+    rounded once, and then the difference.
     """
-    P, Q, rhs = _first_kind(k, n, x, y)
-    if _negligible(P, rhs, k):
+    P, Q, quart = _first_kind(k, n, x, y)
+    prec, window, eps, c = k[:4]
+    cP = _times(c, P)
+    if _negligible(cP, quart, eps):
         msg = f"first-kind factor vanished at n={n}"
         if params.is_meixner:
             msg += ("; the Meixner form pins x_n at its limit (gamma, or 1 on the shifted "
                     "lattice), making both sides identically zero (closed form applies)")
         raise SingularStep(msg, index=n, which="P")
-    return mpf_sub(mpf_div(rhs, P, k[0], _rnd), Q, k[0], _rnd)
+    return _round(_sum([_quotient(quart, cP, prec), _neg(Q)], floor=window), prec)
 
 
 def _second_kind(k, m, y):
-    """Raw ``(D, numY, quartic)`` of the second-kind relation at index m:
-    ``(x_m + Y)(x_{m-1} + Y) = quartic / D^2`` with ``Y = numY / D``.  With
-    ``mm = m + a + b - g - 1`` (a, b, g = alpha, beta, gamma), ``D = y (m + mm)
-    + m ((m + a + b) mm - ab + g)``, ``numY = y^2 + y (m mm - ab + g) - ab m mm``
-    and quartic ``(y + ma)(y + mb)(y + mg - (g-a)(g-b))(y + m - (1-a)(1-b))``;
-    raw as in :func:`_first_kind`."""
-    prec, a, bta, g, _, _, ab, _, gab, oab = k
-    fm = from_int(m)
-    mab = mpf_add(mpf_add(a, fm, prec, _rnd), bta, prec, _rnd)
-    mm = mpf_sub(mpf_sub(mab, g, prec, _rnd), fone, prec, _rnd)
-    t = mpf_add(mpf_sub(mpf_mul(mab, mm, prec, _rnd), ab, prec, _rnd), g, prec, _rnd)
-    D = mpf_mul(y, mpf_add(mm, fm, prec, _rnd), prec, _rnd)
-    D = mpf_add(D, mpf_mul_int(t, m, prec, _rnd), prec, _rnd)
-    t = mpf_add(mpf_sub(mpf_mul_int(mm, m, prec, _rnd), ab, prec, _rnd), g, prec, _rnd)
-    numY = mpf_add(mpf_mul(y, y, prec, _rnd), mpf_mul(y, t, prec, _rnd), prec, _rnd)
-    numY = mpf_sub(numY, mpf_mul(mpf_mul_int(ab, m, prec, _rnd), mm, prec, _rnd), prec, _rnd)
-    ya, yb, yg = [mpf_add(y, mpf_mul_int(r, m, prec, _rnd), prec, _rnd) for r in (a, bta, g)]
-    quart = mpf_mul(mpf_mul(ya, yb, prec, _rnd), mpf_sub(yg, gab, prec, _rnd), prec, _rnd)
-    t = mpf_sub(mpf_add(y, fm, prec, _rnd), oab, prec, _rnd)
-    return D, numY, mpf_mul(quart, t, prec, _rnd)
+    """``(D, numY, quartic)`` of the second-kind relation at index m, as
+    pairs: ``(x_m + Y)(x_{m-1} + Y) = quartic / D^2`` with ``Y = numY / D``.
+    With ``mm = m + a + b - g - 1`` (a, b, g = alpha, beta, gamma),
+    ``D = y (m + mm) + m ((m + a + b) mm - ab + g)``,
+    ``numY = y^2 + y (m mm - ab + g) - ab m mm`` and quartic
+    ``(y + ma)(y + mb)(y + mg - (g-a)(g-b))(y + m - (1-a)(1-b))``; each is
+    the exact value rounded once, as in :func:`_first_kind`.  D and numY are
+    expanded in ``h = mm - m + 1``, and the quartic's two pairs of factors
+    in y, with the :func:`_invariants`."""
+    prec, window, _, _, _, (ab, apb, h, k1, k2, k3, g, g1, go, k4, k5) = k
+    yy, yh, m1, m2 = _times(y, y), _times(y, h), m * (m - 1), m * m
+    D = _round(_sum([_scaled(2 * m - 1, y), yh, (m * m1, 0), _scaled(m2, h),
+                    _scaled(m, k1), _scaled(m1, apb)], floor=window), prec)
+    numY = _round(_sum([yy, _scaled(m, yh), _scaled(m1, y), _times(y, k2),
+                       _scaled(-m, k3), _scaled(-m1, ab)], floor=window), prec)
+    left = _sum([yy, _scaled(m, _times(apb, y)), _scaled(m2, ab)], floor=window)
+    right = _sum([yy, _scaled(m, _times(g1, y)), _neg(_times(go, y)), _scaled(m2, g),
+                  _scaled(-m, k4), k5], floor=window)
+    return D, numY, _round(_times(left, right), prec)
 
 
 def _dp2(k, m, x_prev, y):
-    """Advance the second-kind relation: raw x_m from raw (x_{m-1}, y_m).
+    """Advance the second-kind relation: x_m from (x_{m-1}, y_m), as pairs.
 
     Two denominators can vanish: the linearizing factor D and the shifted
     unknown x_{m-1} + Y_m.  Each raises SingularStep with ``which`` naming
-    the culprit.
+    the culprit.  With ``E = x_{m-1} D + numY = D (x_{m-1} + Y)``, the guard
+    ``|x_{m-1} + Y| <= eps max(1, |quartic| / D^2)`` is tested as
+    ``|E D| <= eps max(D^2, |quartic|)``.  ``x_m = quartic / (D E) - Y``:
+    each quotient is rounded once, and then their difference.
     """
-    prec = k[0]
+    prec, window, eps = k[:3]
     D, numY, quart = _second_kind(k, m, y)
-    if _negligible(D, numY, k, floor_one=True):
+    if _negligible(D, numY if _below(_ONE, numY) else _ONE, eps):
         raise SingularStep(f"linearizing denominator vanished at m={m}", index=m, which="D")
-    Y = mpf_div(numY, D, prec, _rnd)
-    rhs = mpf_div(quart, mpf_mul(D, D, prec, _rnd), prec, _rnd)
-    den = mpf_add(x_prev, Y, prec, _rnd)
-    if _negligible(den, rhs, k, floor_one=True):
+    E = _sum([_times(x_prev, D), numY], floor=window)
+    ED, DD = _times(E, D), _times(D, D)
+    if _negligible(ED, quart if _below(DD, quart) else DD, eps):
         raise SingularStep(f"x_prev + Y vanished at m={m}", index=m, which="x_prev+Y")
-    return mpf_sub(mpf_div(rhs, den, prec, _rnd), Y, prec, _rnd)
+    Y = _quotient(numY, D, prec)
+    return _round(_sum([_quotient(quart, ED, prec), _neg(Y)], floor=window), prec)
 
 
 def _cross_terms(a, bta, g, c, n, x, y, S, b_n, a2_n, a2_next=None):
@@ -197,10 +248,10 @@ def _monitor_residual(mp, a, bta, g, c, x, y, S, m):
 
 def _targets(params, ctx):
     """(x-limit, limit of y_n + n * x-limit) for the lattice at hand."""
-    k, mk = _invariants(ctx, *params.as_reals(ctx)), ctx.mp.make_mpf
+    a, bta, g, _ = params.as_reals(ctx)
     if params.lattice is Lattice.SHIFTED:
-        return mk(fone), mk(k[9])  # 1, (1-alpha)(1-beta)
-    return mk(k[3]), mk(k[8])  # gamma, (gamma-alpha)(gamma-beta)
+        return ctx.mp.mpf(1), (1 - a) * (1 - bta)
+    return g, (g - a) * (g - bta)
 
 
 def iterate(params, N: int, ctx, seed=None, strict: bool = False) -> XYSeq:
@@ -234,23 +285,24 @@ def iterate(params, N: int, ctx, seed=None, strict: bool = False) -> XYSeq:
     x0, y0 = initial_xy(params, ctx) if canonical else (ctx.real(seed[0]), ctx.real(seed[1]))
 
     a, bta, g, c = params.as_reals(ctx)
-    k = _invariants(ctx, a, bta, g, c)
+    k = _invariants(params, ctx)
     threshold = mp.mpf(_MONITOR_THRESHOLD)
     x, y, S = [x0], [y0], [mp.mpf(0), x0]
     failure = suspect = None
-    xr, yr, sr = x0._mpf_, y0._mpf_, x0._mpf_  # raw between steps
+    xp, yp, sr = _pair(x0._mpf_), _pair(y0._mpf_), x0._mpf_  # pairs between steps
     for n in range(N):
         try:
-            yr = _dp1(k, params, n, xr, yr)
-            xr = _dp2(k, n + 1, xr, yr)
+            yp = _dp1(k, params, n, xp, yp)
+            xp = _dp2(k, n + 1, xp, yp)
         except SingularStep:
             if strict:
                 raise
             failure = n
             break
+        xr = from_man_exp(*xp)
         sr = mpf_add(sr, xr, ctx.bits, _rnd)
         x.append(mp.make_mpf(xr))
-        y.append(mp.make_mpf(yr))
+        y.append(mp.make_mpf(from_man_exp(*yp)))
         S.append(mp.make_mpf(sr))
         j = n + 1
         if canonical and suspect is None and j >= 2 and j % _MONITOR_EVERY == 0:
@@ -277,28 +329,30 @@ def dp_residuals(xy: XYSeq, coeffs=None) -> ResidualReport:
     """
     params, ctx = (xy.params, xy.ctx) if coeffs is None else _common_measure(xy, coeffs)
     mp = ctx.mp
-    a, bta, g, c = params.as_reals(ctx)
-    k = _invariants(ctx, a, bta, g, c)
-    prec, mk = ctx.bits, mp.make_mpf
+    k = _invariants(params, ctx)
+    prec, window, _, cp = k[:4]
+
+    def mk(v):
+        return mp.make_mpf(from_man_exp(*v, prec, _rnd))
+
     rep = ResidualReport(ctx=ctx)
     N = xy.N
     x, y, S = xy.x, xy.y, xy.S
+    px, py = ([_pair(ctx.real(v)._mpf_) for v in seq] for seq in (x, y))
     for n in range(N):
-        P, Q, rhs = _first_kind(k, n, x[n]._mpf_, y[n]._mpf_, y[n + 1]._mpf_)
-        rep.add("dp1", n, normalized_residual(mp, [mk(mpf_mul(P, Q, prec, _rnd))], [mk(rhs)]))
+        P, Q, quart = _first_kind(k, n, px[n], py[n], py[n + 1])
+        rep.add("dp1", n, normalized_residual(mp, [mk(_times(_times(cp, P), Q))], [mk(quart)]))
     for m in range(1, N + 1):
-        D, numY, quart = _second_kind(k, m, ctx.real(y[m])._mpf_)
-        try:
-            Y = mpf_div(numY, D, prec, _rnd)
-        except ZeroDivisionError:
+        D, numY, quart = _second_kind(k, m, py[m])
+        if not D[0]:  # Y = numY / D is undefined
             rep.add("dp2", m, mp.inf)
             continue
-        rhs = mpf_div(quart, mpf_mul(D, D, prec, _rnd), prec, _rnd)
-        xm, xp = [mpf_add(v._mpf_, Y, prec, _rnd) for v in (x[m], x[m - 1])]
-        rep.add("dp2", m, normalized_residual(mp, [mk(mpf_mul(xm, xp, prec, _rnd))], [mk(rhs)]))
+        lhs = _times(*(_sum([_times(v, D), numY], floor=window) for v in (px[m], px[m - 1])))
+        rep.add("dp2", m, normalized_residual(mp, [mk(lhs)], [mk(quart)]))
 
     if coeffs is None:
         return rep
+    a, bta, g, c = params.as_reals(ctx)
     a2, b = coeffs.a2, coeffs.b
     NN = min(N, coeffs.N)
     terms = [

@@ -268,18 +268,54 @@ def _times(x, y):
     return x[0] * y[0], x[1] + y[1]
 
 
-def _round_sum(terms, prec):
-    """The sum of the signed ``(mantissa, exponent)`` pairs ``terms``, rounded
-    once to ``prec`` bits.  Every term is cut (floored) at ``_FLOOR_BITS``
-    bits below the last bit at ``prec`` of the largest nonzero term, losing
-    less than ``2**-(prec + 31)`` of it; a sum that is exactly zero stays
-    ``_ZERO``."""
-    f = max(e + m.bit_length() for m, e in terms) - prec - _FLOOR_BITS
-    s = sum(m << e - f if e >= f else m >> f - e for m, e in terms)
-    if not s:
-        return _ZERO
+def _sum(terms, prec=None, floor=_FLOOR_BITS):
+    """The sum of the signed ``(mantissa, exponent)`` pairs ``terms`` as one
+    pair, not rounded.  Every term is cut (floored) at ``floor`` bits below
+    the last bit at ``prec`` of the largest nonzero term, losing less than
+    ``2**-(prec + floor - 1)`` of it per term.  With ``prec`` None the cut
+    is ``floor`` bits below the largest exponent of a nonzero term, or at the
+    least one, whichever is higher: terms whose exponents lie within
+    ``floor`` bits of each other add up exactly.  A sum that is exactly zero
+    is ``_ZERO``."""
+    if prec is None:
+        es = [e for m, e in terms if m]
+        f = max(min(es), max(es) - floor) if es else 0
+    else:
+        f = max([e + m.bit_length() for m, e in terms]) - prec - floor
+    s = 0
+    for m, e in terms:
+        s += m << e - f if e >= f else m >> f - e
+    return (s, f) if s else _ZERO
+
+
+def _round(x, prec):
+    """The pair ``x`` rounded to ``prec`` bits, to nearest with ties to even
+    (as libmp's ``round_nearest``)."""
+    s, f = x
     n = s.bit_length() - prec
-    return ((s + (1 << n - 1)) >> n, f + n) if n > 0 else (s, f)
+    if n <= 0:
+        return x
+    q = s >> n
+    r, half = s - (q << n), 1 << n - 1
+    return q + (r > half or r == half and q & 1), f + n
+
+
+def _round_sum(terms, prec):
+    """:func:`_sum` of ``terms`` at ``prec``, rounded once to ``prec`` bits."""
+    return _round(_sum(terms, prec), prec)
+
+
+def _quotient(num, den, prec):
+    """The pair ``num`` over the nonzero pair ``den``, rounded once to
+    ``prec`` bits: the integer quotient keeps at least ``prec + 1`` bits and
+    a sticky bit for its remainder."""
+    (a, ea), (b, eb) = num, den
+    if not a:
+        return _ZERO
+    k = max(0, prec + 1 + b.bit_length() - a.bit_length())
+    q, r = divmod(abs(a) << k, abs(b))
+    q = 2 * q + (r > 0)
+    return _round((-q if (a < 0) != (b < 0) else q, ea - eb - k - 1), prec)
 
 
 def _moment_batch_raw(params, count, bits, guard=GUARD_BITS):

@@ -12,20 +12,22 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import from_man_exp, from_rational, round_nearest, to_rational
 
 import hypopq as H
 from hypopq.dpainleve import (
     _dp1,
     _dp2,
+    _first_kind,
     _invariants,
+    _second_kind,
     _monitor_residual,
     dp_residuals,
     iterate,
 )
 from hypopq.errors import InvalidParam, PrecisionExhausted, SingularStep
-from hypopq.numerics import GUARD_BITS
 from hypopq.oracle import XYSeq, coeffs_oracle, xy_from_coeffs
-from hypopq.weights import Lattice, Params, initial_xy
+from hypopq.weights import Lattice, Params, _pair, initial_xy
 
 from conftest import asym_params, meixner_params, sym_params
 
@@ -35,16 +37,20 @@ F = Fraction
 # ------------------------------------------------------------- single steps
 
 
+def _raw_pair(ctx, v):
+    return _pair(ctx.real(v)._mpf_)
+
+
 def dp1_step(p, n, x_n, y_n, ctx):
     """y_{n+1} from (x_n, y_n): one first-kind step of the kernel iterate runs."""
-    k = _invariants(ctx, *p.as_reals(ctx))
-    return ctx.mp.make_mpf(_dp1(k, p, n, ctx.real(x_n)._mpf_, ctx.real(y_n)._mpf_))
+    k = _invariants(p, ctx)
+    return ctx.mp.make_mpf(from_man_exp(*_dp1(k, p, n, _raw_pair(ctx, x_n), _raw_pair(ctx, y_n))))
 
 
 def dp2_step(p, m, x_prev, y_m, ctx):
     """x_m from (x_{m-1}, y_m): one second-kind step of the kernel iterate runs."""
-    k = _invariants(ctx, *p.as_reals(ctx))
-    return ctx.mp.make_mpf(_dp2(k, m, ctx.real(x_prev)._mpf_, ctx.real(y_m)._mpf_))
+    k = _invariants(p, ctx)
+    return ctx.mp.make_mpf(from_man_exp(*_dp2(k, m, _raw_pair(ctx, x_prev), _raw_pair(ctx, y_m))))
 
 
 def test_steps_reproduce_oracle_orbit(ctx256):
@@ -110,59 +116,41 @@ def test_dp2_guard_policies_differ(ctx128):
     assert exc.value.which == "D"
 
 
-# ------------------------------------------------------ operator reference
-# The step in plain mpf operators, in the order the relations are written.
-# iterate runs the same operations on raw libmp values and must reproduce
-# these orbits bit for bit.
+# ------------------------------------------------------ Fraction reference
+# Each kernel expression, written as the relations read, in exact Fractions
+# of the same raw inputs and rounded once to nearest: the kernels must match
+# it bit for bit.
 
 
-def _ref_dp1(a, bta, g, c, n, x, y, eps):
-    s = a + bta + n
-    ab, xx = a * bta, x * x
-    P = y - ab + s * x - xx
-    Q = 0 - ab + (s + 1) * x - xx
-    rhs = (x - 1) * (x - a) * (x - bta) * (x - g) / c
-    if abs(P) <= eps * abs(rhs):
-        raise SingularStep("P", index=n, which="P")
-    return rhs / P - Q
+def _fraction_expressions(a, b, g, n, x, y, y_next):
+    """P, Q and the quartic of the first kind at n, and D, numY and the
+    quartic of the second kind at m = n + 1 with y = y_next."""
+    ab = a * b
+    P = y - ab + (a + b + n) * x - x * x
+    Q = y_next - ab + (a + b + n + 1) * x - x * x
+    quart1 = (x - 1) * (x - a) * (x - b) * (x - g)
+    m, y = n + 1, y_next
+    mm = m + a + b - g - 1
+    D = y * (m + mm) + m * ((m + a + b) * mm - ab + g)
+    numY = y * y + y * (m * mm - ab + g) - ab * m * mm
+    quart2 = ((y + m * a) * (y + m * b) * (y + m * g - (g - a) * (g - b))
+              * (y + m - (1 - a) * (1 - b)))
+    return P, Q, quart1, D, numY, quart2
 
 
-def _ref_dp2(mp, a, bta, g, m, x_prev, y, eps):
-    mm = m + a + bta - g - 1
-    D = y * (m + mm) + m * ((m + a + bta) * mm - a * bta + g)
-    numY = y * y + y * (m * mm - a * bta + g) - a * bta * m * mm
-    quart = (
-        (y + m * a)
-        * (y + m * bta)
-        * (y + m * g - (g - a) * (g - bta))
-        * (y + m - (1 - a) * (1 - bta))
-    )
-    if abs(D) <= eps * max(mp.mpf(1), abs(numY)):
-        raise SingularStep("D", index=m, which="D")
-    Y = numY / D
-    rhs = quart / (D * D)
-    den = x_prev + Y
-    if abs(den) <= eps * max(mp.mpf(1), abs(rhs)):
-        raise SingularStep("x_prev+Y", index=m, which="x_prev+Y")
-    return rhs / den - Y
-
-
-def _ref_orbit(p, N, ctx):
-    mp = ctx.mp
-    a, bta, g, c = p.as_reals(ctx)
-    eps = mp.ldexp(1, -(ctx.bits - GUARD_BITS))
-    x0, y0 = initial_xy(p, ctx)
-    x, y, S = [x0], [y0], [mp.mpf(0), x0]
-    for n in range(N):
-        try:
-            y1 = _ref_dp1(a, bta, g, c, n, x[n], y[n], eps)
-            x1 = _ref_dp2(mp, a, bta, g, n + 1, x[n], y1, eps)
-        except SingularStep:
-            return x, y, S, n
-        x.append(x1)
-        y.append(y1)
-        S.append(S[-1] + x1)
-    return x, y, S, None
+def _kernel_inputs(p, ctx):
+    """(n, x, y, y_next) as raw mpfs: the orbit's own triples, and x on each
+    root 1, alpha, beta, gamma of the quartic, y_next on each root of the
+    second-kind quartic's factors."""
+    xy = iterate(p, 60, ctx)
+    out = [(n, xy.x[n], xy.y[n], xy.y[n + 1]) for n in range(len(xy.x) - 1)]
+    a, b, g, _ = (F(*to_rational(v._mpf_)) for v in p.as_reals(ctx))
+    for n in (0, 1, 7):
+        m = n + 1
+        ys = (-m * a, -m * b, (g - a) * (g - b) - m * g, (1 - a) * (1 - b) - m)
+        for x, y_next in zip((1, a, b, g), ys):
+            out.append((n, ctx.real(x), xy.y[n], ctx.real(y_next)))
+    return out
 
 
 @pytest.mark.parametrize("bits", [64, 128, 256, 512])
@@ -171,18 +159,22 @@ def _ref_orbit(p, N, ctx):
     [
         asym_params(),
         Params(F(5, 6), F(1, 2), F(5, 6), F(3, 8), Lattice.SHIFTED),
-        Params(F(2, 3), 2, 1, F(3, 4), Lattice.SHIFTED),  # x_1 lands on a root
+        Params(F(2, 3), 2, 1, F(3, 4), Lattice.SHIFTED),  # x_0 lands on a root
     ],
     ids=["standard", "shifted", "singular-shifted"],
 )
-def test_iterate_bit_identical_to_operator_form(p, bits):
+def test_kernel_expressions_round_once(p, bits):
     ctx = H.PrecisionCtx(bits=bits)
-    xy = iterate(p, 240, ctx)
-    x, y, S, failure = _ref_orbit(p, 240, ctx)
-    assert xy.failure_index == failure
-    assert [v._mpf_ for v in xy.x] == [v._mpf_ for v in x]
-    assert [v._mpf_ for v in xy.y] == [v._mpf_ for v in y]
-    assert [v._mpf_ for v in xy.S] == [v._mpf_ for v in S]
+    k = _invariants(p, ctx)
+    a, b, g, _ = (F(*to_rational(v._mpf_)) for v in p.as_reals(ctx))
+    for n, x, y, y_next in _kernel_inputs(p, ctx):
+        px, py, pyn = (_pair(v._mpf_) for v in (x, y, y_next))
+        got = (*_first_kind(k, n, px, py, pyn), *_second_kind(k, n + 1, pyn))
+        exact = _fraction_expressions(a, b, g, n, *(F(*to_rational(v._mpf_))
+                                                    for v in (x, y, y_next)))
+        for name, pair, q in zip(("P", "Q", "quartic", "D", "numY", "quartic2"), got, exact):
+            want = from_rational(q.numerator, q.denominator, bits, round_nearest)
+            assert from_man_exp(*pair) == want, (name, n, x, y_next)
 
 
 # ------------------------------------------------------------------ iterate
@@ -204,6 +196,19 @@ def test_iterate_matches_oracle(ctx256):
             assert abs(xy_rec.x[n] - xy_ora.x[n]) < 1e-50, (p, n)
             assert abs(xy_rec.y[n] - xy_ora.y[n]) < 1e-50, (p, n)
             assert abs(xy_rec.S[n + 1] - xy_ora.S[n + 1]) < 1e-48, (p, n)
+
+
+@pytest.mark.parametrize("bits", [128, 256, 512])
+def test_iterate_steps_through_exact_root(bits):
+    # x_0 is the quartic's root alpha = 2/3 in exact arithmetic, so P and the
+    # quartic both vanish at n = 0; exact sums keep their quotient, y_1, right
+    p = Params(F(2, 3), 2, 1, F(3, 4), Lattice.SHIFTED)
+    ref = xy_from_coeffs(coeffs_oracle(p, 20, H.PrecisionCtx(bits=512)))
+    xy = iterate(p, 20, H.PrecisionCtx(bits=bits))
+    assert xy.failure_index is None
+    assert xy.precision_suspect_at is None
+    for n in range(1, 10):
+        assert abs(xy.x[n] - ref.x[n]) < 1e-30, n
 
 
 def test_iterate_meixner_closed_orbit(ctx256):
@@ -264,9 +269,10 @@ def test_iterate_monitor_marks_suspect():
     assert xy.failure_index is not None
     with pytest.raises(PrecisionExhausted):
         iterate(p, 120, H.PrecisionCtx(bits=24), strict=True)
-    # 30 bits survives longer; the mark moves out accordingly
+    # at 30 bits a singular step ends the run before the monitor trips
     xy30 = iterate(p, 120, H.PrecisionCtx(bits=30))
-    assert xy30.precision_suspect_at == 49
+    assert xy30.precision_suspect_at is None
+    assert xy30.failure_index == 57
 
 
 def test_iterate_validation(ctx256):

@@ -123,9 +123,10 @@ OPTION_RUNS = (
     ("coeffs", (*LONG, "--nmax", "20", "--bits", "512")),
     ("moments", (*DIP, "--nmax", "4", "--bits", "256")),
     # long recursion orbits at high precision on both lattices; the set whose
-    # orbit lands on a root of the quartic (2/3, 2, 1, 3/4, shifted), whose
-    # strict run exits 3 at 256 bits; strict runs that stop at the x_prev + Y
-    # and the first-kind guards (exit 4); the studies at 512 bits
+    # orbit lands on a root of the quartic (2/3, 2, 1, 3/4, shifted), which
+    # the exact step sums carry through at every precision; strict runs that
+    # stop at the x_prev + Y and the first-kind guards (exit 4); the studies
+    # at 512 bits
     ("iterate", (*P, "--nmax", "400", "--bits", "256")),
     ("iterate", (*P, "--nmax", "400", "--bits", "512")),
     ("iterate", (*P, "--lattice", "shifted", "--nmax", "400", "--bits", "256")),
