@@ -26,6 +26,7 @@ from hypopq.dpainleve import (
     iterate,
 )
 from hypopq.errors import InvalidParam, PrecisionExhausted, SingularStep
+from hypopq.numerics import GUARD_BITS
 from hypopq.oracle import XYSeq, coeffs_oracle, xy_from_coeffs
 from hypopq.weights import Lattice, Params, _pair, initial_xy
 
@@ -119,7 +120,8 @@ def test_dp2_guard_policies_differ(ctx128):
 # ------------------------------------------------------ Fraction reference
 # Each kernel expression, written as the relations read, in exact Fractions
 # of the same raw inputs and rounded once to nearest: the kernels must match
-# it bit for bit.
+# it bit for bit, and iterate must reproduce the orbits the step makes of
+# these expressions in operator form.
 
 
 def _fraction_expressions(a, b, g, n, x, y, y_next):
@@ -176,6 +178,60 @@ def test_kernel_expressions_round_once(p, bits):
             want = from_rational(q.numerator, q.denominator, bits, round_nearest)
             assert from_man_exp(*pair) == want, (name, n, x, y_next)
 
+
+
+def _ref_orbit(p, N, ctx):
+    """The orbit in operator form over exact Fractions of the stored values:
+    each expression, quotient and difference is rounded once to nearest."""
+    mp, prec = ctx.mp, ctx.bits
+    a, b, g, c = (F(*to_rational(v._mpf_)) for v in p.as_reals(ctx))
+    eps = F(1, 2 ** (prec - GUARD_BITS))
+
+    def raw(q):
+        return from_rational(q.numerator, q.denominator, prec, round_nearest)
+
+    def rnd(q):
+        return F(*to_rational(raw(q)))
+
+    x0, y0 = initial_xy(p, ctx)
+    x, y, S = [x0], [y0], [mp.mpf(0), x0]
+    for n in range(N):
+        xn, yn = (F(*to_rational(v._mpf_)) for v in (x[n], y[n]))
+        P, Q, quart = map(rnd, _fraction_expressions(a, b, g, n, xn, yn, 0)[:3])
+        if abs(c * P) <= eps * abs(quart):
+            return x, y, S, n
+        y1 = rnd(rnd(quart / (c * P)) - Q)
+        D, numY, quart = map(rnd, _fraction_expressions(a, b, g, n, xn, yn, y1)[3:])
+        if abs(D) <= eps * max(1, abs(numY)):
+            return x, y, S, n
+        rhs, den = quart / (D * D), xn + numY / D
+        if abs(den) <= eps * max(1, abs(rhs)):
+            return x, y, S, n
+        x1 = mp.make_mpf(raw(rnd(rhs / den) - rnd(numY / D)))
+        x.append(x1)
+        y.append(mp.make_mpf(raw(y1)))
+        S.append(S[-1] + x1)
+    return x, y, S, None
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256, 512])
+@pytest.mark.parametrize(
+    "p",
+    [
+        asym_params(),
+        Params(F(5, 6), F(1, 2), F(5, 6), F(3, 8), Lattice.SHIFTED),
+        Params(F(2, 3), 2, 1, F(3, 4), Lattice.SHIFTED),  # x_0 lands on a root
+    ],
+    ids=["standard", "shifted", "singular-shifted"],
+)
+def test_iterate_bit_identical_to_operator_form(p, bits):
+    ctx = H.PrecisionCtx(bits=bits)
+    xy = iterate(p, 240, ctx)
+    x, y, S, failure = _ref_orbit(p, 240, ctx)
+    assert xy.failure_index == failure
+    assert [v._mpf_ for v in xy.x] == [v._mpf_ for v in x]
+    assert [v._mpf_ for v in xy.y] == [v._mpf_ for v in y]
+    assert [v._mpf_ for v in xy.S] == [v._mpf_ for v in S]
 
 # ------------------------------------------------------------------ iterate
 
