@@ -36,6 +36,102 @@ def _mp_for(bits):
 GUARD_BITS = 16
 
 
+# The pair kernel of the moment route and the recursion step.  Bits a cut sum
+# keeps below its largest term's last bit at ``prec``; and zero as a
+# ``(mantissa, exponent)`` pair, whose exponent never sets that cut.
+_FLOOR_BITS = 32
+_ZERO = (0, -(1 << 62))
+
+
+def _pair(x):
+    """Raw mpf ``x`` as a signed ``(mantissa, exponent)`` pair; NaN and the
+    infinities (a zero mantissa in libmp) raise ``InvalidParam``."""
+    sign, man, exp, _ = x
+    if man:
+        return -man if sign else man, exp
+    if exp:
+        raise InvalidParam(f"non-finite value {libmp.to_str(x, 5)}")
+    return _ZERO
+
+
+def _times(x, y):
+    """Exact product of two ``(mantissa, exponent)`` pairs."""
+    return x[0] * y[0], x[1] + y[1]
+
+
+def _neg(v):
+    return -v[0], v[1]
+
+
+def _scaled(k, v):
+    """The pair ``v`` times the integer ``k``, exactly."""
+    return k * v[0], v[1]
+
+
+def _sum(terms, prec=None, floor=None):
+    """The sum of the signed ``(mantissa, exponent)`` pairs ``terms`` as one
+    pair, not rounded; a sum that is exactly zero is ``_ZERO``.  By default
+    the sum is exact.  With ``prec``, every term is cut ``_FLOOR_BITS`` bits
+    below the last bit at ``prec`` of the largest nonzero term, losing less
+    than ``2**-(prec + _FLOOR_BITS - 1)`` of it per term.  With ``floor``,
+    the cut is ``floor`` bits below the largest exponent of a nonzero term,
+    or at the least one, whichever is higher: terms whose exponents lie
+    within ``floor`` bits of each other add up exactly."""
+    if prec is None:
+        es = [e for m, e in terms if m] or [0]
+        f = min(es) if floor is None else max(min(es), max(es) - floor)
+    else:
+        f = max([e + m.bit_length() for m, e in terms]) - prec - _FLOOR_BITS
+    s = 0
+    for m, e in terms:
+        s += m << e - f if e >= f else m >> f - e
+    return (s, f) if s else _ZERO
+
+
+def _round(x, prec):
+    """The pair ``x`` rounded to ``prec`` bits, to nearest with ties to even
+    (as libmp's ``round_nearest``)."""
+    s, f = x
+    n = s.bit_length() - prec
+    if n <= 0:
+        return x
+    q = s >> n
+    r, half = s - (q << n), 1 << n - 1
+    return q + (r > half or r == half and q & 1), f + n
+
+
+def _quotient(num, den, prec):
+    """The pair ``num`` over the pair ``den``, rounded once to ``prec`` bits:
+    the integer quotient keeps at least ``prec + 1`` bits and a sticky bit
+    for its remainder.  A zero ``den`` raises ``ZeroDivisionError`` (from
+    ``divmod``), as libmp's ``mpf_div`` does."""
+    (a, ea), (b, eb) = num, den
+    if not a and b:
+        return _ZERO
+    k = max(0, prec + 1 + b.bit_length() - a.bit_length())
+    q, r = divmod(abs(a) << k, abs(b))
+    q = 2 * q + (r > 0)
+    return _round((-q if (a < 0) != (b < 0) else q, ea - eb - k - 1), prec)
+
+
+def _below(v, w):
+    """``|v| <= |w|`` for the pairs ``v`` and ``w``."""
+    (mv, ev), (mw, ew) = v, w
+    if not mv or not mw:
+        return not mv
+    mv, mw = abs(mv), abs(mw)
+    tv, tw = ev + mv.bit_length(), ew + mw.bit_length()
+    if tv != tw:
+        return tv < tw
+    e = min(ev, ew)
+    return mv << ev - e <= mw << ew - e
+
+
+def _negligible(v, w, eps):
+    """The step guards' test ``|v| <= 2^eps |w|``."""
+    return _below(v, (w[0], w[1] + eps))
+
+
 @dataclass(frozen=True)
 class PrecisionCtx:
     """Working precision: ``bits``, the significand precision in binary

@@ -4,8 +4,9 @@ Everything here is driven by quotients of leading principal minors of the
 two moment matrices (plain and first-column-shifted).  Gautschi's Chebyshev
 algorithm produces both families of quotients at once in O(N^2) operations
 from the power moments (two lattice series, then the Pearson recurrence).
-Both O(N^2) loops run on Python integers, one rounding per element; libmp
-sees only O(N) work.
+From the seed sums to the agreement check every number is an integer pair of
+:mod:`numerics`' kernel, rounded once per element, quotient or difference;
+libmp only rounds the rational constants in and the coefficients out.
 
 The oracle is deliberately redundant: every sequence is computed at the
 requested precision and again at twice the precision, and the two runs must
@@ -16,14 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from mpmath.libmp import (from_man_exp, from_str, fone, fzero, mpf_abs, mpf_add,
-                          mpf_div, mpf_gt, mpf_le, mpf_pos, mpf_sub, round_nearest)
+from mpmath.libmp import from_man_exp, round_nearest
 
 from .errors import InvalidCoeffs, InvalidParam, PoleHit, PrecisionExhausted
-from .numerics import GUARD_BITS
+from .numerics import (_FLOOR_BITS, _ZERO, GUARD_BITS, _below, _neg, _quotient, _round,
+                       _scaled, _sum)
 from .reporting import ResidualReport, normalized_residual
-from .weights import (_FLOOR_BITS, _ZERO, Lattice, _moment_batch_raw, _pair, _raw, moment,
-                      shifted_params)
+from .weights import Lattice, _moment_batch_raw, _rational_pair, moment, shifted_params
 
 _rnd = round_nearest
 
@@ -80,9 +80,9 @@ class XYSeq:
         return len(self.x) - 1
 
 
-def _chebyshev_quotients(moments_raw, N, bits):
+def _chebyshev_quotients(moments, N, bits):
     """Gautschi's Chebyshev algorithm (*Orthogonal Polynomials: Computation
-    and Approximation*, 2004, 2.1.7) on ``m_0 .. m_{2N+1}``, at
+    and Approximation*, 2004, 2.1.7) on the pairs ``m_0 .. m_{2N+1}``, at
     ``prec = bits + GUARD_BITS``:
 
         sigma_{k,l} = sigma_{k-1,l+1} - b_{k-1} sigma_{k-1,l} - a2_{k-1} sigma_{k-2,l}
@@ -90,23 +90,23 @@ def _chebyshev_quotients(moments_raw, N, bits):
         b[k]  = sigma_{k,k+1} / sigma_{k,k} - sigma_{k-1,k} / sigma_{k-1,k-1}
 
     from ``sigma_{-1,l} = 0`` and ``sigma_{0,l} = m_l``, for k <= l <= 2N+1-k.
-    Each sigma is a signed ``(mantissa, exponent)`` pair: exact mantissa
-    products, cut at the floor of :func:`weights._round_sum` (zero terms set
-    no floor, a zero sum stays zero) and rounded once to ``prec``, written out
-    here as it is the hot loop; only the O(N) quotients go through libmp.
-    Returns raw (a2, b) of length N+1 rounded to ``bits``.  Rows are built in
-    a fixed order, so growing N leaves the leading quotients bit-identical.
-    A zero diagonal entry raises ``ZeroDivisionError``.
+    Each sigma is one sum of exact mantissa products, cut at the floor of
+    :func:`numerics._sum` with ``prec`` and rounded once, ties to even,
+    written out here as it is the hot loop; each quotient, and each ``b[k]``
+    as the exact difference of two, is rounded once.  Returns (a2, b) of
+    length N+1 as pairs rounded to ``bits``.  Rows are built in a fixed
+    order, so growing N leaves the leading quotients bit-identical.  A zero
+    diagonal entry raises ``ZeroDivisionError``.
     """
     prec = bits + GUARD_BITS
     top, drop = 2 * N + 2, prec + _FLOOR_BITS
-    prev, row = [_ZERO] * top, [_pair(m) for m in moments_raw[:top]]
-    diag = moments_raw[0]
-    q = mpf_div(moments_raw[1], diag, prec, _rnd)
-    a2_k, b_k = fzero, q
-    a2, b = [fzero], [mpf_pos(q, bits, _rnd)]
+    prev, row = [_ZERO] * top, list(moments[:top])
+    diag = row[0]
+    q = _quotient(row[1], diag, prec)
+    a2_k, b_k = _ZERO, q
+    a2, b = [_ZERO], [_round(q, bits)]
     for k in range(1, N + 1):
-        (mb, eb), (ma, ea) = _pair(b_k), _pair(a2_k)
+        (mb, eb), (ma, ea) = b_k, a2_k
         new = [_ZERO] * top
         for l in range(k, top - k):
             (m1, e1), (m2, e2), (m3, e3) = row[l + 1], row[l], prev[l]
@@ -117,13 +117,13 @@ def _chebyshev_quotients(moments_raw, N, bits):
                  - (m3 << e3 - f if e3 >= f else m3 >> f - e3))
             if s:
                 n = s.bit_length() - prec
-                new[l] = ((s + (1 << n - 1)) >> n, f + n) if n > 0 else (s, f)
-        dk = from_man_exp(*new[k])
-        a2_k = mpf_div(dk, diag, prec, _rnd)
-        q_k = mpf_div(from_man_exp(*new[k + 1]), dk, prec, _rnd)
-        b_k, q, diag = mpf_sub(q_k, q, prec, _rnd), q_k, dk
-        a2.append(mpf_pos(a2_k, bits, _rnd))
-        b.append(mpf_pos(b_k, bits, _rnd))
+                new[l] = ((s + (1 << n - 1) - 1 + (s >> n & 1)) >> n, f + n) if n > 0 else (s, f)
+        dk = new[k]
+        a2_k = _quotient(dk, diag, prec)
+        q_k = _quotient(new[k + 1], dk, prec)
+        b_k, q, diag = _round(_sum([q_k, _neg(q)]), prec), q_k, dk
+        a2.append(_round(a2_k, bits))
+        b.append(_round(b_k, bits))
         prev, row = row, new
     return a2, b
 
@@ -132,10 +132,10 @@ def coeffs_oracle(params, N: int, ctx) -> CoeffSeq:
     """Recurrence coefficients to order N, certified by precision doubling.
 
     The computation runs at ctx.bits and at 2*ctx.bits; if any coefficient
-    disagrees beyond ten significant digits between the two runs the whole
-    call fails with PrecisionExhausted instead of returning doubtful values.
-    The shifted lattice routes through the parameter transform, shifting b
-    back by 1 - gamma.
+    disagrees beyond ten significant digits between the two runs
+    (``|lo - hi| 10^10 > |hi|``) the whole call fails with PrecisionExhausted
+    instead of returning doubtful values.  The shifted lattice routes through
+    the parameter transform, shifting b back by 1 - gamma in an exact sum.
     """
     if N < 0:
         raise InvalidParam("N must be >= 0")
@@ -153,37 +153,31 @@ def coeffs_oracle(params, N: int, ctx) -> CoeffSeq:
     a2_lo, b_lo = quotients(ctx.bits)
     hb = 2 * ctx.bits
     a2_hi, b_hi = quotients(hb)
-    tol, mk = from_str("1e-10", hb, _rnd), ctx.mp.make_mpf
 
     def _agree(lo, hi, label, n):
-        if hi == fzero:
-            ok = lo == fzero
-        else:
-            gap = mpf_abs(mpf_sub(lo, hi, hb, _rnd), hb, _rnd)
-            ok = mpf_le(mpf_div(gap, mpf_abs(hi, hb, _rnd), hb, _rnd), tol)
-        if not ok:
+        if not _below(_scaled(10**10, _sum([lo, _neg(hi)])), hi):
             raise PrecisionExhausted(
                 f"{label}[{n}] agrees to fewer than 10 digits between "
                 f"{ctx.bits}- and {hb}-bit runs; raise bits"
             )
         return hi
 
-    a2_out, b_out = [mk(fzero)], []
+    def out(v):
+        return ctx.mp.make_mpf(from_man_exp(*v, ctx.bits, _rnd))
+
+    a2_out, b_out = [out(_ZERO)], []
     shifted = params.lattice is Lattice.SHIFTED
-    shift = mpf_sub(fone, _raw(params.gamma, hb), hb, _rnd) if shifted else None
+    shift = _rational_pair(1 - params.gamma, hb) if shifted else _ZERO
     for n in range(N + 1):
-        bv = _agree(b_lo[n], b_hi[n], "b", n)
-        if shift is not None:
-            bv = mpf_add(bv, shift, hb, _rnd)
-        b_out.append(mk(mpf_pos(bv, ctx.bits, _rnd)))
+        b_out.append(out(_sum([_agree(b_lo[n], b_hi[n], "b", n), shift])))
         if n >= 1:
             av = _agree(a2_lo[n], a2_hi[n], "a2", n)
-            if not mpf_gt(av, fzero):
+            if av[0] <= 0:
                 raise PrecisionExhausted(
                     f"a2[{n}] lost positivity at {hb} bits; "
                     "the Hankel chain is below working precision"
                 )
-            a2_out.append(mk(mpf_pos(av, ctx.bits, _rnd)))
+            a2_out.append(out(av))
     return CoeffSeq(params=params, a2=a2_out, b=b_out, ctx=ctx)
 
 

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from mpmath.libmp import from_man_exp, from_rational, mpf_div, mpf_gt, mpf_pos, round_nearest
+from mpmath.libmp import from_man_exp, from_rational, round_nearest
 
 from .errors import InvalidParam, NonConvergent
-from .numerics import GUARD_BITS
+from .numerics import GUARD_BITS, _below, _neg, _pair, _quotient, _round, _sum, _times
 
 _RND = round_nearest
 
@@ -182,9 +182,9 @@ def _effective_cap(c, prec):
     return cap
 
 
-def _raw(q, prec):
-    """Raw mpf of the exact rational ``q``, correctly rounded to ``prec``."""
-    return from_rational(q.numerator, q.denominator, prec, _RND)
+def _rational_pair(q, prec):
+    """The rational ``q`` rounded to ``prec`` bits, as libmp normalizes it (odd mantissa)."""
+    return _pair(from_rational(q.numerator, q.denominator, prec, _RND))
 
 
 # Bound of the seed-sum memo, in (params, precision) pairs.  One Toda sweep or
@@ -194,9 +194,9 @@ _SEED_MEMO_SIZE = 256
 
 @lru_cache(maxsize=_SEED_MEMO_SIZE)
 def _seed_sums(params, prec):
-    """Raw ``(m_0, m_1)`` at ``prec`` bits (``bits`` plus guard bits): the
-    lattice series of ``w_k`` and ``k w_k``, summed in one pass in
-    fixed-point ints.
+    """``(m_0, m_1)`` as ``(mantissa, exponent)`` pairs at ``prec`` bits
+    (``bits`` plus guard bits): the lattice series of ``w_k`` and ``k w_k``,
+    summed in one pass in fixed-point ints.
 
     Each weight follows from the last by one exact integer ratio: with
     ``alpha = pa/qa`` and likewise for beta, gamma and c,
@@ -247,79 +247,12 @@ def _seed_sums(params, prec):
             err = 1 - (-err * num // den)
             k += 1
         if e0 << prec + 1 <= s0 and e1 << prec + 1 <= s1:
-            return from_man_exp(s0, -frac, prec, _RND), from_man_exp(s1, -frac, prec, _RND)
+            return _round((s0, -frac), prec), _round((s1, -frac), prec)
         frac += max(e.bit_length() + prec + 2 - s.bit_length() for s, e in ((s0, e0), (s1, e1)))
 
 
-# Bits an integer sum keeps below its largest term's last bit at ``prec``; and
-# zero as a ``(mantissa, exponent)`` pair, whose exponent never sets that floor.
-_FLOOR_BITS = 32
-_ZERO = (0, -(1 << 62))
-
-
-def _pair(x):
-    """Raw mpf ``x`` as a signed ``(mantissa, exponent)`` pair."""
-    sign, man, exp, _ = x
-    return (-man if sign else man, exp) if man else _ZERO
-
-
-def _times(x, y):
-    """Exact product of two ``(mantissa, exponent)`` pairs."""
-    return x[0] * y[0], x[1] + y[1]
-
-
-def _sum(terms, prec=None, floor=_FLOOR_BITS):
-    """The sum of the signed ``(mantissa, exponent)`` pairs ``terms`` as one
-    pair, not rounded.  Every term is cut (floored) at ``floor`` bits below
-    the last bit at ``prec`` of the largest nonzero term, losing less than
-    ``2**-(prec + floor - 1)`` of it per term.  With ``prec`` None the cut
-    is ``floor`` bits below the largest exponent of a nonzero term, or at the
-    least one, whichever is higher: terms whose exponents lie within
-    ``floor`` bits of each other add up exactly.  A sum that is exactly zero
-    is ``_ZERO``."""
-    if prec is None:
-        es = [e for m, e in terms if m]
-        f = max(min(es), max(es) - floor) if es else 0
-    else:
-        f = max([e + m.bit_length() for m, e in terms]) - prec - floor
-    s = 0
-    for m, e in terms:
-        s += m << e - f if e >= f else m >> f - e
-    return (s, f) if s else _ZERO
-
-
-def _round(x, prec):
-    """The pair ``x`` rounded to ``prec`` bits, to nearest with ties to even
-    (as libmp's ``round_nearest``)."""
-    s, f = x
-    n = s.bit_length() - prec
-    if n <= 0:
-        return x
-    q = s >> n
-    r, half = s - (q << n), 1 << n - 1
-    return q + (r > half or r == half and q & 1), f + n
-
-
-def _round_sum(terms, prec):
-    """:func:`_sum` of ``terms`` at ``prec``, rounded once to ``prec`` bits."""
-    return _round(_sum(terms, prec), prec)
-
-
-def _quotient(num, den, prec):
-    """The pair ``num`` over the nonzero pair ``den``, rounded once to
-    ``prec`` bits: the integer quotient keeps at least ``prec + 1`` bits and
-    a sticky bit for its remainder."""
-    (a, ea), (b, eb) = num, den
-    if not a:
-        return _ZERO
-    k = max(0, prec + 1 + b.bit_length() - a.bit_length())
-    q, r = divmod(abs(a) << k, abs(b))
-    q = 2 * q + (r > 0)
-    return _round((-q if (a < 0) != (b < 0) else q, ea - eb - k - 1), prec)
-
-
 def _moment_batch_raw(params, count, bits, guard=GUARD_BITS):
-    """Moments ``m_0 .. m_{count-1}`` as raw mpfs at ``bits + guard`` or more.
+    """Moments ``m_0 .. m_{count-1}`` as pairs at ``bits + guard`` or more.
 
     ``m_0`` and ``m_1`` come from :func:`_seed_sums` (memoized).  The rest
     follow from the Pearson relation ``w_{k+1} (gamma+k)(k+1) = c (alpha+k)(beta+k) w_k``
@@ -327,8 +260,8 @@ def _moment_batch_raw(params, count, bits, guard=GUARD_BITS):
     + alpha beta m_i``, ``m_{n+2} + (gamma-1) m_{n+1} = c sum_{i<=n} C(n,i) U_i``.
     With ``tail = (alpha+beta) m_{n+1} + alpha beta m_n``, each of
     ``tail + sum_{i<n} C(n,i) U_i``, ``m_{n+2}`` and ``U_n`` is one integer
-    sum of exact mantissa products with one rounding (:func:`_round_sum`),
-    so the O(count^2) binomial loop makes no libmp call.
+    sum of exact mantissa products rounded once (:func:`numerics._sum`), so
+    the O(count^2) binomial loop makes no libmp call.
 
     For gamma > 1, solving for ``m_{n+2}`` cancels until ``m_{n+2}/m_{n+1}``
     (which only grows) passes ``(gamma-1)/(1-c)``.  The bits lost up to there,
@@ -340,36 +273,35 @@ def _moment_batch_raw(params, count, bits, guard=GUARD_BITS):
     """
     prec = bits + guard
     p = params
-    out = list(_seed_sums(p, prec))
-    moms = [_pair(m) for m in out]
-    ab_sum, ab_prod, ratio, shift = (_pair(_raw(q, prec)) for q in (
+    moms = list(_seed_sums(p, prec))
+    ab_sum, ab_prod, ratio, shift = (_rational_pair(q, prec) for q in (
         p.alpha + p.beta, p.alpha * p.beta, p.c / (1 - p.c), (p.gamma - 1) / (1 - p.c)))
     U, lost, n, cancels = [], 0.0, 0, p.gamma > 1 and count > 2
     while n < count - 2 or cancels:
         tail = [_times(ab_sum, moms[n + 1]), _times(ab_prod, moms[n])]
-        acc = _round_sum(tail + [(math.comb(n, i) * u, e) for i, (u, e) in enumerate(U)], prec)
+        acc = _round(_sum(tail + [(math.comb(n, i) * u, e) for i, (u, e) in enumerate(U)], prec),
+                     prec)
         big = _times(shift, moms[n + 1])
-        m = _round_sum([_times(ratio, acc), (-big[0], big[1])], prec)
+        m = _round(_sum([_times(ratio, acc), _neg(big)], prec), prec)
         if lost >= prec or m[0] <= 0:  # every bit lost (moments are > 0)
             lost = max(lost, prec)
             break
-        big_raw, m_raw = from_man_exp(*big), from_man_exp(*m)
-        cancels = mpf_gt(big_raw, m_raw)
+        cancels = big[0] > 0 and not _below(big, m)
         if cancels:
-            _, man, exp, _ = mpf_div(big_raw, m_raw, 53, _RND)
-            lost += math.log2(man) + exp
+            man, exp = _quotient(big, m, 53)
+            t = (man & -man).bit_length() - 1  # the odd mantissa libmp would keep
+            lost += math.log2(man >> t) + (exp + t)
         moms.append(m)
-        out.append(m_raw)
-        U.append(_round_sum([m] + tail, prec))
+        U.append(_round(_sum([m] + tail, prec), prec))
         n += 1
     if lost > guard / 2:
-        return out[:2] + _moment_batch_raw(params, count, bits, 2 * math.ceil(lost))[2:]
-    return out[:count]
+        return moms[:2] + _moment_batch_raw(params, count, bits, 2 * math.ceil(lost))[2:]
+    return moms[:count]
 
 
 def _moment_list(params, count, ctx):
     moms = _moment_batch_raw(params, count, ctx.bits)
-    return [ctx.mp.make_mpf(mpf_pos(m, ctx.bits, _RND)) for m in moms]
+    return [ctx.mp.make_mpf(from_man_exp(*m, ctx.bits, _RND)) for m in moms]
 
 
 def moment(params, n, ctx):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from mpmath.libmp import from_man_exp, from_rational, round_nearest, to_rational
 
 import hypopq as H
+from hypopq.asymptotics import perturbation_study
 from hypopq.dpainleve import (
     _dp1,
     _dp2,
@@ -26,9 +27,9 @@ from hypopq.dpainleve import (
     iterate,
 )
 from hypopq.errors import InvalidParam, PrecisionExhausted, SingularStep
-from hypopq.numerics import GUARD_BITS
+from hypopq.numerics import GUARD_BITS, _pair
 from hypopq.oracle import XYSeq, coeffs_oracle, xy_from_coeffs
-from hypopq.weights import Lattice, Params, _pair, initial_xy
+from hypopq.weights import Lattice, Params, initial_xy
 
 from conftest import asym_params, meixner_params, sym_params
 
@@ -336,6 +337,23 @@ def test_iterate_validation(ctx256):
         iterate(asym_params(), -1, ctx256)
     empty = iterate(asym_params(), 0, ctx256)
     assert len(empty.x) == 1 and len(empty.S) == 2
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_seeds_refused(ctx128, bad):
+    # libmp stores NaN and the infinities with a zero mantissa; read as pairs
+    # they must not pass for zero (x_0 = nan used to run the orbit of x_0 = 0)
+    p, v = Params(F(3, 2), 3, F(1, 3), F(1, 2)), ctx128.mp.mpf(bad)
+    for seed in ((v, ctx128.mp.mpf(0)), (ctx128.real(F(6, 5)), v)):
+        with pytest.raises(InvalidParam):
+            iterate(p, 3, ctx128, seed=seed)
+    with pytest.raises(InvalidParam):
+        perturbation_study(p, [F(1, 10**6)], 3, ctx128, seed_x0=float(bad))
+    xy = iterate(p, 3, ctx128)
+    x = list(xy.x)
+    x[2] = ctx128.mp.nan
+    with pytest.raises(InvalidParam):
+        dp_residuals(XYSeq(p, x, xy.y, xy.S, ctx128))
 
 
 @settings(max_examples=10, deadline=None)

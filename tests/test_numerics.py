@@ -1,4 +1,5 @@
-"""Precision contexts, the seed-series stopping rule, stencil derivatives."""
+"""Precision contexts, the pair kernel, the seed-series stopping rule, stencil
+derivatives."""
 
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import from_man_exp, mpf_add, mpf_div, mpf_sub, round_nearest
 
 import hypopq as H
 from hypopq.errors import (
@@ -17,6 +19,11 @@ from hypopq.errors import (
 from hypopq.numerics import (
     GUARD_BITS,
     PrecisionCtx,
+    _neg,
+    _quotient,
+    _round,
+    _sum,
+    _times,
     bits_for_digits,
     central_derivative,
     default_step,
@@ -112,6 +119,45 @@ def test_to_decimal_default_digit_count(ctx256):
     assert len(mantissa) >= 78
 
 
+# ------------------------------------------------------------ pair kernel
+
+
+@st.composite
+def _kernel_case(draw):
+    """A precision and three signed pairs of ``prec + n`` bits, n in
+    0..prec+8; about half of them lie exactly halfway between two
+    ``prec``-bit values."""
+    prec = draw(st.integers(24, 1024))
+
+    def pair():
+        n = draw(st.integers(0, prec + 8))
+        top = draw(st.integers(1 << prec - 1, (1 << prec) - 1))
+        low = (1 << n) // 2 if draw(st.booleans()) else draw(st.integers(0, (1 << n) - 1))
+        return draw(st.sampled_from((1, -1))) * ((top << n) + low), draw(st.integers(-1500, 1500))
+
+    return prec, pair(), pair(), pair()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_kernel_case())
+def test_pair_kernel_matches_libmp(case):
+    # the oracle's bit-identity with libmp rests on these: _round is
+    # from_man_exp, _quotient is mpf_div and an exact _sum rounded once is
+    # mpf_add / mpf_sub, ties to even included
+    prec, x, y, t = case
+    rnd = round_nearest
+
+    def raw(v):
+        return from_man_exp(*v)  # exact
+
+    assert raw(_round(x, prec)) == from_man_exp(*x, prec, rnd)
+    for num in (x, _times(t, y)):  # t y / y is t, often a tie
+        assert raw(_quotient(num, y, prec)) == mpf_div(raw(num), raw(y), prec, rnd)
+    for u in (y, _neg(x), _sum([t, _neg(x)])):  # x + u: any, zero, t
+        assert raw(_round(_sum([x, u]), prec)) == mpf_add(raw(x), raw(u), prec, rnd)
+        assert raw(_round(_sum([x, _neg(u)]), prec)) == mpf_sub(raw(x), raw(u), prec, rnd)
+
+
 # ----------------------------------------------------- seed-series summation
 # The moment seeds m_0, m_1 are the one place a series is summed.  For
 # (alpha, beta, gamma, c) = (1, 1, 2, 1/2) the weights are w_k = 2^-k / (k+1),
@@ -129,7 +175,7 @@ def _log2(ctx):
 
 def test_sum_series_log2(ctx256):
     m0, _ = _seed_sums(LOG2_SERIES, PREC256)
-    got = ctx256.mp.make_mpf(m0)
+    got = ctx256.mp.make_mpf(from_man_exp(*m0))
     assert abs(got - 2 * _log2(ctx256)) < ctx256.mp.ldexp(1, -250)
 
 
@@ -155,7 +201,7 @@ def test_sum_series_survives_interior_dip(ctx256):
     # the m_1 series opens with 0 * w_0 = 0, below the cutoff once; the
     # three-in-a-row rule must not stop there (m_1 would read 0)
     _, m1 = _seed_sums(LOG2_SERIES, PREC256)
-    got = ctx256.mp.make_mpf(m1)
+    got = ctx256.mp.make_mpf(from_man_exp(*m1))
     assert abs(got - (2 - 2 * _log2(ctx256))) < ctx256.mp.ldexp(1, -250)
 
 

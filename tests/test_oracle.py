@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import (
     fzero,
-    from_int,
+    from_man_exp,
     from_rational,
     mpf_abs,
     mpf_add,
@@ -123,7 +123,7 @@ def test_hankel_det_singular():
     # constant moments: rank-1 Hankel matrix, D_2 = 0 exactly.  The
     # Chebyshev algorithm meets the zero quotient rather than returning
     # noise; coeffs_oracle reports it as PrecisionExhausted.
-    flat = [from_int(1)] * 6
+    flat = [(1, 0)] * 6
     with pytest.raises(ZeroDivisionError):
         _chebyshev_quotients(flat, 2, 256)
 
@@ -140,7 +140,7 @@ _rnd = round_nearest
 
 def _ref_moment_batch(p, count, bits, guard=GUARD_BITS):
     prec = bits + guard
-    moms = list(_seed_sums(p, prec))
+    moms = [from_man_exp(*m) for m in _seed_sums(p, prec)]
     add = partial(mpf_add, prec=prec, rnd=_rnd)
     mul = partial(mpf_mul, prec=prec, rnd=_rnd)
 
@@ -233,7 +233,8 @@ def test_kernels_as_accurate_as_reference_loops(name, bits, monkeypatch):
         return batch(params, count, b, guard)
 
     monkeypatch.setattr(hypopq.weights, "_moment_batch_raw", spy)
-    kernel = _quotients(spy, _chebyshev_quotients, p, N, bits)
+    kernel = [[from_man_exp(*v) for v in seq]
+              for seq in _quotients(spy, _chebyshev_quotients, p, N, bits)]
     loop = _quotients(_ref_moment_batch, _ref_chebyshev, p, N, bits)
     ref = _quotients(_ref_moment_batch, _ref_chebyshev, p, N, 4 * bits)
     assert _correct_bits(kernel, ref, bits) >= _correct_bits(loop, ref, bits) - 8
@@ -338,7 +339,7 @@ def test_coeffs_zero_hankel_names_the_run(monkeypatch):
     real = hypopq.oracle._moment_batch_raw
 
     def flat_at_512(params, count, bits):
-        return [from_int(1)] * count if bits == 512 else real(params, count, bits)
+        return [(1, 0)] * count if bits == 512 else real(params, count, bits)
 
     monkeypatch.setattr(hypopq.oracle, "_moment_batch_raw", flat_at_512)
     with pytest.raises(PrecisionExhausted, match="zero Hankel ratio at 512 bits"):
@@ -365,6 +366,10 @@ def test_coeffs_shifted_lattice(ctx256):
     for n in range(7):
         assert shifted.a2[n] == base.a2[n]
         assert abs(shifted.b[n] - (base.b[n] + off)) < 1e-70
+    # the shift is one exact sum rounded once: b_0 = 1/3 in standard form
+    # and 1 - gamma = -1/3 leave exactly 0, not the residue of rounding gamma
+    meixner = Params(1, F(8, 3), F(4, 3), F(1, 8), Lattice.SHIFTED)
+    assert coeffs_oracle(meixner, 2, ctx256).b[0] == 0
 
 
 @settings(max_examples=12, deadline=None)
