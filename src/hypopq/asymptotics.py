@@ -90,7 +90,8 @@ def perturbation_study(params, deltas, N: int, ctx, seed_x0=None) -> list:
     x0_base is the canonical seed unless ``seed_x0`` overrides it.  The
     divergence index is the first n where the perturbed orbit's distance to
     the x-limit exceeds ten times the baseline's; a singular step before
-    visible divergence is reported at its own index in ``notes``.
+    visible divergence is reported at its own index in ``notes``.  A delta
+    that leaves x0_base unchanged at ``ctx`` reports the baseline's run.
     """
     if N < 1:
         raise InvalidParam("N must be >= 1")
@@ -106,10 +107,16 @@ def perturbation_study(params, deltas, N: int, ctx, seed_x0=None) -> list:
     tx, ty = _targets(params, ctx)
     base_gap = [abs(xv - tx) for xv in base.x]
     x0 = base.x[0]
+    # the step from base's own seed repeats base bit for bit, unless base is
+    # a Meixner set's closed form, which the step cannot run
+    same = seed_x0 is not None or not params.is_meixner
     reports = []
     for delta in deltas:
-        dr = ctx.real(delta)
-        xy = iterate(params, N, ctx, seed=(x0 + dr, mp.mpf(0)))
+        seed = x0 + ctx.real(delta)
+        if same and seed == x0:
+            xy = base
+        else:
+            xy = iterate(params, N, ctx, seed=(seed, mp.mpf(0)))
         diverged = (abs(xy.x[n] - tx) > 10 * base_gap[n] for n in range(len(xy.x)))
         reports.append(_study_report(xy, diverged, (tx, ty)))
     return reports

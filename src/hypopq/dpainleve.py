@@ -14,7 +14,10 @@ original parameters on the shifted lattice k + 1 - gamma.  The steps run on
 signed ``(mantissa, exponent)`` integer pairs, as the oracle's kernels do:
 each of P, Q, D, numY and the two quartics is an exact sum of exact
 products, rounded once to nearest, and x_n, y_n become mpfs only when they
-are stored.  The consistency monitor stays in mpf operators.
+are stored.  The five cross-identities are written once, on the same pairs
+multiplied through by c^2 or c(1-c), and shared by the consistency monitor
+and :func:`dp_residuals`: the monitor decides its 1e-6 test exactly on
+integers, and a stored step costs three libmp calls with the monitor on.
 """
 
 from __future__ import annotations
@@ -26,13 +29,14 @@ from mpmath.libmp import from_man_exp, mpf_add, round_nearest
 from .errors import InvalidParam, PrecisionExhausted, SingularStep
 from .numerics import (GUARD_BITS, _ZERO, _below, _neg, _negligible, _pair, _quotient, _round,
                        _scaled, _sum, _times)
-from .oracle import XYSeq, _coeffs_at, _common_measure
-from .reporting import ResidualReport, normalized_residual
+from .oracle import XYSeq, _common_measure
+from .reporting import ResidualReport
 from .weights import Lattice, initial_xy
 
 _rnd = round_nearest
 _MONITOR_EVERY = 10
-_MONITOR_THRESHOLD = "1e-6"
+# The monitor trips where a normalized residual exceeds 1 / _MONITOR_INVERSE.
+_MONITOR_INVERSE = 10**6
 # The step's sums are exact while their terms' exponents lie within
 # 4 prec + _STEP_WINDOW_BITS bits of each other, which holds on any orbit of
 # moderate magnitude: the widest, the first-kind quartic, spans 4 prec bits.
@@ -165,61 +169,101 @@ def _dp2(k, m, x_prev, y):
     return _round(_sum([_quotient(quart, ED, prec), _neg(Y)], floor=window), prec)
 
 
-def _cross_terms(a, bta, g, c, n, x, y, S, b_n, a2_n, a2_next=None):
+def _cross_terms(k, n, x, y, S, A, B, A_next=None):
     """Additive terms ``(lhs, rhs)`` of the five cross-identities tying
-    (x, y, S) to (a2, b) at index n, by name.
+    (x, y, S) to (a2, b) at index n, by name, as exact pairs.
 
-    An identity that reaches past the data is left out: those that need
-    index n+1 appear only when ``a2_next`` (a2 at n+1) is given, and those
+    ``x``, ``y`` and ``S`` map the indices n-1 .. n+1 to pairs; with
+    ``d = 1 - c``, ``A = d^2 a2_n``, ``B = c d b_n`` and ``A_next = d^2
+    a2_{n+1}``.  Each identity, as written with ``(1-c)/c``, is multiplied
+    through by c^2 or by c d, so every term is a polynomial in pairs and
+    the ratio |sum(lhs) - sum(rhs)| / max |term| (:func:`_residual`) is
+    unchanged.  An identity that reaches past the data is left out: those
+    that need index n+1 appear only when ``A_next`` is given, and those
     that need n-1 only for n >= 1.
     """
-    q = (1 - c) / c
-    out = {}
-    if a2_next is not None:
+    _, window, _, c, (ab, apb, *_), second = k
+    g, g1 = second[6:8]
+    d = _sum([_ONE, _neg(c)])
+    cc, cd = _times(c, c), _times(c, d)
+    cdn = _times(cd, _sum([apb, (n, 0)]))  # c d (a + b + n)
+    xn, yn, out = x[n], y[n], {}
+    if A_next is not None:
+        y1 = y[n + 1]
         out["y_pair_sum"] = (
-            [y[n + 1], y[n]],
-            [-q * b_n * x[n], a * bta, -g / c, q * S[n + 1]],
+            [_times(cc, y1), _times(cc, yn)],
+            [_neg(_times(B, xn)), _times(cc, ab), _neg(_times(c, g)), _times(cd, S[n + 1])],
         )
         out["a2_difference"] = (
-            [q * a2_next, -q * a2_n],
-            [y[n + 1], -y[n], b_n, a + bta + n],
+            [A_next, _neg(A)],
+            [_times(cd, y1), _neg(_times(cd, yn)), B, cdn],
         )
     if n < 1:
         return out
-    if a2_next is not None:
+    x_prev = x[n - 1]
+    if A_next is not None:
         out["a2x_difference"] = (
-            [q * a2_next * x[n + 1], -q * a2_n * x[n - 1]],
-            [-b_n * (y[n + 1] - y[n]), a * bta, -y[n]],
+            [_times(A_next, x[n + 1]), _neg(_times(A, x_prev))],
+            [_neg(_times(B, _sum([y1, _neg(yn)], floor=window))), _times(cd, ab),
+             _neg(_times(cd, yn))],
         )
+    yab = _sum([yn, _neg(ab)], floor=window)
     out["a2_x_product"] = (
-        [q * q * a2_n * x[n] * x[n - 1]],
-        [y[n] * (y[n] - a * bta + g / c), -(y[n] - a * bta) * q * S[n]],
+        [_times(A, _times(xn, x_prev))],
+        [_times(yn, _sum([_times(cc, yab), _times(c, g)], floor=window)),
+         _neg(_times(yab, _times(cd, S[n])))],
     )
     out["a2_x_sum"] = (
-        [q * q * a2_n * (x[n] + x[n - 1])],
-        [
-            -y[n] * (n * (1 + c) / c + a + bta - (g + 1) / c),
-            (a * bta - g) * n / c,
-            (a + bta + n) * q * S[n],
-        ],
+        [_times(A, _sum([xn, x_prev], floor=window))],
+        [_neg(_times(yn, _sum([_scaled(n, _sum([c, cc])), _times(cc, apb), _neg(_times(c, g1))],
+                              floor=window))),
+         _scaled(n, _times(c, _sum([ab, _neg(g)]))),
+         _times(cdn, S[n])],
     )
     return out
 
 
-def _monitor_residual(mp, a, bta, g, c, x, y, S, m):
-    """Max of the five cross-identity residuals at index m (1 <= m < len-1),
-    with a2 and b reconstructed from (x, y, S) at m and m+1 only.
+def _residual(lhs, rhs, window):
+    """``(|sum(lhs) - sum(rhs)|, max |term|)`` of one identity's pair terms;
+    the normalized residual is their quotient, and zero where every term is."""
+    top = _ZERO
+    for t in lhs + rhs:
+        if not _below(t, top):
+            top = t
+    s, f = _sum([*lhs, *map(_neg, rhs)], floor=window)
+    return (abs(s), f), (abs(top[0]), top[1])
 
-    The a2-difference relation is identically satisfied under this
-    reconstruction (it telescopes), so the signal comes from the other
-    four; it is kept for uniformity.  It makes 37 of the 255 libmp entry
-    calls of one evaluation (14.5%; counted with ``sys.setprofile`` on
-    (3/2, 3, 1/3, 1/2) at 256 bits, N = 400, on both lattices).
+
+def _monitor_trips(k, x, y, S, m):
+    """Whether any of the five cross-identities at index m (1 <= m <
+    len(x) - 1) has a normalized residual above 10^-6, that is
+    ``10^6 |sum(lhs) - sum(rhs)| > max |term|``, decided on integers.
+
+    Only the stored values at m-1 .. m+1 are read, as pairs.  ``A = d^2 a2``
+    and ``B = c d b`` (d = 1 - c) are rebuilt from them at m and m+1 by the
+    map of :func:`oracle.coeffs_from_xy` multiplied through, with no
+    division: ``A = c (d (y + S) + n (n - 1 + a + b - g))`` and
+    ``B = c (d x + n + (n + a + b) c - g)``.  Every sum is exact while its
+    terms' exponents lie within the step's window (:func:`_invariants`).
+    Under this reconstruction the a2-difference residual is only the
+    rounding of S_{m+1} = S_m + x_m.
     """
-    a2m, bm = _coeffs_at(mp, a, bta, g, c, x, y, S, m)
-    a2m1, _ = _coeffs_at(mp, a, bta, g, c, x, y, S, m + 1)
-    terms = _cross_terms(a, bta, g, c, m, x, y, S, bm, a2m, a2m1)
-    return max(normalized_residual(mp, lhs, rhs) for lhs, rhs in terms.values())
+    _, window, _, c, (_, apb, *_), second = k
+    g, d = second[6], _sum([_ONE, _neg(c)])
+    px = {i: _pair(x[i]._mpf_) for i in (m - 1, m, m + 1)}
+    py, pS = ({i: _pair(v[i]._mpf_) for i in (m, m + 1)} for v in (y, S))
+
+    def a2(n):
+        return _times(c, _sum([_times(d, py[n]), _times(d, pS[n]), (n * (n - 1), 0),
+                               _scaled(n, apb), _scaled(-n, g)], floor=window))
+
+    B = _times(c, _sum([_times(d, px[m]), (m, 0), _scaled(m, c), _times(apb, c), _neg(g)],
+                       floor=window))
+    for lhs, rhs in _cross_terms(k, m, px, py, pS, a2(m), B, a2(m + 1)).values():
+        diff, top = _residual(lhs, rhs, window)
+        if not _below(_scaled(_MONITOR_INVERSE, diff), top):
+            return True
+    return False
 
 
 def _targets(params, ctx):
@@ -260,9 +304,7 @@ def iterate(params, N: int, ctx, seed=None, strict: bool = False) -> XYSeq:
 
     x0, y0 = initial_xy(params, ctx) if canonical else (ctx.real(seed[0]), ctx.real(seed[1]))
 
-    a, bta, g, c = params.as_reals(ctx)
     k = _invariants(params, ctx)
-    threshold = mp.mpf(_MONITOR_THRESHOLD)
     x, y, S = [x0], [y0], [mp.mpf(0), x0]
     failure = suspect = None
     xp, yp, sr = _pair(x0._mpf_), _pair(y0._mpf_), x0._mpf_  # pairs between steps
@@ -282,7 +324,7 @@ def iterate(params, N: int, ctx, seed=None, strict: bool = False) -> XYSeq:
         S.append(mp.make_mpf(sr))
         j = n + 1
         if canonical and suspect is None and j >= 2 and j % _MONITOR_EVERY == 0:
-            if _monitor_residual(mp, a, bta, g, c, x, y, S, j - 1) > threshold:
+            if _monitor_trips(k, x, y, S, j - 1):
                 suspect = j - 1
                 if strict:
                     raise PrecisionExhausted(
@@ -299,45 +341,53 @@ def dp_residuals(xy: XYSeq, coeffs=None) -> ResidualReport:
 
     Base entries "dp1" and "dp2" need only (x, y).  A CoeffSeq of the same
     params and ctx (else ``InvalidParam``) adds five cross-identities tying
-    (x, y, S) to (a2, b).  All residuals are normalized by the largest
-    additive term.  The relations take the same parameter form on both
-    lattices, so no transform is applied here.
+    (x, y, S) to (a2, b) (:func:`_cross_terms`, which the monitor shares).
+    Every residual is |sum(lhs) - sum(rhs)| over the largest additive term,
+    both exact on the pairs of the stored values, as one quotient rounded
+    once.  The relations take the same parameter form on both lattices, so
+    no transform is applied here.
     """
     params, ctx = (xy.params, xy.ctx) if coeffs is None else _common_measure(xy, coeffs)
     mp = ctx.mp
     k = _invariants(params, ctx)
     prec, window, _, cp = k[:4]
 
-    def mk(v):
-        return mp.make_mpf(from_man_exp(*v, prec, _rnd))
+    def ratio(lhs, rhs):
+        diff, top = _residual(lhs, rhs, window)
+        return mp.make_mpf(from_man_exp(*_quotient(diff, top, prec))) if top[0] else mp.zero
+
+    def pairs(seq):
+        return [_pair(ctx.real(v)._mpf_) for v in seq]
 
     rep = ResidualReport(ctx=ctx)
     N = xy.N
-    x, y, S = xy.x, xy.y, xy.S
-    px, py = ([_pair(ctx.real(v)._mpf_) for v in seq] for seq in (x, y))
+    px, py = pairs(xy.x), pairs(xy.y)
     for n in range(N):
         P, Q, quart = _first_kind(k, n, px[n], py[n], py[n + 1])
-        rep.add("dp1", n, normalized_residual(mp, [mk(_times(_times(cp, P), Q))], [mk(quart)]))
+        rep.add("dp1", n, ratio([_times(_times(cp, P), Q)], [quart]))
     for m in range(1, N + 1):
         D, numY, quart = _second_kind(k, m, py[m])
         if not D[0]:  # Y = numY / D is undefined
             rep.add("dp2", m, mp.inf)
             continue
         lhs = _times(*(_sum([_times(v, D), numY], floor=window) for v in (px[m], px[m - 1])))
-        rep.add("dp2", m, normalized_residual(mp, [mk(lhs)], [mk(quart)]))
+        rep.add("dp2", m, ratio([lhs], [quart]))
 
     if coeffs is None:
         return rep
-    a, bta, g, c = params.as_reals(ctx)
-    a2, b = coeffs.a2, coeffs.b
     NN = min(N, coeffs.N)
-    terms = [
-        _cross_terms(a, bta, g, c, n, x, y, S, b[n], a2[n], a2[n + 1] if n < NN else None)
+    pS, a2, b = pairs(xy.S), pairs(coeffs.a2[:NN + 1]), pairs(coeffs.b[:NN + 1])
+    d = _sum([_ONE, _neg(cp)])
+    dd, cd = _times(d, d), _times(cp, d)
+    ratios = [
+        {name: ratio(*terms) for name, terms in _cross_terms(
+            k, n, px, py, pS, _times(dd, a2[n]), _times(cd, b[n]),
+            _times(dd, a2[n + 1]) if n < NN else None).items()}
         for n in range(NN + 1)
     ]
     for names in _CROSS_ORDER:
-        for n, found in enumerate(terms):
+        for n, found in enumerate(ratios):
             for name in names:
                 if name in found:
-                    rep.add(name, n, normalized_residual(mp, *found[name]))
+                    rep.add(name, n, found[name])
     return rep

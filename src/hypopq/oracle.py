@@ -307,20 +307,15 @@ def xy_from_coeffs(coeffs: CoeffSeq) -> XYSeq:
     return XYSeq(params=params, x=x, y=y, S=S, ctx=ctx)
 
 
-def _coeffs_at(mp, a, bta, g, c, x, y, S, n):
-    """``(a2[n], b[n])`` from the Painleve variables at index n."""
-    b = x[n] + (n + (n + a + bta) * c - g) / (1 - c)
-    a2 = c / (1 - c) * (y[n] + S[n] + mp.mpf(n) * (n + a + bta - g - 1) / (1 - c))
-    return a2, b
-
-
 def coeffs_from_xy(xy: XYSeq) -> CoeffSeq:
     """Inverse of xy_from_coeffs; also lattice-independent."""
+    mp = xy.ctx.mp
     a, bta, g, c = xy.params.as_reals(xy.ctx)
-    pairs = [_coeffs_at(xy.ctx.mp, a, bta, g, c, xy.x, xy.y, xy.S, n) for n in range(xy.N + 1)]
-    return CoeffSeq(
-        params=xy.params, a2=[p[0] for p in pairs], b=[p[1] for p in pairs], ctx=xy.ctx
-    )
+    a2, b = [], []
+    for n in range(xy.N + 1):
+        b.append(xy.x[n] + (n + (n + a + bta) * c - g) / (1 - c))
+        a2.append(c / (1 - c) * (xy.y[n] + xy.S[n] + mp.mpf(n) * (n + a + bta - g - 1) / (1 - c)))
+    return CoeffSeq(params=xy.params, a2=a2, b=b, ctx=xy.ctx)
 
 
 def eval_orthonormal(coeffs: CoeffSeq, x, nmax: int) -> list:

@@ -5,13 +5,16 @@ from fractions import Fraction
 import pytest
 
 import hypopq as H
+import hypopq.asymptotics
 from hypopq.asymptotics import (
     StudyReport,
+    _study_report,
     _targets,
     limit_report,
     perturbation_study,
     precision_study,
 )
+from hypopq.dpainleve import iterate
 from hypopq.errors import InvalidParam, PrecisionExhausted
 from hypopq.numerics import bits_for_digits
 from hypopq.weights import Lattice
@@ -81,6 +84,38 @@ def test_perturbation_study_seed_override(ctx128):
     # the seed x_0 = gamma makes the first step singular: there is no baseline
     with pytest.raises(PrecisionExhausted, match="baseline run hit a singular step at n=0"):
         perturbation_study(H.Params(3, 2, 3, F(1, 2)), [0], 10, ctx128, seed_x0=3)
+
+
+def test_perturbation_study_reuses_baseline(ctx128, monkeypatch):
+    # a delta that leaves x_0 unchanged (0, or one below half an ulp) seeds
+    # the baseline's own orbit, so the baseline stands in for its run
+    runs = []
+
+    def spy(*args, **kwargs):
+        runs.append(kwargs.get("seed"))
+        return iterate(*args, **kwargs)
+
+    monkeypatch.setattr(hypopq.asymptotics, "iterate", spy)
+    p = asym_params()
+    deltas = [0, F(1, 10**6), F(1, 10**60), -F(1, 10**6)]
+    reports = perturbation_study(p, deltas, 60, ctx128)
+    assert len(runs) == 3  # the baseline and the two deltas that move x_0
+    base = iterate(p, 60, ctx128)
+    seeded = iterate(p, 60, ctx128, seed=(base.x[0], 0))
+    assert seeded.x == base.x and seeded.y == base.y
+    tx, ty = _targets(p, ctx128)
+    want = _study_report(seeded, [False] * len(seeded.x), (tx, ty))
+    assert reports[0] == reports[2] == want
+    # with a seed override the baseline is itself a seeded run
+    runs.clear()
+    perturbation_study(p, [0, 0], 20, ctx128, seed_x0=F(6, 5))
+    assert len(runs) == 1
+    # a Meixner set's baseline is its closed form; the step from x_0 = gamma
+    # is singular at once, so delta 0 still runs and reports that
+    runs.clear()
+    (zero,) = perturbation_study(meixner_params(), [0], 10, ctx128)
+    assert len(runs) == 2
+    assert (zero.divergence_index, zero.notes) == (0, "singular step at n=0")
 
 
 def test_precision_study():

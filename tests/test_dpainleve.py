@@ -21,8 +21,8 @@ from hypopq.dpainleve import (
     _dp2,
     _first_kind,
     _invariants,
+    _monitor_trips,
     _second_kind,
-    _monitor_residual,
     dp_residuals,
     iterate,
 )
@@ -434,15 +434,95 @@ def test_dp_residuals_detect_tampering(ctx256):
 
 
 def test_monitor_reacts_to_corruption(ctx256):
-    # unit check of the internal monitor: a clean orbit scores ~0, a
-    # corrupted one above the 1e-6 threshold
+    # unit check of the internal monitor: a clean orbit does not trip, a
+    # corrupted one (x_9 off by 1e-3 relative) does
     p = asym_params()
     xy = iterate(p, 12, ctx256)
-    mp = ctx256.mp
-    a, b, g, c = p.as_reals(ctx256)
-    clean = _monitor_residual(mp, a, b, g, c, xy.x, xy.y, xy.S, 9)
-    assert clean < 1e-60
+    k = _invariants(p, ctx256)
+    assert not _monitor_trips(k, xy.x, xy.y, xy.S, 9)
     bad_x = list(xy.x)
-    bad_x[9] *= 1 + mp.mpf("1e-3")
-    dirty = _monitor_residual(mp, a, b, g, c, bad_x, xy.y, xy.S, 9)
-    assert dirty > 1e-6
+    bad_x[9] *= 1 + ctx256.mp.mpf("1e-3")
+    assert _monitor_trips(k, bad_x, xy.y, xy.S, 9)
+
+
+# ------------------------------------ cross-identities against exact Fractions
+# The five identities as the paper writes them, with (1-c)/c, evaluated in
+# Fractions of the stored values and of the parameters rounded to the
+# context: the monitor's trips and dp_residuals' cross entries must follow
+# from these exact ratios.
+
+
+def _fraction_cross(a, b, g, c, n, x, y, S, b_n, a2_n, a2_next):
+    """(lhs, rhs) of each cross-identity at n, as the old mpf suite wrote it."""
+    q = (1 - c) / c
+    out = {}
+    if a2_next is not None:
+        out["y_pair_sum"] = ([y[n + 1], y[n]], [-q * b_n * x[n], a * b, -g / c, q * S[n + 1]])
+        out["a2_difference"] = ([q * a2_next, -q * a2_n], [y[n + 1], -y[n], b_n, a + b + n])
+    if n < 1:
+        return out
+    if a2_next is not None:
+        out["a2x_difference"] = ([q * a2_next * x[n + 1], -q * a2_n * x[n - 1]],
+                                 [-b_n * (y[n + 1] - y[n]), a * b, -y[n]])
+    out["a2_x_product"] = ([q * q * a2_n * x[n] * x[n - 1]],
+                           [y[n] * (y[n] - a * b + g / c), -(y[n] - a * b) * q * S[n]])
+    out["a2_x_sum"] = ([q * q * a2_n * (x[n] + x[n - 1])],
+                       [-y[n] * (n * (1 + c) / c + a + b - (g + 1) / c), (a * b - g) * n / c,
+                        (a + b + n) * q * S[n]])
+    return out
+
+
+def _fraction_ratio(lhs, rhs):
+    top = max(abs(t) for t in lhs + rhs)
+    return abs(sum(lhs) - sum(rhs)) / top if top else F(0)
+
+
+_CROSS_SETS = [
+    asym_params(),
+    asym_params(Lattice.SHIFTED),
+    Params(F(7, 2), F(7, 2), F(1, 2), F(7, 8), Lattice.SHIFTED),
+    Params(4, F(1, 3), F(8, 3), F(3, 16)),
+    Params(F(10, 3), 2, 4, F(1, 16)),
+    Params(F(13, 4), F(5, 2), F(17, 4), F(15, 16)),
+    Params(F(1, 3), F(7, 2), 4, F(1, 16)),
+    Params(F(2, 3), 2, 1, F(3, 4), Lattice.SHIFTED),
+    Params(F(5, 6), F(1, 2), F(5, 6), F(3, 8), Lattice.SHIFTED),
+    Params(F(3, 4), F(7, 2), F(3, 2), F(1, 4), Lattice.SHIFTED),
+]
+
+
+@pytest.mark.parametrize("bits", [24, 128, 256])
+def test_cross_identities_match_fraction_reference(bits):
+    # the two 24-bit sets (7/2, 7/2, 1/2, 7/8, shifted) and (4, 1/3, 8/3,
+    # 3/16) sit near the threshold: the monitor on rounded mpf terms tripped
+    # at 29 and 19 there, the exact ratios first pass 1e-6 never and at 9
+    ctx = H.PrecisionCtx(bits=bits)
+    for p in _CROSS_SETS:
+        xy = iterate(p, 60, ctx)
+        a, b, g, c = (F(*to_rational(v._mpf_)) for v in p.as_reals(ctx))
+        x, y, S = ([F(*to_rational(v._mpf_)) for v in seq] for seq in (xy.x, xy.y, xy.S))
+
+        def coeffs(n):  # (a2_n, b_n) from (x, y, S), exactly
+            return (c / (1 - c) * (y[n] + S[n] + n * (n + a + b - g - 1) / (1 - c)),
+                    x[n] + (n + (n + a + b) * c - g) / (1 - c))
+
+        def worst(m):
+            (a2m, bm), (a2m1, _) = coeffs(m), coeffs(m + 1)
+            terms = _fraction_cross(a, b, g, c, m, x, y, S, bm, a2m, a2m1)
+            return max(_fraction_ratio(*t) for t in terms.values())
+
+        trip = next((m for m in range(9, len(x) - 1, 10) if worst(m) > F(1, 10**6)), None)
+        assert xy.precision_suspect_at == trip, (p, bits)
+
+        cs = H.coeffs_from_xy(xy)
+        a2, bb = ([F(*to_rational(v._mpf_)) for v in seq] for seq in (cs.a2, cs.b))
+        rep = dp_residuals(xy, cs)
+        N = xy.N
+        for n in range(N + 1):
+            terms = _fraction_cross(a, b, g, c, n, x, y, S, bb[n], a2[n],
+                                    a2[n + 1] if n < N else None)
+            for name, (lhs, rhs) in terms.items():
+                r = _fraction_ratio(lhs, rhs)
+                got = dict(rep.by_name(name))[n]
+                assert got._mpf_ == from_rational(r.numerator, r.denominator, bits,
+                                                  round_nearest), (p, bits, name, n)
