@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .dpainleve import _targets, iterate
-from .errors import InvalidParam, PrecisionExhausted
+from .errors import InvalidParam, PrecisionExhausted, SingularStep
 from .numerics import PrecisionCtx, bits_for_digits
 
 _MAX_ESCALATIONS = 3
@@ -58,28 +58,35 @@ def limit_report(params, N: int, ctx) -> StudyReport:
 
     If the run fails a singular step or trips the consistency monitor, the
     precision is doubled (at most three times) and the run repeated; a run
-    still unhealthy after that raises PrecisionExhausted.
+    still unhealthy after that raises PrecisionExhausted.  A singular step
+    that recurs at the same index after a doubling is structural, not a
+    precision shortfall: it raises SingularStep with that index.
     """
     if N < 1:
         raise InvalidParam("N must be >= 1")
     cur = ctx
     notes = []
-    xy = None
+    xy = prev = None
     for attempt in range(_MAX_ESCALATIONS + 1):
         xy = iterate(params, N, cur)
-        if xy.failure_index is None and xy.precision_suspect_at is None:
+        fail = xy.failure_index
+        if fail is None and xy.precision_suspect_at is None:
             break
+        if fail is not None and prev is not None and prev.failure_index == fail:
+            raise SingularStep(
+                f"singular step at n={fail} at both {prev.ctx.bits} and {cur.bits} bits: "
+                "structural, not a precision shortfall", index=fail)
         if attempt == _MAX_ESCALATIONS:
             raise PrecisionExhausted(
                 f"run unhealthy up to {cur.bits} bits "
-                f"(failure_index={xy.failure_index}, "
+                f"(failure_index={fail}, "
                 f"suspect={xy.precision_suspect_at}); N={N} needs more"
             )
         notes.append(
             f"unhealthy at {cur.bits} bits "
-            f"(failure_index={xy.failure_index}, suspect={xy.precision_suspect_at}); doubling"
+            f"(failure_index={fail}, suspect={xy.precision_suspect_at}); doubling"
         )
-        cur = PrecisionCtx(cur.bits * 2)
+        prev, cur = xy, PrecisionCtx(cur.bits * 2)
     rep = _study_report(xy, (), _targets(params, cur))
     return replace(rep, notes="; ".join(notes))
 

@@ -12,19 +12,20 @@ Seeds are x_0 = m_1/m_0 - ((alpha+beta)c - gamma)/(1-c), y_0 = 0.  Both
 relations, and everything built on them here, take the same form with the
 original parameters on the shifted lattice k + 1 - gamma.  The steps run on
 signed ``(mantissa, exponent)`` integer pairs, as the oracle's kernels do:
-each of P, Q, D, numY and the two quartics is an exact sum of exact
-products, rounded once to nearest, and x_n, y_n become mpfs only when they
-are stored.  The five cross-identities are written once, on the same pairs
-multiplied through by c^2 or c(1-c), and shared by the consistency monitor
-and :func:`dp_residuals`: the monitor decides its 1e-6 test exactly on
-integers, and a stored step costs three libmp calls with the monitor on.
+each of P, Q, D, numY, the two quartics and S_{n+1} = S_n + x_n is an
+exact sum of exact products, rounded once to nearest, and x_n, y_n, S_n
+become mpfs only when they are stored.  The five cross-identities are
+written once, on the same pairs multiplied through by c^2 or c(1-c), and
+shared by the consistency monitor and :func:`dp_residuals`: the monitor
+decides its 1e-6 test exactly on integers, and a stored step costs three
+libmp calls (the conversions) with the monitor on.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
 
-from mpmath.libmp import from_man_exp, mpf_add, round_nearest
+from mpmath.libmp import from_man_exp
 
 from .errors import InvalidParam, PrecisionExhausted, SingularStep
 from .numerics import (GUARD_BITS, _ZERO, _below, _neg, _negligible, _pair, _quotient, _round,
@@ -33,7 +34,6 @@ from .oracle import XYSeq, _common_measure
 from .reporting import ResidualReport
 from .weights import Lattice, initial_xy
 
-_rnd = round_nearest
 _MONITOR_EVERY = 10
 # The monitor trips where a normalized residual exceeds 1 / _MONITOR_INVERSE.
 _MONITOR_INVERSE = 10**6
@@ -56,7 +56,7 @@ _CROSS_ORDER = (
 def _invariants(params, ctx):
     """The loop invariants at ``prec = ctx.bits``: ``(prec, window, eps, c,
     first, second)``.  ``window = 4 prec + _STEP_WINDOW_BITS`` is the exponent
-    window of every sum (:func:`numerics._sum` with ``prec`` None); ``eps`` is
+    window of every sum (:func:`numerics._sum`'s ``floor``); ``eps`` is
     the exponent of the step guards' ``2^-(bits - GUARD_BITS)``
     (:data:`numerics.GUARD_BITS`).  The rest are exact pairs of a, b, g, c:
     alpha, beta, gamma and c rounded to ``prec`` (``params.as_reals``).
@@ -307,7 +307,7 @@ def iterate(params, N: int, ctx, seed=None, strict: bool = False) -> XYSeq:
     k = _invariants(params, ctx)
     x, y, S = [x0], [y0], [mp.mpf(0), x0]
     failure = suspect = None
-    xp, yp, sr = _pair(x0._mpf_), _pair(y0._mpf_), x0._mpf_  # pairs between steps
+    xp, yp, sp = (_pair(v._mpf_) for v in (x0, y0, x0))  # pairs between steps
     for n in range(N):
         try:
             yp = _dp1(k, params, n, xp, yp)
@@ -317,11 +317,11 @@ def iterate(params, N: int, ctx, seed=None, strict: bool = False) -> XYSeq:
                 raise
             failure = n
             break
-        xr = from_man_exp(*xp)
-        sr = mpf_add(sr, xr, ctx.bits, _rnd)
-        x.append(mp.make_mpf(xr))
+        # S_n and x_n are prec-bit pairs: cut in the window, the sum still rounds exactly
+        sp = _round(_sum([sp, xp], floor=k[1]), ctx.bits)
+        x.append(mp.make_mpf(from_man_exp(*xp)))
         y.append(mp.make_mpf(from_man_exp(*yp)))
-        S.append(mp.make_mpf(sr))
+        S.append(mp.make_mpf(from_man_exp(*sp)))
         j = n + 1
         if canonical and suspect is None and j >= 2 and j % _MONITOR_EVERY == 0:
             if _monitor_trips(k, x, y, S, j - 1):

@@ -36,11 +36,10 @@ def _mp_for(bits):
 GUARD_BITS = 16
 
 
-# The pair kernel of the moment route and the recursion step.  Bits a cut sum
-# keeps below its largest term's last bit at ``prec``; and zero as a
-# ``(mantissa, exponent)`` pair, whose exponent never sets that cut.
-_FLOOR_BITS = 32
-_ZERO = (0, -(1 << 62))
+# The pair kernel of the moment route and the recursion step.  Zero as a
+# ``(mantissa, exponent)`` pair: its exponent lies above every other, so it
+# never sets the alignment of an exact sum, and shifting its 0 costs nothing.
+_ZERO = (0, 1 << 62)
 
 
 def _pair(x):
@@ -68,20 +67,19 @@ def _scaled(k, v):
     return k * v[0], v[1]
 
 
-def _sum(terms, prec=None, floor=None):
+def _sum(terms, floor=None):
     """The sum of the signed ``(mantissa, exponent)`` pairs ``terms`` as one
     pair, not rounded; a sum that is exactly zero is ``_ZERO``.  By default
-    the sum is exact.  With ``prec``, every term is cut ``_FLOOR_BITS`` bits
-    below the last bit at ``prec`` of the largest nonzero term, losing less
-    than ``2**-(prec + _FLOOR_BITS - 1)`` of it per term.  With ``floor``,
-    the cut is ``floor`` bits below the largest exponent of a nonzero term,
-    or at the least one, whichever is higher: terms whose exponents lie
-    within ``floor`` bits of each other add up exactly."""
-    if prec is None:
-        es = [e for m, e in terms if m] or [0]
-        f = min(es) if floor is None else max(min(es), max(es) - floor)
+    the sum is exact: the terms are aligned at their lowest exponent.  With
+    ``floor``, the cut is ``floor`` bits below the largest exponent of a
+    nonzero term, or at the least one, whichever is higher: terms whose
+    exponents lie within ``floor`` bits of each other add up exactly, and a
+    divergent orbit cannot blow the integers up."""
+    if floor is None:
+        f = min([e for _, e in terms])
     else:
-        f = max([e + m.bit_length() for m, e in terms]) - prec - _FLOOR_BITS
+        es = [e for m, e in terms if m] or [0]
+        f = max(min(es), max(es) - floor)
     s = 0
     for m, e in terms:
         s += m << e - f if e >= f else m >> f - e

@@ -5,7 +5,8 @@ two moment matrices (plain and first-column-shifted).  Gautschi's Chebyshev
 algorithm produces both families of quotients at once in O(N^2) operations
 from the power moments (two lattice series, then the Pearson recurrence).
 From the seed sums to the agreement check every number is an integer pair of
-:mod:`numerics`' kernel, rounded once per element, quotient or difference;
+:mod:`numerics`' kernel: each moment, element, quotient or difference is
+the exact value on the stored pairs, rounded once by ``numerics._round``;
 libmp only rounds the rational constants in and the coefficients out.
 
 The oracle is deliberately redundant: every sequence is computed at the
@@ -20,8 +21,7 @@ from dataclasses import dataclass, field
 from mpmath.libmp import from_man_exp, round_nearest
 
 from .errors import InvalidCoeffs, InvalidParam, PoleHit, PrecisionExhausted
-from .numerics import (_FLOOR_BITS, _ZERO, GUARD_BITS, _below, _neg, _quotient, _round,
-                       _scaled, _sum)
+from .numerics import _ZERO, GUARD_BITS, _below, _neg, _quotient, _round, _scaled, _sum
 from .reporting import ResidualReport, normalized_residual
 from .weights import Lattice, _moment_batch_raw, _rational_pair, moment, shifted_params
 
@@ -90,16 +90,16 @@ def _chebyshev_quotients(moments, N, bits):
         b[k]  = sigma_{k,k+1} / sigma_{k,k} - sigma_{k-1,k} / sigma_{k-1,k-1}
 
     from ``sigma_{-1,l} = 0`` and ``sigma_{0,l} = m_l``, for k <= l <= 2N+1-k.
-    Each sigma is one sum of exact mantissa products, cut at the floor of
-    :func:`numerics._sum` with ``prec`` and rounded once, ties to even,
-    written out here as it is the hot loop; each quotient, and each ``b[k]``
-    as the exact difference of two, is rounded once.  Returns (a2, b) of
-    length N+1 as pairs rounded to ``bits``.  Rows are built in a fixed
-    order, so growing N leaves the leading quotients bit-identical.  A zero
-    diagonal entry raises ``ZeroDivisionError``.
+    Each sigma is the exact value of its three mantissa products, aligned at
+    their lowest exponent (written out here, as it is the hot loop), rounded
+    once by :func:`numerics._round`; each quotient, and each ``b[k]`` as the
+    exact difference of two, is rounded once.  Returns (a2, b) of length N+1
+    as pairs rounded to ``bits``.  Rows are built in a fixed order, so
+    growing N leaves the leading quotients bit-identical.  A zero diagonal
+    entry raises ``ZeroDivisionError``.
     """
     prec = bits + GUARD_BITS
-    top, drop = 2 * N + 2, prec + _FLOOR_BITS
+    top = 2 * N + 2
     prev, row = [_ZERO] * top, list(moments[:top])
     diag = row[0]
     q = _quotient(row[1], diag, prec)
@@ -111,13 +111,8 @@ def _chebyshev_quotients(moments, N, bits):
         for l in range(k, top - k):
             (m1, e1), (m2, e2), (m3, e3) = row[l + 1], row[l], prev[l]
             m2, e2, m3, e3 = m2 * mb, e2 + eb, m3 * ma, e3 + ea
-            f = max(e1 + m1.bit_length(), e2 + m2.bit_length(), e3 + m3.bit_length()) - drop
-            s = ((m1 << e1 - f if e1 >= f else m1 >> f - e1)
-                 - (m2 << e2 - f if e2 >= f else m2 >> f - e2)
-                 - (m3 << e3 - f if e3 >= f else m3 >> f - e3))
-            if s:
-                n = s.bit_length() - prec
-                new[l] = ((s + (1 << n - 1) - 1 + (s >> n & 1)) >> n, f + n) if n > 0 else (s, f)
+            f = min(e1, e2, e3)
+            new[l] = _round(((m1 << e1 - f) - (m2 << e2 - f) - (m3 << e3 - f), f), prec)
         dk = new[k]
         a2_k = _quotient(dk, diag, prec)
         q_k = _quotient(new[k + 1], dk, prec)

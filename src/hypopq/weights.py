@@ -16,11 +16,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
+from operator import mul
 
 from mpmath.libmp import from_man_exp, from_rational, round_nearest
 
 from .errors import InvalidParam, NonConvergent
-from .numerics import GUARD_BITS, _below, _neg, _pair, _quotient, _round, _sum, _times
+from .numerics import GUARD_BITS, _ZERO, _below, _neg, _pair, _quotient, _round, _sum, _times
 
 _RND = round_nearest
 
@@ -259,9 +261,10 @@ def _moment_batch_raw(params, count, bits, guard=GUARD_BITS):
     summed against ``(k+1)^n``: with ``U_i = m_{i+2} + (alpha+beta) m_{i+1}
     + alpha beta m_i``, ``m_{n+2} + (gamma-1) m_{n+1} = c sum_{i<=n} C(n,i) U_i``.
     With ``tail = (alpha+beta) m_{n+1} + alpha beta m_n``, each of
-    ``tail + sum_{i<n} C(n,i) U_i``, ``m_{n+2}`` and ``U_n`` is one integer
-    sum of exact mantissa products rounded once (:func:`numerics._sum`), so
-    the O(count^2) binomial loop makes no libmp call.
+    ``tail + sum_{i<n} C(n,i) U_i``, ``m_{n+2}`` and ``U_n`` is the exact
+    value on the stored pairs rounded once; the ``U_i`` are integers at one
+    common exponent, realigned when a lower one arrives, so the O(count^2)
+    binomial sum is one integer dot product and makes no libmp call.
 
     For gamma > 1, solving for ``m_{n+2}`` cancels until ``m_{n+2}/m_{n+1}``
     (which only grows) passes ``(gamma-1)/(1-c)``.  The bits lost up to there,
@@ -276,13 +279,13 @@ def _moment_batch_raw(params, count, bits, guard=GUARD_BITS):
     moms = list(_seed_sums(p, prec))
     ab_sum, ab_prod, ratio, shift = (_rational_pair(q, prec) for q in (
         p.alpha + p.beta, p.alpha * p.beta, p.c / (1 - p.c), (p.gamma - 1) / (1 - p.c)))
-    U, lost, n, cancels = [], 0.0, 0, p.gamma > 1 and count > 2
+    U, eU, lost, n, cancels = [], _ZERO[1], 0.0, 0, p.gamma > 1 and count > 2
     while n < count - 2 or cancels:
         tail = [_times(ab_sum, moms[n + 1]), _times(ab_prod, moms[n])]
-        acc = _round(_sum(tail + [(math.comb(n, i) * u, e) for i, (u, e) in enumerate(U)], prec),
-                     prec)
+        binom = sum(map(mul, map(math.comb, repeat(n), range(n)), U))
+        acc = _round(_sum(tail + [(binom, eU)]), prec)
         big = _times(shift, moms[n + 1])
-        m = _round(_sum([_times(ratio, acc), _neg(big)], prec), prec)
+        m = _round(_sum([_times(ratio, acc), _neg(big)]), prec)
         if lost >= prec or m[0] <= 0:  # every bit lost (moments are > 0)
             lost = max(lost, prec)
             break
@@ -292,7 +295,10 @@ def _moment_batch_raw(params, count, bits, guard=GUARD_BITS):
             t = (man & -man).bit_length() - 1  # the odd mantissa libmp would keep
             lost += math.log2(man >> t) + (exp + t)
         moms.append(m)
-        U.append(_round(_sum([m] + tail, prec), prec))
+        u, e = _round(_sum([m] + tail), prec)
+        if e < eU:
+            U, eU = [v << eU - e for v in U], e
+        U.append(u << e - eU)
         n += 1
     if lost > guard / 2:
         return moms[:2] + _moment_batch_raw(params, count, bits, 2 * math.ceil(lost))[2:]

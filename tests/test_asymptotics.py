@@ -14,8 +14,9 @@ from hypopq.asymptotics import (
     perturbation_study,
     precision_study,
 )
+from hypopq.cli import run
 from hypopq.dpainleve import iterate
-from hypopq.errors import InvalidParam, PrecisionExhausted
+from hypopq.errors import InvalidParam, PrecisionExhausted, SingularStep
 from hypopq.numerics import bits_for_digits
 from hypopq.weights import Lattice
 
@@ -58,6 +59,27 @@ def test_limit_report_escalates_precision():
     assert rep.bits > 26
     assert "doubling" in rep.notes
     assert rep.x_limit_gap < 0.1
+
+
+def test_limit_report_stops_on_structural_singular_step(monkeypatch, capsys):
+    # x_0 = 1 exactly, a root of the first-kind quartic: P vanishes at n = 0
+    # at every precision, so one doubling shows the failure is structural
+    runs = []
+
+    def spy(params, N, ctx, *args, **kwargs):
+        runs.append(ctx.bits)
+        return iterate(params, N, ctx, *args, **kwargs)
+
+    monkeypatch.setattr(hypopq.asymptotics, "iterate", spy)
+    p = H.Params(F(5, 2), F(1, 2), F(3, 2), F(1, 2))
+    with pytest.raises(SingularStep, match="n=0 at both 128 and 256 bits") as exc:
+        limit_report(p, 60, H.PrecisionCtx(128))
+    assert exc.value.index == 0
+    assert runs == [128, 256]
+    argv = ["asymptotics", "--alpha", "5/2", "--beta", "1/2", "--gamma", "3/2", "--c", "1/2",
+            "--bits", "128", "--nmax", "60"]
+    assert run(argv) == 4
+    assert "SingularStep" in capsys.readouterr().err
 
 
 def test_limit_report_validation(ctx256):

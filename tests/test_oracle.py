@@ -241,6 +241,99 @@ def test_kernels_as_accurate_as_reference_loops(name, bits, monkeypatch):
     assert (len(guards) > 1) == (name == "pearson-retry")
 
 
+# ------------------------------------------- one rounding rule (Fraction)
+#
+# Each moment and each Chebyshev element is the formula evaluated exactly on
+# the stored pairs and rounded once, to nearest with ties to even.
+
+
+def _value(v):
+    """The pair ``v`` as an exact Fraction."""
+    m, e = v
+    return F(m) * F(2) ** e if m else F(0)
+
+
+def _nearest(q, prec):
+    """The Fraction ``q`` rounded to ``prec`` significant bits, to nearest
+    with ties to even."""
+    if not q:
+        return q
+    t = abs(q)
+    e = t.numerator.bit_length() - t.denominator.bit_length()
+    if t < F(2) ** e:
+        e -= 1  # now 2^e <= t < 2^(e+1)
+    r = round(t * F(2) ** (prec - 1 - e)) * F(2) ** (e + 1 - prec)  # round(): ties to even
+    return r if q > 0 else -r
+
+
+def _fraction_batch(p, count, prec):
+    m = [_value(v) for v in _seed_sums(p, prec)]
+    ab_sum, ab_prod, ratio, shift = (_value(hypopq.weights._rational_pair(q, prec)) for q in (
+        p.alpha + p.beta, p.alpha * p.beta, p.c / (1 - p.c), (p.gamma - 1) / (1 - p.c)))
+    U = []
+    for n in range(count - 2):
+        tail = ab_sum * m[n + 1] + ab_prod * m[n]
+        acc = _nearest(tail + sum(math.comb(n, i) * u for i, u in enumerate(U)), prec)
+        m.append(_nearest(ratio * acc - shift * m[n + 1], prec))
+        U.append(_nearest(m[-1] + tail, prec))
+    return m
+
+
+def _fraction_chebyshev(moms, N, bits):
+    prec = bits + GUARD_BITS
+    top = 2 * N + 2
+    prev, row = [F(0)] * top, moms[:top]
+    diag = row[0]
+    q = _nearest(row[1] / diag, prec)
+    a2_k, b_k = F(0), q
+    a2, b = [F(0)], [_nearest(q, bits)]
+    for k in range(1, N + 1):
+        new = [F(0)] * top
+        for l in range(k, top - k):
+            new[l] = _nearest(row[l + 1] - b_k * row[l] - a2_k * prev[l], prec)
+        a2_k = _nearest(new[k] / diag, prec)
+        q_k = _nearest(new[k + 1] / new[k], prec)
+        b_k, q, diag = _nearest(q_k - q, prec), q_k, new[k]
+        a2.append(_nearest(a2_k, bits))
+        b.append(_nearest(b_k, bits))
+        prev, row = row, new
+    return a2, b
+
+
+@pytest.mark.parametrize("bits", [24, 128])
+@pytest.mark.parametrize("name", ["generic", "shifted", "pearson-retry", "c=15/16"])
+def test_kernels_round_once_on_exact_values(name, bits, monkeypatch):
+    p, N = _KERNEL_SETS[name], 10
+    guards = []
+    batch = hypopq.weights._moment_batch_raw
+
+    def spy(params, count, b, guard=GUARD_BITS):
+        guards.append(guard)
+        return batch(params, count, b, guard)
+
+    monkeypatch.setattr(hypopq.weights, "_moment_batch_raw", spy)
+    moments = spy(p, 2 * N + 2, bits)
+    # a Pearson retry keeps the first run's seeds and the last run's recurrence
+    want = (_fraction_batch(p, 2, bits + GUARD_BITS)
+            + _fraction_batch(p, 2 * N + 2, bits + guards[-1])[2:])
+    assert [_value(m) for m in moments] == want
+    assert (len(guards) > 1) == (name == "pearson-retry")
+    a2, b = _chebyshev_quotients(moments, N, bits)
+    assert ([_value(v) for v in a2], [_value(v) for v in b]) == \
+        _fraction_chebyshev(want, N, bits)
+
+
+@pytest.mark.parametrize("bits", [24, 128])
+def test_chebyshev_element_keeps_deep_cancellation(bits):
+    # sigma_{1,1} = m_2 - b_0 m_1 = 2^-(prec+40) exactly, prec + 40 bits below
+    # its terms: only an exact element keeps it, and a2[1] is that value
+    tiny = bits + GUARD_BITS + 40
+    moments = [(1, 0), (1, 0), ((1 << tiny) + 1, -tiny), (2, 0)]
+    a2, b = _chebyshev_quotients(moments, 1, bits)
+    assert _value(a2[1]) == F(1, 2 ** tiny)
+    assert _value(b[0]) == 1
+
+
 # ------------------------------------------------------------ coeffs_oracle
 
 

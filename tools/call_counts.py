@@ -33,7 +33,7 @@ SET = (F(3, 2), F(3), F(1, 3), F(1, 2))
 BITS = 256
 STEP_N = 400
 RESIDUAL_N = 50
-MAX_STEP_CALLS = 3  # two conversions that store x_n and y_n, one sum for S_n
+MAX_STEP_CALLS = 3  # the conversions that store x_n, y_n and S_n
 
 
 def libmp_calls(fn):
