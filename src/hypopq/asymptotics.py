@@ -53,41 +53,44 @@ def _study_report(xy, diverged, targets, conv=None, digits=None):
     )
 
 
+def _doubled(params, N, xy, seed=None):
+    """The run ``xy`` repeated at twice its bits.  If both fail a singular
+    step at the same index, it is structural: SingularStep names it."""
+    again = iterate(params, N, PrecisionCtx(2 * xy.ctx.bits), seed=seed)
+    fail = again.failure_index
+    if fail is not None and xy.failure_index == fail:
+        raise SingularStep(
+            f"singular step at n={fail} at both {xy.ctx.bits} and {again.ctx.bits} bits: "
+            "structural, not a precision shortfall", index=fail)
+    return again
+
+
+def _unhealthy(xy):
+    """How the run ``xy`` is unhealthy, for messages; empty if it is not."""
+    if xy.failure_index is None and xy.precision_suspect_at is None:
+        return ""
+    return f"(failure_index={xy.failure_index}, suspect={xy.precision_suspect_at})"
+
+
 def limit_report(params, N: int, ctx) -> StudyReport:
     """Gaps to the conjectured limits at index N, canonical seed.
 
     If the run fails a singular step or trips the consistency monitor, the
     precision is doubled (at most three times) and the run repeated; a run
     still unhealthy after that raises PrecisionExhausted.  A singular step
-    that recurs at the same index after a doubling is structural, not a
-    precision shortfall: it raises SingularStep with that index.
+    that recurs at the same index after a doubling raises SingularStep.
     """
     if N < 1:
         raise InvalidParam("N must be >= 1")
-    cur = ctx
-    notes = []
-    xy = prev = None
-    for attempt in range(_MAX_ESCALATIONS + 1):
-        xy = iterate(params, N, cur)
-        fail = xy.failure_index
-        if fail is None and xy.precision_suspect_at is None:
+    xy, notes = iterate(params, N, ctx), []
+    for _ in range(_MAX_ESCALATIONS):
+        if not (why := _unhealthy(xy)):
             break
-        if fail is not None and prev is not None and prev.failure_index == fail:
-            raise SingularStep(
-                f"singular step at n={fail} at both {prev.ctx.bits} and {cur.bits} bits: "
-                "structural, not a precision shortfall", index=fail)
-        if attempt == _MAX_ESCALATIONS:
-            raise PrecisionExhausted(
-                f"run unhealthy up to {cur.bits} bits "
-                f"(failure_index={fail}, "
-                f"suspect={xy.precision_suspect_at}); N={N} needs more"
-            )
-        notes.append(
-            f"unhealthy at {cur.bits} bits "
-            f"(failure_index={fail}, suspect={xy.precision_suspect_at}); doubling"
-        )
-        prev, cur = xy, PrecisionCtx(cur.bits * 2)
-    rep = _study_report(xy, (), _targets(params, cur))
+        notes.append(f"unhealthy at {xy.ctx.bits} bits {why}; doubling")
+        xy = _doubled(params, N, xy)
+    if why := _unhealthy(xy):
+        raise PrecisionExhausted(f"run unhealthy up to {xy.ctx.bits} bits {why}; N={N} needs more")
+    rep = _study_report(xy, (), _targets(params, xy.ctx))
     return replace(rep, notes="; ".join(notes))
 
 
@@ -98,32 +101,26 @@ def perturbation_study(params, deltas, N: int, ctx, seed_x0=None) -> list:
     divergence index is the first n where the perturbed orbit's distance to
     the x-limit exceeds ten times the baseline's; a singular step before
     visible divergence is reported at its own index in ``notes``.  A delta
-    that leaves x0_base unchanged at ``ctx`` reports the baseline's run.
+    that leaves x0_base unchanged at ``ctx`` reports the baseline's run (on
+    a Meixner set, the closed form).  A baseline that fails a singular step
+    raises as :func:`_doubled` does, else PrecisionExhausted.
     """
     if N < 1:
         raise InvalidParam("N must be >= 1")
-    mp = ctx.mp
-    if seed_x0 is None:
-        base = iterate(params, N, ctx)
-    else:
-        base = iterate(params, N, ctx, seed=(ctx.real(seed_x0), mp.mpf(0)))
+    base_seed = None if seed_x0 is None else (seed_x0, 0)
+    base = iterate(params, N, ctx, seed=base_seed)
     if base.failure_index is not None:
+        _doubled(params, N, base, base_seed)
         raise PrecisionExhausted(
             f"baseline run hit a singular step at n={base.failure_index}; raise bits"
         )
     tx, ty = _targets(params, ctx)
     base_gap = [abs(xv - tx) for xv in base.x]
     x0 = base.x[0]
-    # the step from base's own seed repeats base bit for bit, unless base is
-    # a Meixner set's closed form, which the step cannot run
-    same = seed_x0 is not None or not params.is_meixner
     reports = []
     for delta in deltas:
         seed = x0 + ctx.real(delta)
-        if same and seed == x0:
-            xy = base
-        else:
-            xy = iterate(params, N, ctx, seed=(seed, mp.mpf(0)))
+        xy = base if seed == x0 else iterate(params, N, ctx, seed=(seed, 0))
         diverged = (abs(xy.x[n] - tx) > 10 * base_gap[n] for n in range(len(xy.x)))
         reports.append(_study_report(xy, diverged, (tx, ty)))
     return reports
@@ -145,7 +142,8 @@ def precision_study(params, digit_levels, N: int) -> list:
     The divergence index of a level is the first n where its x_n or y_n
     deviates from the reference by more than 1e-3 relative (comparisons are
     done after exact injection into the reference context, so the study
-    measures the runs, not the comparison).
+    measures the runs, not the comparison).  A reference run that fails a
+    singular step raises as :func:`_doubled` does, else PrecisionExhausted.
     """
     levels = list(digit_levels)
     if not levels:
@@ -156,11 +154,10 @@ def precision_study(params, digit_levels, N: int) -> list:
         raise InvalidParam("N must be >= 1")
     ref_ctx = PrecisionCtx(bits=max(24, bits_for_digits(4 * max(levels))))
     ref = iterate(params, N, ref_ctx)
-    if ref.failure_index is not None or ref.precision_suspect_at is not None:
-        raise PrecisionExhausted(
-            f"reference run at {ref_ctx.bits} bits is itself unhealthy "
-            f"(failure_index={ref.failure_index}, suspect={ref.precision_suspect_at})"
-        )
+    if ref.failure_index is not None:
+        _doubled(params, N, ref)
+    if why := _unhealthy(ref):
+        raise PrecisionExhausted(f"reference run at {ref_ctx.bits} bits is itself unhealthy {why}")
     mpr = ref_ctx.mp
     tol = mpr.mpf("1e-3")
     tx, ty = _targets(params, ref_ctx)

@@ -8,7 +8,8 @@ JSON is the authoritative format: {"meta": {...}, "records": [...]} with
 every BigReal rendered as a decimal string that round-trips at the working
 precision.  CSV mirrors the records but truncates to 30 digits.  Identical
 invocations produce byte-identical output: the output depends on argv
-alone.  The precision is --bits, else --digits, else 256 bits.
+alone.  The parser is built once, at import; each ``run`` parses into a
+fresh namespace.  The precision is --bits, else --digits, else 256 bits.
 
 Exit codes: 0 success, 2 invalid input (including domain/pole/step
 violations), 3 precision or convergence breakdown, 4 fatal singular step.
@@ -399,9 +400,12 @@ def _print_error(etype, message):
     sys.stderr.write(json.dumps({"error": etype, "message": message}) + "\n")
 
 
+_PARSER = _build_parser()
+
+
 def run(argv=None) -> int:
     try:
-        cfg = _build_parser().parse_args(argv)
+        cfg = _PARSER.parse_args(argv)
         _config(cfg)
         if cfg.output:  # refuse an unwritable target before any work
             existed = os.path.lexists(cfg.output)

@@ -16,8 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
-from operator import mul
+from itertools import accumulate, chain
 
 from mpmath.libmp import from_man_exp, from_rational, round_nearest
 
@@ -262,9 +261,10 @@ def _moment_batch_raw(params, count, bits, guard=GUARD_BITS):
     + alpha beta m_i``, ``m_{n+2} + (gamma-1) m_{n+1} = c sum_{i<=n} C(n,i) U_i``.
     With ``tail = (alpha+beta) m_{n+1} + alpha beta m_n``, each of
     ``tail + sum_{i<n} C(n,i) U_i``, ``m_{n+2}`` and ``U_n`` is the exact
-    value on the stored pairs rounded once; the ``U_i`` are integers at one
-    common exponent, realigned when a lower one arrives, so the O(count^2)
-    binomial sum is one integer dot product and makes no libmp call.
+    value on the stored pairs rounded once.  The binomial sum takes additions
+    only: it is the sum of the anti-diagonal ``R_j = sum_i C(j,i) U_{n-1-j+i}``
+    (``j < n``), which ``U_n`` advances to the running sums of ``(U_n, R_0,
+    R_1, ...)``; the ``R_j`` are integers at one exponent, shifted when it drops.
 
     For gamma > 1, solving for ``m_{n+2}`` cancels until ``m_{n+2}/m_{n+1}``
     (which only grows) passes ``(gamma-1)/(1-c)``.  The bits lost up to there,
@@ -279,11 +279,10 @@ def _moment_batch_raw(params, count, bits, guard=GUARD_BITS):
     moms = list(_seed_sums(p, prec))
     ab_sum, ab_prod, ratio, shift = (_rational_pair(q, prec) for q in (
         p.alpha + p.beta, p.alpha * p.beta, p.c / (1 - p.c), (p.gamma - 1) / (1 - p.c)))
-    U, eU, lost, n, cancels = [], _ZERO[1], 0.0, 0, p.gamma > 1 and count > 2
+    R, eR, lost, n, cancels = [], _ZERO[1], 0.0, 0, p.gamma > 1 and count > 2
     while n < count - 2 or cancels:
         tail = [_times(ab_sum, moms[n + 1]), _times(ab_prod, moms[n])]
-        binom = sum(map(mul, map(math.comb, repeat(n), range(n)), U))
-        acc = _round(_sum(tail + [(binom, eU)]), prec)
+        acc = _round(_sum(tail + [(sum(R), eR)]), prec)
         big = _times(shift, moms[n + 1])
         m = _round(_sum([_times(ratio, acc), _neg(big)]), prec)
         if lost >= prec or m[0] <= 0:  # every bit lost (moments are > 0)
@@ -296,9 +295,9 @@ def _moment_batch_raw(params, count, bits, guard=GUARD_BITS):
             lost += math.log2(man >> t) + (exp + t)
         moms.append(m)
         u, e = _round(_sum([m] + tail), prec)
-        if e < eU:
-            U, eU = [v << eU - e for v in U], e
-        U.append(u << e - eU)
+        if e < eR:
+            R, eR = [v << eR - e for v in R], e
+        R = list(accumulate(chain([u << e - eR], R)))
         n += 1
     if lost > guard / 2:
         return moms[:2] + _moment_batch_raw(params, count, bits, 2 * math.ceil(lost))[2:]

@@ -1,5 +1,6 @@
 """Limit gaps, seed-perturbation divergence, and digit-level studies."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -103,8 +104,9 @@ def test_perturbation_study_seed_override(ctx128):
     assert reports[0].N == 20
     with pytest.raises(InvalidParam):
         perturbation_study(p, [0], 0, ctx128)
-    # the seed x_0 = gamma makes the first step singular: there is no baseline
-    with pytest.raises(PrecisionExhausted, match="baseline run hit a singular step at n=0"):
+    # the seed x_0 = gamma makes the first step singular at every precision:
+    # there is no baseline, and more bits would not give one
+    with pytest.raises(SingularStep, match="n=0 at both 128 and 256 bits"):
         perturbation_study(H.Params(3, 2, 3, F(1, 2)), [0], 10, ctx128, seed_x0=3)
 
 
@@ -132,12 +134,16 @@ def test_perturbation_study_reuses_baseline(ctx128, monkeypatch):
     runs.clear()
     perturbation_study(p, [0, 0], 20, ctx128, seed_x0=F(6, 5))
     assert len(runs) == 1
-    # a Meixner set's baseline is its closed form; the step from x_0 = gamma
-    # is singular at once, so delta 0 still runs and reports that
+    # a Meixner set's baseline is its closed form, the orbit from x_0 = gamma
+    # (where the step itself is singular): delta 0 reports it as well
     runs.clear()
-    (zero,) = perturbation_study(meixner_params(), [0], 10, ctx128)
-    assert len(runs) == 2
-    assert (zero.divergence_index, zero.notes) == (0, "singular step at n=0")
+    p = H.Params(F(19, 6), 3, F(19, 6), F(3, 8))
+    zero, _ = perturbation_study(p, [0, F(1, 10**6)], 80, ctx128)
+    assert len(runs) == 2  # the baseline and the delta that moves x_0
+    tx, ty = _targets(p, ctx128)
+    want = _study_report(iterate(p, 80, ctx128), [False] * 81, (tx, ty))
+    assert zero == want
+    assert (zero.N, zero.divergence_index, zero.notes) == (80, None, "")
 
 
 def test_precision_study():
@@ -170,6 +176,35 @@ def test_precision_study_validation():
         precision_study(p, [0, 10], 50)
     with pytest.raises(InvalidParam):
         precision_study(p, [10], 0)
-    # the 133-bit reference run of this set is singular at n = 0
-    with pytest.raises(PrecisionExhausted, match="reference run at 133 bits"):
+    # the reference run of this set is singular at n = 0 at 133 bits and at
+    # twice that: the study names the step
+    with pytest.raises(SingularStep, match="n=0 at both 133 and 266 bits"):
         precision_study(H.Params(F(5, 2), F(1, 2), F(3, 2), F(1, 2)), [10], 20)
+
+
+def test_studies_stop_on_structural_singular_step(capsys):
+    # x_0 = 1 is a root of the first-kind quartic of this set at every
+    # precision: both studies raise SingularStep, and the CLI exits 4
+    p = H.Params(F(5, 2), F(1, 2), F(3, 2), F(1, 2))
+    with pytest.raises(SingularStep, match="n=0 at both 128 and 256 bits") as exc:
+        perturbation_study(p, [0, F(1, 10**6)], 60, H.PrecisionCtx(128))
+    assert exc.value.index == 0
+    with pytest.raises(SingularStep, match="n=0 at both 266 and 532 bits") as exc:
+        precision_study(p, [10, 20], 60)
+    assert exc.value.index == 0
+    argv = ["--alpha", "5/2", "--beta", "1/2", "--gamma", "3/2", "--c", "1/2", "--nmax", "60"]
+    for extra in (["perturb", "--deltas", "0,1e-6", "--bits", "128"],
+                  ["precision-study", "--digit-levels", "10,20"]):
+        assert run([extra[0], *argv, *extra[1:]]) == 4
+        assert json.loads(capsys.readouterr().err)["error"] == "SingularStep"
+
+
+def test_studies_keep_precision_error_when_failure_moves():
+    # this set's orbit fails at n = 18 at 34 bits but at n = 85 at 68 bits,
+    # and at n = 56 at 54 bits but not at 108: a shortfall of precision, so
+    # the studies still ask for more bits
+    p = H.Params(F(2), F(1, 3), F(1), F(3, 4))
+    with pytest.raises(PrecisionExhausted, match="singular step at n=18; raise bits"):
+        perturbation_study(p, [0], 120, H.PrecisionCtx(34))
+    with pytest.raises(PrecisionExhausted, match="reference run at 54 bits"):
+        precision_study(p, [4], 120)

@@ -172,9 +172,18 @@ def test_moments_csv_format(capsys):
 
 
 def test_byte_identical_reruns(capsys):
-    run(["coeffs", *ASYM, "--nmax", "6"])
+    # the parser is shared by every run in the process: a refused argv,
+    # --version and another subcommand in between must leave no trace
+    argv = ["coeffs", *ASYM, "--nmax", "6", "--bits", "128"]
+    assert run(argv) == 0
     first, _ = capsys.readouterr()
-    run(["coeffs", *ASYM, "--nmax", "6"])
+    assert run(["coeffs", *ASYM, "--nmax", "6", "--bits", "x"]) == 2
+    with pytest.raises(SystemExit):
+        run(["--version"])
+    assert run(["iterate", *ASYM, "--nmax", "8", "--seed-x0", "2", "--strict",
+                "--format", "csv"]) == 0
+    capsys.readouterr()
+    assert run(argv) == 0
     second, _ = capsys.readouterr()
     assert first == second
 

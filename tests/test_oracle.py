@@ -300,10 +300,18 @@ def _fraction_chebyshev(moms, N, bits):
     return a2, b
 
 
-@pytest.mark.parametrize("bits", [24, 128])
-@pytest.mark.parametrize("name", ["generic", "shifted", "pearson-retry", "c=15/16"])
-def test_kernels_round_once_on_exact_values(name, bits, monkeypatch):
-    p, N = _KERNEL_SETS[name], 10
+# N = 40 runs the moment recurrence over 80 moments, the pearson-retry set
+# with its binomial sums realigned to a lower exponent on the way
+_ROUND_ONCE_CASES = [
+    *(pytest.param(name, bits, 10, id=f"{name}-{bits}")
+      for name in ("generic", "shifted", "pearson-retry", "c=15/16") for bits in (24, 128)),
+    *(pytest.param(name, 128, 40, id=f"{name}-128-N40") for name in ("generic", "pearson-retry")),
+]
+
+
+@pytest.mark.parametrize("name, bits, N", _ROUND_ONCE_CASES)
+def test_kernels_round_once_on_exact_values(name, bits, N, monkeypatch):
+    p = _KERNEL_SETS[name]
     guards = []
     batch = hypopq.weights._moment_batch_raw
 
