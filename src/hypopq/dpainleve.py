@@ -11,25 +11,25 @@ thing most worth double-checking:
 Seeds are x_0 = m_1/m_0 - ((alpha+beta)c - gamma)/(1-c), y_0 = 0.  Both
 relations, and everything built on them here, take the same form with the
 original parameters on the shifted lattice k + 1 - gamma.  The steps run on
-signed ``(mantissa, exponent)`` integer pairs, as the oracle's kernels do:
-each of P, Q, D, numY, the two quartics and S_{n+1} = S_n + x_n is an
-exact sum of exact products, rounded once to nearest, and x_n, y_n, S_n
-become mpfs only when they are stored.  The five cross-identities are
-written once, on the same pairs multiplied through by c^2 or c(1-c), and
-shared by the consistency monitor and :func:`dp_residuals`: the monitor
-decides its 1e-6 test exactly on integers, and a stored step costs three
-libmp calls (the conversions) with the monitor on.
+signed ``(mantissa, exponent)`` integer pairs of :mod:`numerics`' kernel,
+as the oracle's kernels do: each of P, Q, D, numY, the two quartics and
+S_{n+1} = S_n + x_n is an exact sum of exact products, rounded once to
+nearest.  The orbit stays in pairs until :func:`iterate` returns, and then
+each x_n, y_n and S_n becomes a BigReal once.  The five cross-identities
+are written once, on the same pairs multiplied through by c^2 or c(1-c),
+and shared by the consistency monitor and :func:`dp_residuals`, through
+the one residual of :mod:`numerics`: the monitor decides its 1e-6 test
+exactly on integers, and each residual of the suite is rounded once.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
 
-from mpmath.libmp import from_man_exp
-
 from .errors import InvalidParam, PrecisionExhausted, SingularStep
-from .numerics import (GUARD_BITS, _ZERO, _below, _neg, _negligible, _pair, _quotient, _round,
-                       _scaled, _sum, _times)
+from .numerics import (GUARD_BITS, _ZERO, _below, _from_real, _neg, _negligible, _normalized,
+                       _quotient, _rational_pair, _residual, _round, _scaled, _sum, _times,
+                       _to_real, _window)
 from .oracle import XYSeq, _common_measure
 from .reporting import ResidualReport
 from .weights import Lattice, initial_xy
@@ -37,12 +37,6 @@ from .weights import Lattice, initial_xy
 _MONITOR_EVERY = 10
 # The monitor trips where a normalized residual exceeds 1 / _MONITOR_INVERSE.
 _MONITOR_INVERSE = 10**6
-# The step's sums are exact while their terms' exponents lie within
-# 4 prec + _STEP_WINDOW_BITS bits of each other, which holds on any orbit of
-# moderate magnitude: the widest, the first-kind quartic, spans 4 prec bits.
-# A sum that cancels, as P does when x_n lies on a root of the quartic, then
-# loses nothing, and a seed of extreme magnitude cannot blow the integers up.
-_STEP_WINDOW_BITS = 64
 _ONE = (1, 0)
 # Report order of the cross-identities: each group runs over its indices
 # before the next starts.
@@ -55,11 +49,11 @@ _CROSS_ORDER = (
 
 def _invariants(params, ctx):
     """The loop invariants at ``prec = ctx.bits``: ``(prec, window, eps, c,
-    first, second)``.  ``window = 4 prec + _STEP_WINDOW_BITS`` is the exponent
-    window of every sum (:func:`numerics._sum`'s ``floor``); ``eps`` is
-    the exponent of the step guards' ``2^-(bits - GUARD_BITS)``
-    (:data:`numerics.GUARD_BITS`).  The rest are exact pairs of a, b, g, c:
-    alpha, beta, gamma and c rounded to ``prec`` (``params.as_reals``).
+    first, second)``.  ``window`` (:func:`numerics._window`) is the exponent
+    window of every sum; ``eps`` is the exponent of the step guards'
+    ``2^-(bits - GUARD_BITS)`` (:data:`numerics.GUARD_BITS`).  The rest are
+    exact pairs of a, b, g, c: alpha, beta, gamma and c rounded to ``prec``
+    (:func:`numerics._rational_pair`).
     ``first = (ab, apb, q3, q2, q1, q0)``, with ``ab = a b``, ``apb = a + b``
     and the coefficients of the first-kind quartic
     ``(x-1)(x-a)(x-b)(x-g) = x^4 + q3 x^3 + q2 x^2 + q1 x + q0``.
@@ -68,7 +62,7 @@ def _invariants(params, ctx):
     ``gab = (g-a)(g-b)`` and ``oab = (1-a)(1-b)``, ``g1 = g + 1``,
     ``go = gab + oab``, ``k4 = g oab + gab`` and ``k5 = gab oab``."""
     prec = ctx.bits
-    raw = [_pair(v._mpf_) for v in params.as_reals(ctx)]  # all positive
+    raw = [_rational_pair(q, prec) for q in (params.alpha, params.beta, params.gamma, params.c)]
     s = max(0, *(-e for _, e in raw))
     # a = A / 2^s and so on: each invariant is an integer over a power of 2^s
     A, B, G, C = (m << e + s for m, e in raw)
@@ -85,7 +79,7 @@ def _invariants(params, ctx):
     second = (pair(AB, 2), pair(APB, 1), pair(H, 1), pair(APB * H - AB + G * O, 2),
               pair(G * O - AB, 2), pair(AB * H, 3), pair(G, 1), pair(G + O, 1),
               pair(GAB + OAB, 2), pair(G * OAB + GAB * O, 3), pair(GAB * OAB, 4))
-    return prec, 4 * prec + _STEP_WINDOW_BITS, GUARD_BITS - prec, pair(C, 1), first, second
+    return prec, _window(prec), GUARD_BITS - prec, pair(C, 1), first, second
 
 
 def _first_kind(k, n, x, y, y_next=_ZERO):
@@ -177,7 +171,7 @@ def _cross_terms(k, n, x, y, S, A, B, A_next=None):
     ``d = 1 - c``, ``A = d^2 a2_n``, ``B = c d b_n`` and ``A_next = d^2
     a2_{n+1}``.  Each identity, as written with ``(1-c)/c``, is multiplied
     through by c^2 or by c d, so every term is a polynomial in pairs and
-    the ratio |sum(lhs) - sum(rhs)| / max |term| (:func:`_residual`) is
+    the ratio |sum(lhs) - sum(rhs)| / max |term| (:func:`numerics._residual`) is
     unchanged.  An identity that reaches past the data is left out: those
     that need index n+1 appear only when ``A_next`` is given, and those
     that need n-1 only for n >= 1.
@@ -223,26 +217,16 @@ def _cross_terms(k, n, x, y, S, A, B, A_next=None):
     return out
 
 
-def _residual(lhs, rhs, window):
-    """``(|sum(lhs) - sum(rhs)|, max |term|)`` of one identity's pair terms;
-    the normalized residual is their quotient, and zero where every term is."""
-    top = _ZERO
-    for t in lhs + rhs:
-        if not _below(t, top):
-            top = t
-    s, f = _sum([*lhs, *map(_neg, rhs)], floor=window)
-    return (abs(s), f), (abs(top[0]), top[1])
-
-
 def _monitor_trips(k, x, y, S, m):
     """Whether any of the five cross-identities at index m (1 <= m <
     len(x) - 1) has a normalized residual above 10^-6, that is
     ``10^6 |sum(lhs) - sum(rhs)| > max |term|``, decided on integers.
 
-    Only the stored values at m-1 .. m+1 are read, as pairs.  ``A = d^2 a2``
-    and ``B = c d b`` (d = 1 - c) are rebuilt from them at m and m+1 by the
-    map of :func:`oracle.coeffs_from_xy` multiplied through, with no
-    division: ``A = c (d (y + S) + n (n - 1 + a + b - g))`` and
+    ``x``, ``y`` and ``S`` are the orbit's pairs; only those at m-1 .. m+1
+    are read.  ``A = d^2 a2`` and ``B = c d b`` (d = 1 - c) are rebuilt from
+    them at m and m+1 by the map of :func:`oracle.coeffs_from_xy`
+    multiplied through, with no division:
+    ``A = c (d (y + S) + n (n - 1 + a + b - g))`` and
     ``B = c (d x + n + (n + a + b) c - g)``.  Every sum is exact while its
     terms' exponents lie within the step's window (:func:`_invariants`).
     Under this reconstruction the a2-difference residual is only the
@@ -250,16 +234,14 @@ def _monitor_trips(k, x, y, S, m):
     """
     _, window, _, c, (_, apb, *_), second = k
     g, d = second[6], _sum([_ONE, _neg(c)])
-    px = {i: _pair(x[i]._mpf_) for i in (m - 1, m, m + 1)}
-    py, pS = ({i: _pair(v[i]._mpf_) for i in (m, m + 1)} for v in (y, S))
 
     def a2(n):
-        return _times(c, _sum([_times(d, py[n]), _times(d, pS[n]), (n * (n - 1), 0),
+        return _times(c, _sum([_times(d, y[n]), _times(d, S[n]), (n * (n - 1), 0),
                                _scaled(n, apb), _scaled(-n, g)], floor=window))
 
-    B = _times(c, _sum([_times(d, px[m]), (m, 0), _scaled(m, c), _times(apb, c), _neg(g)],
+    B = _times(c, _sum([_times(d, x[m]), (m, 0), _scaled(m, c), _times(apb, c), _neg(g)],
                        floor=window))
-    for lhs, rhs in _cross_terms(k, m, px, py, pS, a2(m), B, a2(m + 1)).values():
+    for lhs, rhs in _cross_terms(k, m, x, y, S, a2(m), B, a2(m + 1)).values():
         diff, top = _residual(lhs, rhs, window)
         if not _below(_scaled(_MONITOR_INVERSE, diff), top):
             return True
@@ -281,13 +263,15 @@ def iterate(params, N: int, ctx, seed=None, strict: bool = False) -> XYSeq:
     seed is a pair (x0, y0), used as given.  The steps and the monitor take
     ``params`` as given on both lattices; only the canonical seed of a
     shifted set goes through the standard-lattice transform
-    (:func:`initial_xy`).  On a singular step the prefix computed so far
-    is returned with ``failure_index`` set (or the SingularStep is raised
-    when strict=True).  For canonical runs a consistency monitor evaluates
-    the five nonlinear cross-identities every ten steps; the first index
-    where any exceeds 1e-6 is recorded as ``precision_suspect_at`` (raised as
-    PrecisionExhausted when strict=True).  The monitor is a coarse guard:
-    it flags garbage orbits but not the first few corrupted digits.
+    (:func:`initial_xy`).  The steps keep the orbit as pairs, and x, y and S
+    become BigReals once, when the run returns.  On a singular step the
+    prefix computed so far is returned with ``failure_index`` set (or the
+    SingularStep is raised when strict=True).  For canonical runs a
+    consistency monitor evaluates the five nonlinear cross-identities on the
+    pairs every ten steps; the first index where any exceeds 1e-6 is
+    recorded as ``precision_suspect_at`` (raised as PrecisionExhausted when
+    strict=True).  The monitor is a coarse guard: it flags garbage orbits
+    but not the first few corrupted digits.
     """
     if N < 0:
         raise InvalidParam("N must be >= 0")
@@ -305,9 +289,9 @@ def iterate(params, N: int, ctx, seed=None, strict: bool = False) -> XYSeq:
     x0, y0 = initial_xy(params, ctx) if canonical else (ctx.real(seed[0]), ctx.real(seed[1]))
 
     k = _invariants(params, ctx)
-    x, y, S = [x0], [y0], [mp.mpf(0), x0]
+    xp, yp = _from_real(x0), _from_real(y0)
+    x, y, S = [xp], [yp], [_ZERO, xp]
     failure = suspect = None
-    xp, yp, sp = (_pair(v._mpf_) for v in (x0, y0, x0))  # pairs between steps
     for n in range(N):
         try:
             yp = _dp1(k, params, n, xp, yp)
@@ -317,11 +301,10 @@ def iterate(params, N: int, ctx, seed=None, strict: bool = False) -> XYSeq:
                 raise
             failure = n
             break
+        x.append(xp)
+        y.append(yp)
         # S_n and x_n are prec-bit pairs: cut in the window, the sum still rounds exactly
-        sp = _round(_sum([sp, xp], floor=k[1]), ctx.bits)
-        x.append(mp.make_mpf(from_man_exp(*xp)))
-        y.append(mp.make_mpf(from_man_exp(*yp)))
-        S.append(mp.make_mpf(from_man_exp(*sp)))
+        S.append(_round(_sum([S[-1], xp], floor=k[1]), ctx.bits))
         j = n + 1
         if canonical and suspect is None and j >= 2 and j % _MONITOR_EVERY == 0:
             if _monitor_trips(k, x, y, S, j - 1):
@@ -332,6 +315,7 @@ def iterate(params, N: int, ctx, seed=None, strict: bool = False) -> XYSeq:
                         f"the orbit no longer satisfies the cross-identities "
                         f"at {ctx.bits} bits"
                     )
+    x, y, S = ([_to_real(mp, v) for v in seq] for seq in (x, y, S))
     return XYSeq(params, x, y, S, ctx, failure_index=failure, precision_suspect_at=suspect)
 
 
@@ -344,34 +328,31 @@ def dp_residuals(xy: XYSeq, coeffs=None) -> ResidualReport:
     (x, y, S) to (a2, b) (:func:`_cross_terms`, which the monitor shares).
     Every residual is |sum(lhs) - sum(rhs)| over the largest additive term,
     both exact on the pairs of the stored values, as one quotient rounded
-    once.  The relations take the same parameter form on both lattices, so
+    once (:func:`numerics._normalized`, as for every residual suite).  The
+    relations take the same parameter form on both lattices, so
     no transform is applied here.
     """
     params, ctx = (xy.params, xy.ctx) if coeffs is None else _common_measure(xy, coeffs)
     mp = ctx.mp
     k = _invariants(params, ctx)
-    prec, window, _, cp = k[:4]
-
-    def ratio(lhs, rhs):
-        diff, top = _residual(lhs, rhs, window)
-        return mp.make_mpf(from_man_exp(*_quotient(diff, top, prec))) if top[0] else mp.zero
+    window, _, cp = k[1:4]
 
     def pairs(seq):
-        return [_pair(ctx.real(v)._mpf_) for v in seq]
+        return [_from_real(ctx.real(v)) for v in seq]
 
     rep = ResidualReport(ctx=ctx)
     N = xy.N
     px, py = pairs(xy.x), pairs(xy.y)
     for n in range(N):
         P, Q, quart = _first_kind(k, n, px[n], py[n], py[n + 1])
-        rep.add("dp1", n, ratio([_times(_times(cp, P), Q)], [quart]))
+        rep.add("dp1", n, _normalized(mp, [_times(_times(cp, P), Q)], [quart]))
     for m in range(1, N + 1):
         D, numY, quart = _second_kind(k, m, py[m])
         if not D[0]:  # Y = numY / D is undefined
             rep.add("dp2", m, mp.inf)
             continue
         lhs = _times(*(_sum([_times(v, D), numY], floor=window) for v in (px[m], px[m - 1])))
-        rep.add("dp2", m, ratio([lhs], [quart]))
+        rep.add("dp2", m, _normalized(mp, [lhs], [quart]))
 
     if coeffs is None:
         return rep
@@ -380,7 +361,7 @@ def dp_residuals(xy: XYSeq, coeffs=None) -> ResidualReport:
     d = _sum([_ONE, _neg(cp)])
     dd, cd = _times(d, d), _times(cp, d)
     ratios = [
-        {name: ratio(*terms) for name, terms in _cross_terms(
+        {name: _normalized(mp, *terms) for name, terms in _cross_terms(
             k, n, px, py, pS, _times(dd, a2[n]), _times(cd, b[n]),
             _times(dd, a2[n + 1]) if n < NN else None).items()}
         for n in range(NN + 1)

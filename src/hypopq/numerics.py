@@ -1,9 +1,15 @@
-"""Arbitrary-precision scalar contract and stencil derivatives.
+"""Arbitrary-precision scalar contract, the pair kernel and stencil derivatives.
 
 A ``BigReal`` is an ``mpmath`` ``mpf`` bound to the :class:`PrecisionCtx` that
 produced it.  Every context owns an isolated ``MPContext`` (the global
 ``mpmath.mp`` is never touched), so results depend only on the context's bit
 count and the code path — repeated calls are bit-identical.
+
+This module owns the number format: the kernels and the one normalized
+residual (:func:`_normalized`) compute on signed ``(mantissa, exponent)``
+integer pairs, and only this module reads mpmath's raw format
+(``mpmath.libmp``, ``_mpf_``).  Values cross by :func:`_to_real`,
+:func:`_from_real` and :func:`_rational_pair`.
 """
 
 from __future__ import annotations
@@ -15,7 +21,8 @@ from functools import cache
 
 from mpmath.ctx_mp import MPContext
 from mpmath import libmp
-from mpmath.libmp import from_int, from_rational, mpf_pos, round_nearest
+from mpmath.libmp import (finf, fnan, fninf, from_int, from_man_exp, from_rational, mpf_pos,
+                          round_nearest, to_rational)
 
 from .errors import DomainExceeded, InvalidParam, StepTooSmall
 
@@ -51,6 +58,39 @@ def _pair(x):
     if exp:
         raise InvalidParam(f"non-finite value {libmp.to_str(x, 5)}")
     return _ZERO
+
+
+def _from_real(x):
+    """The BigReal ``x`` as its exact pair (:func:`_pair`)."""
+    return _pair(x._mpf_)
+
+
+def _to_real(mp, v):
+    """The pair ``v`` as a BigReal of the mpmath context ``mp``, rounded once
+    to its bits (ties to even)."""
+    return mp.make_mpf(from_man_exp(v[0], v[1], mp.prec, _RND))
+
+
+def _rational_pair(q, prec):
+    """The rational ``q`` rounded to ``prec`` bits, as libmp normalizes it (odd mantissa)."""
+    return _pair(from_rational(q.numerator, q.denominator, prec, _RND))
+
+
+def _exact_fraction(x):
+    """The exact rational value of a finite BigReal (always dyadic)."""
+    if x._mpf_ in (finf, fninf, fnan):
+        raise InvalidParam("cannot use a non-finite evaluation point")
+    return Fraction(*to_rational(x._mpf_))
+
+
+def _window(prec):
+    """The exponent window of the exact sums at ``prec`` bits, 4 prec + 64
+    (:func:`_sum`'s ``floor``).  Every sum of the recursion step is exact in
+    it on any orbit of moderate magnitude: the widest, the first-kind
+    quartic, spans 4 prec bits.  A sum that cancels, as P does when x_n lies
+    on a root of the quartic, then loses nothing, and a value of extreme
+    magnitude cannot blow the integers up."""
+    return 4 * prec + 64
 
 
 def _times(x, y):
@@ -128,6 +168,28 @@ def _below(v, w):
 def _negligible(v, w, eps):
     """The step guards' test ``|v| <= 2^eps |w|``."""
     return _below(v, (w[0], w[1] + eps))
+
+
+def _residual(lhs, rhs, window):
+    """``(|sum(lhs) - sum(rhs)|, max |term|)`` of one identity's pair terms,
+    as pairs.  The difference is exact while the terms' exponents lie within
+    ``window`` bits of each other (:func:`_sum`); each term further below is
+    cut, which moves it by less than ``2^-window`` times the largest term."""
+    top = _ZERO
+    for t in lhs + rhs:
+        if not _below(t, top):
+            top = t
+    s, f = _sum([*lhs, *map(_neg, rhs)], floor=window)
+    return (abs(s), f), (abs(top[0]), top[1])
+
+
+def _normalized(mp, lhs, rhs):
+    """The normalized residual of the pair terms ``lhs`` and ``rhs``, as a
+    BigReal of ``mp``: the quotient of :func:`_residual`, in the window at
+    mp's bits, rounded once to them, and zero where every term is."""
+    prec = mp.prec
+    diff, top = _residual(lhs, rhs, _window(prec))
+    return _to_real(mp, _quotient(diff, top, prec)) if top[0] else mp.zero
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,9 @@ algorithm produces both families of quotients at once in O(N^2) operations
 from the power moments (two lattice series, then the Pearson recurrence).
 From the seed sums to the agreement check every number is an integer pair of
 :mod:`numerics`' kernel: each moment, element, quotient or difference is
-the exact value on the stored pairs, rounded once by ``numerics._round``;
-libmp only rounds the rational constants in and the coefficients out.
+the exact value on the stored pairs, rounded once by ``numerics._round``.
+Only the rational constants in and the coefficients out cross the
+boundary to BigReals, by :mod:`numerics`' conversions.
 
 The oracle is deliberately redundant: every sequence is computed at the
 requested precision and again at twice the precision, and the two runs must
@@ -18,14 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from mpmath.libmp import from_man_exp, round_nearest
-
 from .errors import InvalidCoeffs, InvalidParam, PoleHit, PrecisionExhausted
-from .numerics import _ZERO, GUARD_BITS, _below, _neg, _quotient, _round, _scaled, _sum
+from .numerics import (_ZERO, GUARD_BITS, _below, _neg, _quotient, _rational_pair, _round,
+                       _scaled, _sum, _to_real)
 from .reporting import ResidualReport, normalized_residual
-from .weights import Lattice, _moment_batch_raw, _rational_pair, moment, shifted_params
-
-_rnd = round_nearest
+from .weights import Lattice, _moment_batch_raw, moment, shifted_params
 
 
 @dataclass(frozen=True)
@@ -157,14 +155,12 @@ def coeffs_oracle(params, N: int, ctx) -> CoeffSeq:
             )
         return hi
 
-    def out(v):
-        return ctx.mp.make_mpf(from_man_exp(*v, ctx.bits, _rnd))
-
-    a2_out, b_out = [out(_ZERO)], []
+    mp = ctx.mp
+    a2_out, b_out = [mp.zero], []
     shifted = params.lattice is Lattice.SHIFTED
     shift = _rational_pair(1 - params.gamma, hb) if shifted else _ZERO
     for n in range(N + 1):
-        b_out.append(out(_sum([_agree(b_lo[n], b_hi[n], "b", n), shift])))
+        b_out.append(_to_real(mp, _sum([_agree(b_lo[n], b_hi[n], "b", n), shift])))
         if n >= 1:
             av = _agree(a2_lo[n], a2_hi[n], "a2", n)
             if av[0] <= 0:
@@ -172,7 +168,7 @@ def coeffs_oracle(params, N: int, ctx) -> CoeffSeq:
                     f"a2[{n}] lost positivity at {hb} bits; "
                     "the Hankel chain is below working precision"
                 )
-            a2_out.append(out(av))
+            a2_out.append(_to_real(mp, av))
     return CoeffSeq(params=params, a2=a2_out, b=b_out, ctx=ctx)
 
 
@@ -233,49 +229,20 @@ def ladder_residuals(coeffs: CoeffSeq) -> ResidualReport:
     usum = mp.mpf(0)
     for n in range(coeffs.N + 1):
         u, v, r, s = ladder.u[n], ladder.v[n], ladder.r[n], ladder.s[n]
-        rep.add("uv_sum", n, normalized_residual(mp, [u, v], [q]))
-        rep.add("rs_sum", n, normalized_residual(mp, [r, s], [-mp.mpf(n)]))
-        rep.add(
-            "uv_weighted",
-            n,
-            normalized_residual(
-                mp,
-                [a * u, bta * v],
-                [mp.mpf(2 * n + 1), -q * coeffs.b[n], (a + bta - g - 1) / c, (n + 1) * q],
-            ),
-        )
-        rep.add(
-            "rs_weighted",
-            n,
-            normalized_residual(
-                mp,
-                [a * r, bta * s],
-                [mp.mpf(n * (n - 1)) / 2, -q * coeffs.a2[n], bsum],
-            ),
-        )
-        rep.add(
-            "b_from_ladder",
-            n,
-            normalized_residual(
-                mp,
-                [coeffs.b[n]],
-                [(n + a - g + (n + bta) * c) / (1 - c), -(a - bta) * cf * u],
-            ),
-        )
-        rep.add(
-            "a2_from_ladder",
-            n,
-            normalized_residual(
-                mp,
-                [coeffs.a2[n]],
-                [
-                    n * (n + a + bta - g - 1) * c / (1 - c) ** 2,
-                    -(a - bta) * cf * (cf * usum + r),
-                ],
-            ),
-        )
-        bsum += coeffs.b[n]
-        usum += ladder.u[n]
+        a2, b = coeffs.a2[n], coeffs.b[n]
+        for name, lhs, rhs in (
+            ("uv_sum", [u, v], [q]),
+            ("rs_sum", [r, s], [-mp.mpf(n)]),
+            ("uv_weighted", [a * u, bta * v],
+             [mp.mpf(2 * n + 1), -q * b, (a + bta - g - 1) / c, (n + 1) * q]),
+            ("rs_weighted", [a * r, bta * s], [mp.mpf(n * (n - 1)) / 2, -q * a2, bsum]),
+            ("b_from_ladder", [b], [(n + a - g + (n + bta) * c) / (1 - c), -(a - bta) * cf * u]),
+            ("a2_from_ladder", [a2],
+             [n * (n + a + bta - g - 1) * c / (1 - c) ** 2, -(a - bta) * cf * (cf * usum + r)]),
+        ):
+            rep.add(name, n, normalized_residual(mp, lhs, rhs))
+        bsum += b
+        usum += u
     return rep
 
 

@@ -4,25 +4,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .numerics import _from_real, _normalized
+
 
 def normalized_residual(mp, lhs_terms, rhs_terms):
     """|sum(lhs) - sum(rhs)| scaled by the largest additive term.
 
     Normalizing by the dominant term keeps "everything is tiny" from being
-    mistaken for "the identity holds".  When every term is exactly zero the
+    mistaken for "the identity holds".  The terms are read as BigReals of
+    ``mp`` (``mp.mpf``).  The difference and the largest term are exact on
+    them (while their exponents lie within ``numerics._window`` of mp's
+    bits), so the order of the terms does not matter, and their quotient is
+    rounded once to mp's bits: :func:`numerics._normalized`, which
+    ``dpainleve.dp_residuals`` shares.  When every term is exactly zero the
     absolute residual (zero) is returned.
     """
-    lhs_terms = list(lhs_terms)
-    rhs_terms = list(rhs_terms)
-    diff = abs(sum(lhs_terms, mp.mpf(0)) - sum(rhs_terms, mp.mpf(0)))
-    scale = mp.mpf(0)
-    for t in lhs_terms:
-        scale = max(scale, abs(t))
-    for t in rhs_terms:
-        scale = max(scale, abs(t))
-    if scale == 0:
-        return diff
-    return diff / scale
+
+    def pairs(terms):
+        return [_from_real(mp.mpf(t)) for t in terms]
+
+    return _normalized(mp, pairs(lhs_terms), pairs(rhs_terms))
 
 
 @dataclass

@@ -20,14 +20,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache, lru_cache
-
-from mpmath.libmp import finf, fnan, fninf, to_rational
 
 from .dpainleve import iterate
 from .errors import InvalidParam, PrecisionExhausted, SingularStep
-from .numerics import central_derivative
+from .numerics import _exact_fraction, central_derivative
 from .oracle import coeffs_from_xy, coeffs_oracle, xy_from_coeffs
 from .reporting import ResidualReport, normalized_residual
 from .weights import Lattice, Params, _seed_sums, initial_xy
@@ -38,13 +35,6 @@ class Source(enum.Enum):
 
     ORACLE = "oracle"
     ITERATE = "iterate"
-
-
-def _exact_fraction(x):
-    """The exact rational value of a finite BigReal (always dyadic)."""
-    if x._mpf_ in (finf, fninf, fnan):
-        raise InvalidParam("cannot use a non-finite evaluation point")
-    return Fraction(*to_rational(x._mpf_))
 
 
 def _node_params(params, c_eval):
@@ -134,47 +124,19 @@ def toda_residuals(params, n: int, h, source: Source, ctx) -> ResidualReport:
     dy = d(lambda cs, xy: xy.y[n])
     cs, xy = fetch(c)
 
+    identities = [
+        ("toda_b", [c * db], [cs.a2[n + 1], -cs.a2[n]]),
+        ("x_deriv", [dx], [db, -(2 * n + a + bta - g) / (1 - c) ** 2]),
+        ("y_deriv", [dy], [-(1 + c) / c**2 * cs.a2[n], (1 - c) / c * da2]),
+        ("x_flow", [(1 - c) * dx], [xy.y[n + 1], -xy.y[n], xy.x[n]]),
+    ]
+    if n >= 1:
+        identities.insert(0, ("toda_a2", [c * da2], [cs.a2[n] * (cs.b[n] - cs.b[n - 1])]))
+        identities.append(
+            ("y_flow", [(1 - c) * dy], [(1 - c) ** 2 / c**2 * cs.a2[n] * (xy.x[n] - xy.x[n - 1])]))
     rep = ResidualReport(ctx=ctx)
-    if n >= 1:
-        rep.add(
-            "toda_a2",
-            n,
-            normalized_residual(
-                mp, [c * da2], [cs.a2[n] * (cs.b[n] - cs.b[n - 1])]
-            ),
-        )
-    rep.add(
-        "toda_b", n, normalized_residual(mp, [c * db], [cs.a2[n + 1], -cs.a2[n]])
-    )
-    rep.add(
-        "x_deriv",
-        n,
-        normalized_residual(mp, [dx], [db, -(2 * n + a + bta - g) / (1 - c) ** 2]),
-    )
-    rep.add(
-        "y_deriv",
-        n,
-        normalized_residual(
-            mp, [dy], [-(1 + c) / c**2 * cs.a2[n], (1 - c) / c * da2]
-        ),
-    )
-    rep.add(
-        "x_flow",
-        n,
-        normalized_residual(
-            mp, [(1 - c) * dx], [xy.y[n + 1], -xy.y[n], xy.x[n]]
-        ),
-    )
-    if n >= 1:
-        rep.add(
-            "y_flow",
-            n,
-            normalized_residual(
-                mp,
-                [(1 - c) * dy],
-                [(1 - c) ** 2 / c**2 * cs.a2[n] * (xy.x[n] - xy.x[n - 1])],
-            ),
-        )
+    for name, lhs, rhs in identities:
+        rep.add(name, n, normalized_residual(mp, lhs, rhs))
     return rep
 
 

@@ -18,12 +18,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain
 
-from mpmath.libmp import from_man_exp, from_rational, round_nearest
-
 from .errors import InvalidParam, NonConvergent
-from .numerics import GUARD_BITS, _ZERO, _below, _neg, _pair, _quotient, _round, _sum, _times
-
-_RND = round_nearest
+from .numerics import (GUARD_BITS, _ZERO, _below, _neg, _quotient, _rational_pair, _round, _sum,
+                       _times, _to_real)
 
 
 class Lattice(enum.Enum):
@@ -161,31 +158,26 @@ def weight_sequence(params, kmax, ctx):
 
 
 # Cap on the terms of a seed series before ``NonConvergent``; raised from c
-# and the precision for c > 0.9, up to the budget, which is refused outright.
+# and the precision, up to the budget, which is refused outright.
 _SERIES_MAX_TERMS = 100000
 _SERIES_TERM_BUDGET = 10**8
 
 
 def _effective_cap(c, prec):
-    """Series term cap at working precision ``prec``; raised deterministically
-    for c close to 1.  ``NonConvergent``, before any summing, when c rounds
-    to 1.0 as a float or the cap would exceed ``_SERIES_TERM_BUDGET``."""
-    cap = _SERIES_MAX_TERMS
+    """Series term cap at working precision ``prec``: ``_SERIES_MAX_TERMS``,
+    or 1000 more than 1.2 times the ``prec log 2 / -log c`` terms that the
+    geometric factor needs, whichever is larger.  ``NonConvergent``, before
+    any summing, when c rounds to 1.0 as a float or the cap would exceed
+    ``_SERIES_TERM_BUDGET``."""
     cf = float(c)
     if cf == 1.0:
         raise NonConvergent(f"moment series for c={c} has no term cap: c rounds to 1.0 as a float")
-    if cf > 0.9:
-        need = math.ceil(1.2 * prec * math.log(2) / -math.log(cf))
-        cap = max(cap, need + 1000)
+    need = math.ceil(1.2 * prec * math.log(2) / -math.log(cf)) if cf else 0  # 0.0: c underflows
+    cap = max(_SERIES_MAX_TERMS, need + 1000)
     if cap > _SERIES_TERM_BUDGET:
         raise NonConvergent(f"moment series for c={c} needs about {cap} terms at {prec} bits, "
                             f"over the budget of {_SERIES_TERM_BUDGET}")
     return cap
-
-
-def _rational_pair(q, prec):
-    """The rational ``q`` rounded to ``prec`` bits, as libmp normalizes it (odd mantissa)."""
-    return _pair(from_rational(q.numerator, q.denominator, prec, _RND))
 
 
 # Bound of the seed-sum memo, in (params, precision) pairs.  One Toda sweep or
@@ -305,8 +297,8 @@ def _moment_batch_raw(params, count, bits, guard=GUARD_BITS):
 
 
 def _moment_list(params, count, ctx):
-    moms = _moment_batch_raw(params, count, ctx.bits)
-    return [ctx.mp.make_mpf(from_man_exp(*m, ctx.bits, _RND)) for m in moms]
+    mp = ctx.mp
+    return [_to_real(mp, m) for m in _moment_batch_raw(params, count, ctx.bits)]
 
 
 def moment(params, n, ctx):

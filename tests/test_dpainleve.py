@@ -434,15 +434,15 @@ def test_dp_residuals_detect_tampering(ctx256):
 
 
 def test_monitor_reacts_to_corruption(ctx256):
-    # unit check of the internal monitor: a clean orbit does not trip, a
-    # corrupted one (x_9 off by 1e-3 relative) does
+    # unit check of the internal monitor on the orbit's pairs: a clean orbit
+    # does not trip, a corrupted one (x_9 off by 1e-3 relative) does
     p = asym_params()
     xy = iterate(p, 12, ctx256)
     k = _invariants(p, ctx256)
-    assert not _monitor_trips(k, xy.x, xy.y, xy.S, 9)
-    bad_x = list(xy.x)
-    bad_x[9] *= 1 + ctx256.mp.mpf("1e-3")
-    assert _monitor_trips(k, bad_x, xy.y, xy.S, 9)
+    x, y, S = ([_raw_pair(ctx256, v) for v in seq] for seq in (xy.x, xy.y, xy.S))
+    assert not _monitor_trips(k, x, y, S, 9)
+    x[9] = _raw_pair(ctx256, xy.x[9] * (1 + ctx256.mp.mpf("1e-3")))
+    assert _monitor_trips(k, x, y, S, 9)
 
 
 # ------------------------------------ cross-identities against exact Fractions

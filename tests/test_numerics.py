@@ -1,7 +1,9 @@
 """Precision contexts, the pair kernel, the seed-series stopping rule, stencil
 derivatives."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -19,6 +21,7 @@ from hypopq.errors import (
 from hypopq.numerics import (
     GUARD_BITS,
     PrecisionCtx,
+    _exact_fraction,
     _neg,
     _quotient,
     _round,
@@ -29,8 +32,9 @@ from hypopq.numerics import (
     default_step,
     digits_for_bits,
 )
+from hypopq.reporting import normalized_residual
 from hypopq.toda_sigma import clear_cache
-from hypopq.weights import Params, _effective_cap, _seed_sums
+from hypopq.weights import Params, _effective_cap, _seed_sums, moment
 
 
 # ---------------------------------------------------------------- contexts
@@ -180,8 +184,8 @@ def test_sum_series_log2(ctx256):
 
 
 def test_sum_series_nonconvergent(monkeypatch):
-    # 80 bits need about 75 terms of the 2^-k series
-    monkeypatch.setattr("hypopq.weights._SERIES_MAX_TERMS", 50)
+    # 80 bits need about 75 terms of the 2^-k series; a cap of 50 refuses them
+    monkeypatch.setattr("hypopq.weights._effective_cap", lambda c, prec: 50)
     clear_cache()
     try:
         with pytest.raises(NonConvergent):
@@ -219,6 +223,22 @@ def test_sum_series_dip_then_growth():
             assert abs(mpmath.mpf(got) / want - 1) < mpmath.ldexp(1, -250)
 
 
+def test_series_cap_grows_with_the_bits_at_any_c():
+    # w_k = c^k / (k+1), so m_0 = -log(1 - c) / c; at c = 9/10 and 16,000
+    # bits the series runs to about 105,000 terms, over the 100,000 that once
+    # capped it for every c <= 0.9
+    ctx = PrecisionCtx(16000)
+    got = moment(Params(1, 1, 2, Fraction(9, 10)), 0, ctx)
+    with mpmath.workprec(16100):
+        want = 10 * mpmath.log(10) / 9
+        assert abs(mpmath.mpf(got) / want - 1) < mpmath.ldexp(1, -15990)
+
+
+def test_series_cap_for_c_below_float_range():
+    # c underflows to 0.0 as a float: the geometric factor needs no terms
+    assert _effective_cap(Fraction(1, 10**400), 272) == 100000
+
+
 @pytest.mark.parametrize("args", [
     (Fraction(13, 4), Fraction(5, 2), Fraction(17, 4), Fraction(15, 16)),
     (Fraction(1, 2**120), 64, 1, Fraction(15, 16)),
@@ -226,6 +246,87 @@ def test_sum_series_dip_then_growth():
 def test_sum_series_swap_bit_identical(args):
     p = Params(*args)
     assert _seed_sums(p, PREC256) == _seed_sums(p.swapped(), PREC256)
+
+
+# ------------------------------------------------------- the one residual
+# normalized_residual reads its terms as BigReals, forms the difference of
+# their sums and the largest term exactly, as pairs, and rounds their
+# quotient once: the path that dp_residuals and the monitor share.
+
+
+def _exact_normalized(ctx, lhs, rhs):
+    """|sum(lhs) - sum(rhs)| / max |term| in Fractions, rounded once to nearest."""
+    fl, fr = ([_exact_fraction(t) for t in ts] for ts in (lhs, rhs))
+    top = max(map(abs, fl + fr), default=0)
+    return ctx.real(abs(sum(fl) - sum(fr)) / top) if top else ctx.mp.zero
+
+
+@st.composite
+def _residual_case(draw):
+    """A precision and two lists of signed terms of up to ``prec`` bits, a
+    fifth of them zero, with exponents inside the exact sums' window; half
+    the time the right side ends with the left side's sum rounded to
+    ``prec``, so that the residual is a rounding error."""
+    prec = draw(st.integers(24, 512))
+    mp = PrecisionCtx(prec).mp
+
+    def terms(lo):
+        out = []
+        for _ in range(draw(st.integers(lo, 5))):
+            if draw(st.integers(0, 4)):
+                m = draw(st.integers(-(1 << prec) + 1, (1 << prec) - 1))
+                out.append(mp.ldexp(mp.mpf(m), draw(st.integers(-prec - 32, prec + 32))))
+            else:
+                out.append(mp.zero)
+        return out
+
+    lhs, rhs = terms(0), terms(1)
+    if draw(st.booleans()):
+        rhs.append(mp.fsum(lhs))
+    return prec, lhs, rhs
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_residual_case())
+def test_normalized_residual_is_exact_ratio_rounded_once(case):
+    prec, lhs, rhs = case
+    ctx = PrecisionCtx(prec)
+    got = normalized_residual(ctx.mp, lhs, rhs)
+    assert got._mpf_ == _exact_normalized(ctx, lhs, rhs)._mpf_
+    assert normalized_residual(ctx.mp, lhs[::-1], rhs[::-1])._mpf_ == got._mpf_
+
+
+def test_normalized_residual_ignores_term_order(ctx128):
+    # summed in mpf, the first order reads 2^-200 (6.2e-61) and the second 0
+    mp = ctx128.mp
+    one, tiny = mp.mpf(1), mp.ldexp(1, -200)
+    first = normalized_residual(mp, [one, -one, tiny], [])
+    second = normalized_residual(mp, [one, tiny, -one], [])
+    assert first._mpf_ == second._mpf_ == tiny._mpf_
+
+
+def test_normalized_residual_of_zero_terms(ctx128):
+    mp = ctx128.mp
+    assert normalized_residual(mp, [mp.zero, 0], [mp.zero]) == 0
+    assert normalized_residual(mp, [], [mp.mpf(3)]) == 1
+
+
+def test_only_numerics_reads_the_raw_number_format():
+    # mpmath's raw format (mpmath.libmp and the _mpf_ tuples) has one reader
+    readers = set()
+    for path in sorted(Path(H.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                names = []
+            if (any(n == "mpmath.libmp" or n.startswith("mpmath.libmp.") for n in names)
+                    or isinstance(node, ast.Attribute) and node.attr == "_mpf_"
+                    or isinstance(node, ast.Constant) and node.value == "_mpf_"):
+                readers.add(path.name)
+    assert readers == {"numerics.py"}
 
 
 # --------------------------------------------------------------- stencils
