@@ -27,9 +27,8 @@ from __future__ import annotations
 from itertools import accumulate
 
 from .errors import InvalidParam, PrecisionExhausted, SingularStep
-from .numerics import (GUARD_BITS, _ZERO, _below, _from_real, _neg, _negligible, _normalized,
-                       _quotient, _rational_pair, _residual, _round, _scaled, _sum, _times,
-                       _to_real, _window)
+from .numerics import (GUARD_BITS, _ZERO, _below, _from_real, _normalized, _quotient,
+                       _rational_pair, _residual, _round, _sum, _to_real, _window)
 from .oracle import XYSeq, _common_measure
 from .reporting import ResidualReport
 from .weights import Lattice, initial_xy
@@ -49,11 +48,11 @@ _CROSS_ORDER = (
 
 def _invariants(params, ctx):
     """The loop invariants at ``prec = ctx.bits``: ``(prec, window, eps, c,
-    first, second)``.  ``window`` (:func:`numerics._window`) is the exponent
+    first, second, d)``.  ``window`` (:func:`numerics._window`) is the exponent
     window of every sum; ``eps`` is the exponent of the step guards'
     ``2^-(bits - GUARD_BITS)`` (:data:`numerics.GUARD_BITS`).  The rest are
     exact pairs of a, b, g, c: alpha, beta, gamma and c rounded to ``prec``
-    (:func:`numerics._rational_pair`).
+    (:func:`numerics._rational_pair`), and ``d = 1 - c``.
     ``first = (ab, apb, q3, q2, q1, q0)``, with ``ab = a b``, ``apb = a + b``
     and the coefficients of the first-kind quartic
     ``(x-1)(x-a)(x-b)(x-g) = x^4 + q3 x^3 + q2 x^2 + q1 x + q0``.
@@ -79,7 +78,7 @@ def _invariants(params, ctx):
     second = (pair(AB, 2), pair(APB, 1), pair(H, 1), pair(APB * H - AB + G * O, 2),
               pair(G * O - AB, 2), pair(AB * H, 3), pair(G, 1), pair(G + O, 1),
               pair(GAB + OAB, 2), pair(G * OAB + GAB * O, 3), pair(GAB * OAB, 4))
-    return prec, _window(prec), GUARD_BITS - prec, pair(C, 1), first, second
+    return prec, _window(prec), GUARD_BITS - prec, pair(C, 1), first, second, pair(O - C, 1)
 
 
 def _first_kind(k, n, x, y, y_next=_ZERO):
@@ -89,12 +88,14 @@ def _first_kind(k, n, x, y, y_next=_ZERO):
     (a, b, g = alpha, beta, gamma).  ``y_next = 0`` leaves the part of Q free
     of y_{n+1}.  ``k`` holds the :func:`_invariants`; each of the three is
     the exact value on the pairs given, rounded once to ``k[0]`` bits."""
-    prec, window, _, _, (ab, apb, q3, q2, q1, q0), _ = k
-    xx = _times(x, x)
-    common = [_neg(ab), _times(apb, x), _scaled(n, x), _neg(xx)]
+    prec, window, _, _, ((mab, eab), (mapb, eapb), (m3, e3), (m2, e2), (m1, e1), q0) = k[:5]
+    mx, ex = x
+    mxx, exx = mx * mx, 2 * ex
+    common = [(-mab, eab), (mapb * mx, eapb + ex), (n * mx, ex), (-mxx, exx)]
     P = _round(_sum([y, *common], floor=window), prec)
     Q = _round(_sum([y_next, x, *common], floor=window), prec)
-    quart = [_times(xx, xx), _times(q3, _times(xx, x)), _times(q2, xx), _times(q1, x), q0]
+    quart = [(mxx * mxx, 2 * exx), (m3 * mxx * mx, e3 + exx + ex), (m2 * mxx, e2 + exx),
+             (m1 * mx, e1 + ex), q0]
     return P, Q, _round(_sum(quart, floor=window), prec)
 
 
@@ -107,16 +108,16 @@ def _dp1(k, params, n, x, y):
     ``y_{n+1} = quartic / (c P) - Q``, Q free of y_{n+1}: the quotient is
     rounded once, and then the difference.
     """
-    P, Q, quart = _first_kind(k, n, x, y)
-    prec, window, eps, c = k[:4]
-    cP = _times(c, P)
-    if _negligible(cP, quart, eps):
+    P, (mQ, eQ), quart = _first_kind(k, n, x, y)
+    prec, window, eps, (mc, ec) = k[:4]
+    cP = mc * P[0], ec + P[1]
+    if _below(cP, (quart[0], quart[1] + eps)):  # |c P| <= 2^eps |quartic|
         msg = f"first-kind factor vanished at n={n}"
         if params.is_meixner:
             msg += ("; the Meixner form pins x_n at its limit (gamma, or 1 on the shifted "
                     "lattice), making both sides identically zero (closed form applies)")
         raise SingularStep(msg, index=n, which="P")
-    return _round(_sum([_quotient(quart, cP, prec), _neg(Q)], floor=window), prec)
+    return _round(_sum([_quotient(quart, cP, prec), (-mQ, eQ)], floor=window), prec)
 
 
 def _second_kind(k, m, y):
@@ -129,16 +130,19 @@ def _second_kind(k, m, y):
     the exact value rounded once, as in :func:`_first_kind`.  D and numY are
     expanded in ``h = mm - m + 1``, and the quartic's two pairs of factors
     in y, with the :func:`_invariants`."""
-    prec, window, _, _, _, (ab, apb, h, k1, k2, k3, g, g1, go, k4, k5) = k
-    yy, yh, m1, m2 = _times(y, y), _times(y, h), m * (m - 1), m * m
-    D = _round(_sum([_scaled(2 * m - 1, y), yh, (m * m1, 0), _scaled(m2, h),
-                    _scaled(m, k1), _scaled(m1, apb)], floor=window), prec)
-    numY = _round(_sum([yy, _scaled(m, yh), _scaled(m1, y), _times(y, k2),
-                       _scaled(-m, k3), _scaled(-m1, ab)], floor=window), prec)
-    left = _sum([yy, _scaled(m, _times(apb, y)), _scaled(m2, ab)], floor=window)
-    right = _sum([yy, _scaled(m, _times(g1, y)), _neg(_times(go, y)), _scaled(m2, g),
-                  _scaled(-m, k4), k5], floor=window)
-    return D, numY, _round(_times(left, right), prec)
+    prec, window = k[:2]
+    ((mab, eab), (mapb, eapb), (mh, eh), (mk1, ek1), (mk2, ek2), (mk3, ek3), (mg, eg),
+     (mg1, eg1), (mgo, ego), (mk4, ek4), k5) = k[5]
+    my, ey = y
+    myy, eyy, myh, eyh, m1, m2 = my * my, 2 * ey, my * mh, ey + eh, m * (m - 1), m * m
+    D = _round(_sum([((2 * m - 1) * my, ey), (myh, eyh), (m * m1, 0), (m2 * mh, eh),
+                     (m * mk1, ek1), (m1 * mapb, eapb)], floor=window), prec)
+    numY = _round(_sum([(myy, eyy), (m * myh, eyh), (m1 * my, ey), (my * mk2, ey + ek2),
+                        (-m * mk3, ek3), (-m1 * mab, eab)], floor=window), prec)
+    ml, el = _sum([(myy, eyy), (m * mapb * my, eapb + ey), (m2 * mab, eab)], floor=window)
+    mr, er = _sum([(myy, eyy), (m * mg1 * my, eg1 + ey), (-mgo * my, ego + ey), (m2 * mg, eg),
+                   (-m * mk4, ek4), k5], floor=window)
+    return D, numY, _round((ml * mr, el + er), prec)
 
 
 def _dp2(k, m, x_prev, y):
@@ -153,14 +157,17 @@ def _dp2(k, m, x_prev, y):
     """
     prec, window, eps = k[:3]
     D, numY, quart = _second_kind(k, m, y)
-    if _negligible(D, numY if _below(_ONE, numY) else _ONE, eps):
+    mw, ew = numY if _below(_ONE, numY) else _ONE
+    if _below(D, (mw, ew + eps)):  # |D| <= 2^eps max(1, |numY|)
         raise SingularStep(f"linearizing denominator vanished at m={m}", index=m, which="D")
-    E = _sum([_times(x_prev, D), numY], floor=window)
-    ED, DD = _times(E, D), _times(D, D)
-    if _negligible(ED, quart if _below(DD, quart) else DD, eps):
+    (mD, eD), (mx, ex) = D, x_prev
+    mE, eE = _sum([(mx * mD, ex + eD), numY], floor=window)
+    ED, DD = (mE * mD, eE + eD), (mD * mD, 2 * eD)
+    mw, ew = quart if _below(DD, quart) else DD
+    if _below(ED, (mw, ew + eps)):
         raise SingularStep(f"x_prev + Y vanished at m={m}", index=m, which="x_prev+Y")
-    Y = _quotient(numY, D, prec)
-    return _round(_sum([_quotient(quart, ED, prec), _neg(Y)], floor=window), prec)
+    mY, eY = _quotient(numY, D, prec)
+    return _round(_sum([_quotient(quart, ED, prec), (-mY, eY)], floor=window), prec)
 
 
 def _cross_terms(k, n, x, y, S, A, B, A_next=None):
@@ -174,45 +181,50 @@ def _cross_terms(k, n, x, y, S, A, B, A_next=None):
     the ratio |sum(lhs) - sum(rhs)| / max |term| (:func:`numerics._residual`) is
     unchanged.  An identity that reaches past the data is left out: those
     that need index n+1 appear only when ``A_next`` is given, and those
-    that need n-1 only for n >= 1.
+    that need n-1 only for n >= 1.  Pairs are written out as ``(m, e)``:
+    a trailing 0 marks index n-1 and a 1 index n+1.
     """
-    _, window, _, c, (ab, apb, *_), second = k
-    g, g1 = second[6:8]
-    d = _sum([_ONE, _neg(c)])
-    cc, cd = _times(c, c), _times(c, d)
-    cdn = _times(cd, _sum([apb, (n, 0)]))  # c d (a + b + n)
-    xn, yn, out = x[n], y[n], {}
+    _, window, _, c, ((mab, eab), (mapb, eapb), *_), second, (md, ed) = k
+    (mc, ec), (mg, eg), (mg1, eg1) = c, second[6], second[7]
+    mcc, ecc, mcd, ecd = mc * mc, 2 * ec, mc * md, ec + ed
+    mabn, eabn = _sum([(mapb, eapb), (n, 0)])
+    mcdn, ecdn = mcd * mabn, ecd + eabn  # c d (a + b + n)
+    (mx, ex), (my, ey), (mS, eS), (mA, eA), (mB, eB) = x[n], y[n], S[n], A, B
+    out = {}
     if A_next is not None:
-        y1 = y[n + 1]
+        (my1, ey1), (mS1, eS1) = y[n + 1], S[n + 1]
         out["y_pair_sum"] = (
-            [_times(cc, y1), _times(cc, yn)],
-            [_neg(_times(B, xn)), _times(cc, ab), _neg(_times(c, g)), _times(cd, S[n + 1])],
+            [(mcc * my1, ecc + ey1), (mcc * my, ecc + ey)],
+            [(-mB * mx, eB + ex), (mcc * mab, ecc + eab), (-mc * mg, ec + eg),
+             (mcd * mS1, ecd + eS1)],
         )
         out["a2_difference"] = (
-            [A_next, _neg(A)],
-            [_times(cd, y1), _neg(_times(cd, yn)), B, cdn],
+            [A_next, (-mA, eA)],
+            [(mcd * my1, ecd + ey1), (-mcd * my, ecd + ey), B, (mcdn, ecdn)],
         )
     if n < 1:
         return out
-    x_prev = x[n - 1]
+    mx0, ex0 = x[n - 1]
     if A_next is not None:
+        (mA1, eA1), (mx1, ex1) = A_next, x[n + 1]
+        mdy, edy = _sum([(my1, ey1), (-my, ey)], floor=window)
         out["a2x_difference"] = (
-            [_times(A_next, x[n + 1]), _neg(_times(A, x_prev))],
-            [_neg(_times(B, _sum([y1, _neg(yn)], floor=window))), _times(cd, ab),
-             _neg(_times(cd, yn))],
+            [(mA1 * mx1, eA1 + ex1), (-mA * mx0, eA + ex0)],
+            [(-mB * mdy, eB + edy), (mcd * mab, ecd + eab), (-mcd * my, ecd + ey)],
         )
-    yab = _sum([yn, _neg(ab)], floor=window)
+    mya, eya = _sum([(my, ey), (-mab, eab)], floor=window)  # y - ab
+    mw, ew = _sum([(mcc * mya, ecc + eya), (mc * mg, ec + eg)], floor=window)
     out["a2_x_product"] = (
-        [_times(A, _times(xn, x_prev))],
-        [_times(yn, _sum([_times(cc, yab), _times(c, g)], floor=window)),
-         _neg(_times(yab, _times(cd, S[n])))],
+        [(mA * mx * mx0, eA + ex + ex0)],
+        [(my * mw, ey + ew), (-mya * mcd * mS, eya + ecd + eS)],
     )
+    mw, ew = _sum([c, (mcc, ecc)])  # c + c^2
+    mw, ew = _sum([(n * mw, ew), (mcc * mapb, ecc + eapb), (-mc * mg1, ec + eg1)], floor=window)
+    mag, eag = _sum([(mab, eab), (-mg, eg)])  # ab - g
+    mxs, exs = _sum([(mx, ex), (mx0, ex0)], floor=window)
     out["a2_x_sum"] = (
-        [_times(A, _sum([xn, x_prev], floor=window))],
-        [_neg(_times(yn, _sum([_scaled(n, _sum([c, cc])), _times(cc, apb), _neg(_times(c, g1))],
-                              floor=window))),
-         _scaled(n, _times(c, _sum([ab, _neg(g)]))),
-         _times(cdn, S[n])],
+        [(mA * mxs, eA + exs)],
+        [(-my * mw, ey + ew), (n * mc * mag, ec + eag), (mcdn * mS, ecdn + eS)],
     )
     return out
 
@@ -232,18 +244,21 @@ def _monitor_trips(k, x, y, S, m):
     Under this reconstruction the a2-difference residual is only the
     rounding of S_{m+1} = S_m + x_m.
     """
-    _, window, _, c, (_, apb, *_), second = k
-    g, d = second[6], _sum([_ONE, _neg(c)])
+    _, window, _, (mc, ec), (_, (mapb, eapb), *_), second, (md, ed) = k
+    mg, eg = second[6]
 
     def a2(n):
-        return _times(c, _sum([_times(d, y[n]), _times(d, S[n]), (n * (n - 1), 0),
-                               _scaled(n, apb), _scaled(-n, g)], floor=window))
+        (my, ey), (mS, eS) = y[n], S[n]
+        mt, et = _sum([(md * my, ed + ey), (md * mS, ed + eS), (n * (n - 1), 0),
+                       (n * mapb, eapb), (-n * mg, eg)], floor=window)
+        return mc * mt, ec + et
 
-    B = _times(c, _sum([_times(d, x[m]), (m, 0), _scaled(m, c), _times(apb, c), _neg(g)],
-                       floor=window))
-    for lhs, rhs in _cross_terms(k, m, x, y, S, a2(m), B, a2(m + 1)).values():
-        diff, top = _residual(lhs, rhs, window)
-        if not _below(_scaled(_MONITOR_INVERSE, diff), top):
+    mx, ex = x[m]
+    mt, et = _sum([(md * mx, ed + ex), (m, 0), (m * mc, ec), (mapb * mc, eapb + ec), (-mg, eg)],
+                  floor=window)
+    for lhs, rhs in _cross_terms(k, m, x, y, S, a2(m), (mc * mt, ec + et), a2(m + 1)).values():
+        (mr, er), top = _residual(lhs, rhs, window)
+        if not _below((_MONITOR_INVERSE * mr, er), top):
             return True
     return False
 
@@ -335,35 +350,36 @@ def dp_residuals(xy: XYSeq, coeffs=None) -> ResidualReport:
     params, ctx = (xy.params, xy.ctx) if coeffs is None else _common_measure(xy, coeffs)
     mp = ctx.mp
     k = _invariants(params, ctx)
-    window, _, cp = k[1:4]
+    window, (mc, ec), (md, ed) = k[1], k[3], k[6]
 
     def pairs(seq):
-        return [_from_real(ctx.real(v)) for v in seq]
+        return [_round(_from_real(v), ctx.bits) for v in seq]
 
     rep = ResidualReport(ctx=ctx)
     N = xy.N
     px, py = pairs(xy.x), pairs(xy.y)
     for n in range(N):
-        P, Q, quart = _first_kind(k, n, px[n], py[n], py[n + 1])
-        rep.add("dp1", n, _normalized(mp, [_times(_times(cp, P), Q)], [quart]))
+        (mP, eP), (mQ, eQ), quart = _first_kind(k, n, px[n], py[n], py[n + 1])
+        rep.add("dp1", n, _normalized(mp, [(mc * mP * mQ, ec + eP + eQ)], [quart]))
     for m in range(1, N + 1):
         D, numY, quart = _second_kind(k, m, py[m])
         if not D[0]:  # Y = numY / D is undefined
             rep.add("dp2", m, mp.inf)
             continue
-        lhs = _times(*(_sum([_times(v, D), numY], floor=window) for v in (px[m], px[m - 1])))
-        rep.add("dp2", m, _normalized(mp, [lhs], [quart]))
+        (mD, eD), (mx, ex), (mx0, ex0) = D, px[m], px[m - 1]
+        mE, eE = _sum([(mx * mD, ex + eD), numY], floor=window)
+        mF, eF = _sum([(mx0 * mD, ex0 + eD), numY], floor=window)
+        rep.add("dp2", m, _normalized(mp, [(mE * mF, eE + eF)], [quart]))
 
     if coeffs is None:
         return rep
     NN = min(N, coeffs.N)
-    pS, a2, b = pairs(xy.S), pairs(coeffs.a2[:NN + 1]), pairs(coeffs.b[:NN + 1])
-    d = _sum([_ONE, _neg(cp)])
-    dd, cd = _times(d, d), _times(cp, d)
+    pS = pairs(xy.S)
+    A = [(md * md * m, 2 * ed + e) for m, e in pairs(coeffs.a2[:NN + 1])]
+    B = [(mc * md * m, ec + ed + e) for m, e in pairs(coeffs.b[:NN + 1])]
     ratios = [
         {name: _normalized(mp, *terms) for name, terms in _cross_terms(
-            k, n, px, py, pS, _times(dd, a2[n]), _times(cd, b[n]),
-            _times(dd, a2[n + 1]) if n < NN else None).items()}
+            k, n, px, py, pS, A[n], B[n], A[n + 1] if n < NN else None).items()}
         for n in range(NN + 1)
     ]
     for names in _CROSS_ORDER:

@@ -102,27 +102,28 @@ def _neg(v):
     return -v[0], v[1]
 
 
-def _scaled(k, v):
-    """The pair ``v`` times the integer ``k``, exactly."""
-    return k * v[0], v[1]
-
-
 def _sum(terms, floor=None):
     """The sum of the signed ``(mantissa, exponent)`` pairs ``terms`` as one
     pair, not rounded; a sum that is exactly zero is ``_ZERO``.  By default
     the sum is exact: the terms are aligned at their lowest exponent.  With
     ``floor``, the cut is ``floor`` bits below the largest exponent of a
-    nonzero term, or at the least one, whichever is higher: terms whose
-    exponents lie within ``floor`` bits of each other add up exactly, and a
-    divergent orbit cannot blow the integers up."""
-    if floor is None:
-        f = min([e for _, e in terms])
-    else:
-        es = [e for m, e in terms if m] or [0]
-        f = max(min(es), max(es) - floor)
-    s = 0
+    nonzero term, or at the least one, whichever is higher, and each term
+    below it is floored to it: terms whose exponents lie within ``floor``
+    bits of each other add up exactly in one pass, and a divergent orbit
+    cannot blow the integers up."""
+    s, f, hi = 0, _ZERO[1], -_ZERO[1]
     for m, e in terms:
-        s += m << e - f if e >= f else m >> f - e
+        if m or floor is None:
+            if e < f:
+                s, f = (s << f - e) + m, e
+            else:
+                s += m << e - f
+            if e > hi:
+                hi = e
+    if floor is not None and hi - floor > f:
+        s, f = 0, hi - floor
+        for m, e in terms:
+            s += m << e - f if e >= f else m >> f - e
     return (s, f) if s else _ZERO
 
 
@@ -165,22 +166,23 @@ def _below(v, w):
     return mv << ev - e <= mw << ew - e
 
 
-def _negligible(v, w, eps):
-    """The step guards' test ``|v| <= 2^eps |w|``."""
-    return _below(v, (w[0], w[1] + eps))
-
-
 def _residual(lhs, rhs, window):
     """``(|sum(lhs) - sum(rhs)|, max |term|)`` of one identity's pair terms,
     as pairs.  The difference is exact while the terms' exponents lie within
     ``window`` bits of each other (:func:`_sum`); each term further below is
-    cut, which moves it by less than ``2^-window`` times the largest term."""
-    top = _ZERO
-    for t in lhs + rhs:
-        if not _below(t, top):
-            top = t
-    s, f = _sum([*lhs, *map(_neg, rhs)], floor=window)
-    return (abs(s), f), (abs(top[0]), top[1])
+    cut, which moves it by less than ``2^-window`` times the largest term,
+    found by its top bit's position, and by its mantissa only on a tie."""
+    terms = [*lhs]
+    for m, e in rhs:
+        terms.append((-m, e))
+    (tm, te), tb = _ZERO, -_ZERO[1]
+    for m, e in terms:
+        if m:
+            b = e + m.bit_length()
+            if b > tb or b == tb and abs(m) << e - min(e, te) > abs(tm) << te - min(e, te):
+                tm, te, tb = m, e, b
+    s, f = _sum(terms, floor=window)
+    return (abs(s), f), (abs(tm), te)
 
 
 def _normalized(mp, lhs, rhs):

@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InvalidCoeffs, InvalidParam, PoleHit, PrecisionExhausted
-from .numerics import (_ZERO, GUARD_BITS, _below, _neg, _quotient, _rational_pair, _round,
-                       _scaled, _sum, _to_real)
+from .numerics import (_ZERO, GUARD_BITS, _below, _neg, _quotient, _rational_pair, _round, _sum,
+                       _to_real)
 from .reporting import ResidualReport, normalized_residual
 from .weights import Lattice, _moment_batch_raw, moment, shifted_params
 
@@ -148,7 +148,8 @@ def coeffs_oracle(params, N: int, ctx) -> CoeffSeq:
     a2_hi, b_hi = quotients(hb)
 
     def _agree(lo, hi, label, n):
-        if not _below(_scaled(10**10, _sum([lo, _neg(hi)])), hi):
+        m, e = _sum([lo, _neg(hi)])
+        if not _below((10**10 * m, e), hi):
             raise PrecisionExhausted(
                 f"{label}[{n}] agrees to fewer than 10 digits between "
                 f"{ctx.bits}- and {hb}-bit runs; raise bits"

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import from_man_exp, mpf_add, mpf_div, mpf_sub, round_nearest
 
@@ -21,6 +21,7 @@ from hypopq.errors import (
 from hypopq.numerics import (
     GUARD_BITS,
     PrecisionCtx,
+    _ZERO,
     _exact_fraction,
     _neg,
     _quotient,
@@ -161,6 +162,53 @@ def test_pair_kernel_matches_libmp(case):
         assert raw(_round(_sum([x, u]), prec)) == mpf_add(raw(x), raw(u), prec, rnd)
         assert raw(_round(_sum([x, _neg(u)]), prec)) == mpf_sub(raw(x), raw(u), prec, rnd)
 
+
+
+def _windowed_sum(terms, floor):
+    """``_sum``'s documented rule in Fractions: ``(value, cut)``.  The cut is
+    the lowest exponent of a nonzero term (of any term with ``floor=None``),
+    raised to ``floor`` bits below the highest; each nonzero term is floored
+    to a multiple of ``2^cut``, and the multiples add up exactly."""
+    live = [(m, e) for m, e in terms if m]
+    if not live:
+        return Fraction(0), None
+    es = [e for _, e in (terms if floor is None else live)]
+    cut = min(es) if floor is None else max(min(es), max(es) - floor)
+    unit = Fraction(2) ** cut
+    return sum(Fraction(m) * Fraction(2) ** e // unit for m, e in live) * unit, cut
+
+
+@st.composite
+def _sum_case(draw):
+    """Up to six signed pairs, a fifth of them zero (``_ZERO`` or a zero
+    mantissa at a low exponent), with exponents spread over 800 bits, and a
+    window of 0..200 bits or none: most lists span more than the window."""
+
+    def term():
+        e = draw(st.integers(-400, 400))
+        if draw(st.integers(0, 4)):
+            return draw(st.integers(-(1 << 200), 1 << 200).filter(bool)), e
+        return draw(st.sampled_from((_ZERO, (0, e))))
+
+    return [term() for _ in range(draw(st.integers(0, 6)))], draw(st.none() | st.integers(0, 200))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_sum_case())
+@example(([_ZERO, (0, -5)], 8))
+@example(([(0, -5), _ZERO], None))
+@example(([(3, 0), (-3, 0), (1, -40)], 8))  # the cut floors 2^-40 away
+@example(([(-1, -40), (1, 0)], 8))  # and -2^-40 to -2^-8
+def test_sum_window_rule(case):
+    # the recursion's sums take the window 4 prec + 64, and no orbit of the
+    # tests or the benchmark spans it: this is the one check of the cut
+    terms, floor = case
+    value, cut = _windowed_sum(terms, floor)
+    got = _sum(terms, floor=floor)
+    if value:
+        assert got[1] == cut and got[0] * Fraction(2) ** cut == value
+    else:
+        assert got == _ZERO
 
 # ----------------------------------------------------- seed-series summation
 # The moment seeds m_0, m_1 are the one place a series is summed.  For
