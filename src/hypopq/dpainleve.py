@@ -130,9 +130,8 @@ def _second_kind(k, m, y):
     the exact value rounded once, as in :func:`_first_kind`.  D and numY are
     expanded in ``h = mm - m + 1``, and the quartic's two pairs of factors
     in y, with the :func:`_invariants`."""
-    prec, window = k[:2]
-    ((mab, eab), (mapb, eapb), (mh, eh), (mk1, ek1), (mk2, ek2), (mk3, ek3), (mg, eg),
-     (mg1, eg1), (mgo, ego), (mk4, ek4), k5) = k[5]
+    prec, window, _, _, _, ((mab, eab), (mapb, eapb), (mh, eh), (mk1, ek1), (mk2, ek2),
+                            (mk3, ek3), (mg, eg), (mg1, eg1), (mgo, ego), (mk4, ek4), k5) = k[:6]
     my, ey = y
     myy, eyy, myh, eyh, m1, m2 = my * my, 2 * ey, my * mh, ey + eh, m * (m - 1), m * m
     D = _round(_sum([((2 * m - 1) * my, ey), (myh, eyh), (m * m1, 0), (m2 * mh, eh),
@@ -182,8 +181,7 @@ def _cross_terms(k, n, x, y, S, A, B, A_next=None):
     unchanged.  An identity that reaches past the data is left out: those
     that need index n+1 appear only when ``A_next`` is given, and those
     that need n-1 only for n >= 1.  Pairs are written out as ``(m, e)``:
-    a trailing 0 marks index n-1 and a 1 index n+1.
-    """
+    a trailing 0 marks index n-1 and a 1 index n+1."""
     _, window, _, c, ((mab, eab), (mapb, eapb), *_), second, (md, ed) = k
     (mc, ec), (mg, eg), (mg1, eg1) = c, second[6], second[7]
     mcc, ecc, mcd, ecd = mc * mc, 2 * ec, mc * md, ec + ed

@@ -103,27 +103,30 @@ def _neg(v):
 
 
 def _sum(terms, floor=None):
-    """The sum of the signed ``(mantissa, exponent)`` pairs ``terms`` as one
-    pair, not rounded; a sum that is exactly zero is ``_ZERO``.  By default
-    the sum is exact: the terms are aligned at their lowest exponent.  With
-    ``floor``, the cut is ``floor`` bits below the largest exponent of a
-    nonzero term, or at the least one, whichever is higher, and each term
-    below it is floored to it: terms whose exponents lie within ``floor``
-    bits of each other add up exactly in one pass, and a divergent orbit
-    cannot blow the integers up."""
+    """The signed ``(mantissa, exponent)`` pairs ``terms`` summed to one pair,
+    not rounded; an exact zero is ``_ZERO``.  By default the sum is exact,
+    aligned at the lowest exponent.  With ``floor``, each term is floored to
+    the cut at max(lowest, highest - ``floor``) of the nonzero terms' exponents.
+    One pass stops before a term would stretch the span past ``floor``, and
+    the terms are summed again at the cut: no integer outgrows the window."""
     s, f, hi = 0, _ZERO[1], -_ZERO[1]
     for m, e in terms:
         if m or floor is None:
             if e < f:
+                if floor is not None and hi - e > floor:
+                    break
                 s, f = (s << f - e) + m, e
             else:
+                if floor is not None and e - f > floor:
+                    break
                 s += m << e - f
             if e > hi:
                 hi = e
-    if floor is not None and hi - floor > f:
-        s, f = 0, hi - floor
-        for m, e in terms:
-            s += m << e - f if e >= f else m >> f - e
+    else:
+        return (s, f) if s else _ZERO
+    s, f = 0, max(e for m, e in terms if m) - floor
+    for m, e in terms:
+        s += m << e - f if e >= f else m >> f - e
     return (s, f) if s else _ZERO
 
 
@@ -179,7 +182,7 @@ def _residual(lhs, rhs, window):
     for m, e in terms:
         if m:
             b = e + m.bit_length()
-            if b > tb or b == tb and abs(m) << e - min(e, te) > abs(tm) << te - min(e, te):
+            if b > tb or b == tb and not _below((m, e), (tm, te)):
                 tm, te, tb = m, e, b
     s, f = _sum(terms, floor=window)
     return (abs(s), f), (abs(tm), te)

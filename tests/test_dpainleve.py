@@ -7,6 +7,7 @@ orbit (x_n = gamma, y_n = -n gamma) and doubles as the singularity probe:
 the generic step would divide 0/0 there.
 """
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -283,6 +284,21 @@ def test_iterate_meixner_closed_orbit(ctx256):
         assert xy2.failure_index == 0
         with pytest.raises(SingularStep):
             iterate(p, 30, ctx256, seed=(x0, y0), strict=True)
+
+
+def test_iterate_from_a_huge_seed_stays_small(ctx128):
+    # x_0 = 2^(2^24): the first step's sums span about 2^26 bits, and each is
+    # cut to the window before it is aligned, so the step refuses at once
+    # without building integers of that size
+    seed = (ctx128.mp.ldexp(1, 1 << 24), ctx128.mp.zero)
+    tracemalloc.start()
+    try:
+        xy = iterate(asym_params(), 10, ctx128, seed=seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert xy.failure_index == 0 and len(xy.x) == 1
+    assert peak < 1 << 20
 
 
 def test_iterate_explicit_canonical_seed_is_identical(ctx256):

@@ -2,6 +2,7 @@
 derivatives."""
 
 import ast
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -163,7 +164,6 @@ def test_pair_kernel_matches_libmp(case):
         assert raw(_round(_sum([x, _neg(u)]), prec)) == mpf_sub(raw(x), raw(u), prec, rnd)
 
 
-
 def _windowed_sum(terms, floor):
     """``_sum``'s documented rule in Fractions: ``(value, cut)``.  The cut is
     the lowest exponent of a nonzero term (of any term with ``floor=None``),
@@ -209,6 +209,22 @@ def test_sum_window_rule(case):
         assert got[1] == cut and got[0] * Fraction(2) ** cut == value
     else:
         assert got == _ZERO
+
+
+def test_sum_cuts_before_it_aligns():
+    # terms 2^24 bits apart at a 100-bit window: the pass must stop before it
+    # aligns them, or it builds a 2^24-bit integer (2 MiB) that the cut then
+    # throws away; a seed of 2^(2^33) would need gigabytes
+    gap = 1 << 24
+    tracemalloc.start()
+    try:
+        for terms in ([(1, gap), (1, 0)], [(1, 0), (1, gap)], [(1, 0), (3, 5), (1, gap)]):
+            assert _sum(terms, floor=100) == (1 << 100, gap - 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < gap // 64
+
 
 # ----------------------------------------------------- seed-series summation
 # The moment seeds m_0, m_1 are the one place a series is summed.  For
