@@ -45,7 +45,7 @@ from .oracle import (
     structure_residual,
     xy_from_coeffs,
 )
-from .reporting import ResidualEntry, ResidualReport, normalized_residual
+from .reporting import ResidualEntry, ResidualReport
 from .toda_sigma import (
     SigmaParams,
     Source,
@@ -101,7 +101,6 @@ __all__ = [
     "ladder_sequences",
     "limit_report",
     "moment",
-    "normalized_residual",
     "perturbation_study",
     "precision_study",
     "riccati_constant",

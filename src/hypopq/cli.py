@@ -296,7 +296,7 @@ def _cmd_sigma(cfg):
     ctx = cfg.ctx
     n = cfg.n
     h = _step_value(cfg)
-    sv = sigma_value(cfg.params, n, ctx.real(cfg.params.c), cfg.source, ctx)
+    sv = sigma_value(cfg.params, n, cfg.params.c, cfg.source, ctx)
     res = sigma_pvi_residual(cfg.params, n, h, cfg.source, ctx)
     extra = {"h": ctx.to_decimal(h), "source": cfg.source.value}
     records = [{"n": n, "c": ctx.real(cfg.params.c), "sigma": sv, "pvi_residual": res}]

@@ -48,7 +48,7 @@ _CROSS_ORDER = (
 
 def _invariants(params, ctx):
     """The loop invariants at ``prec = ctx.bits``: ``(prec, window, eps, c,
-    first, second, d)``.  ``window`` (:func:`numerics._window`) is the exponent
+    first, second, d, cross)``.  ``window`` (:func:`numerics._window`) is the exponent
     window of every sum; ``eps`` is the exponent of the step guards'
     ``2^-(bits - GUARD_BITS)`` (:data:`numerics.GUARD_BITS`).  The rest are
     exact pairs of a, b, g, c: alpha, beta, gamma and c rounded to ``prec``
@@ -59,7 +59,8 @@ def _invariants(params, ctx):
     ``second = (ab, apb, h, k1, k2, k3, g, g1, go, k4, k5)``: ``h = a + b - g``,
     ``k1 = apb h - ab + g``, ``k2 = g - ab``, ``k3 = ab h`` and, with
     ``gab = (g-a)(g-b)`` and ``oab = (1-a)(1-b)``, ``g1 = g + 1``,
-    ``go = gab + oab``, ``k4 = g oab + gab`` and ``k5 = gab oab``."""
+    ``go = gab + oab``, ``k4 = g oab + gab`` and ``k5 = gab oab``, and
+    ``cross = (c + c^2, ab - g, c g, c^2 ab, c d ab)``."""
     prec = ctx.bits
     raw = [_rational_pair(q, prec) for q in (params.alpha, params.beta, params.gamma, params.c)]
     s = max(0, *(-e for _, e in raw))
@@ -78,7 +79,11 @@ def _invariants(params, ctx):
     second = (pair(AB, 2), pair(APB, 1), pair(H, 1), pair(APB * H - AB + G * O, 2),
               pair(G * O - AB, 2), pair(AB * H, 3), pair(G, 1), pair(G + O, 1),
               pair(GAB + OAB, 2), pair(G * OAB + GAB * O, 3), pair(GAB * OAB, 4))
-    return prec, _window(prec), GUARD_BITS - prec, pair(C, 1), first, second, pair(O - C, 1)
+    c, d = pair(C, 1), pair(O - C, 1)
+    (mc, ec), (md, ed), (mab, eab), (mg, eg) = c, d, first[0], second[6]
+    cross = (_sum([c, (mc * mc, 2 * ec)]), _sum([(mab, eab), (-mg, eg)]), (mc * mg, ec + eg),
+             (mc * mc * mab, 2 * ec + eab), (mc * md * mab, ec + ed + eab))
+    return prec, _window(prec), GUARD_BITS - prec, c, first, second, d, cross
 
 
 def _first_kind(k, n, x, y, y_next=_ZERO):
@@ -182,8 +187,10 @@ def _cross_terms(k, n, x, y, S, A, B, A_next=None):
     that need index n+1 appear only when ``A_next`` is given, and those
     that need n-1 only for n >= 1.  Pairs are written out as ``(m, e)``:
     a trailing 0 marks index n-1 and a 1 index n+1."""
-    _, window, _, c, ((mab, eab), (mapb, eapb), *_), second, (md, ed) = k
-    (mc, ec), (mg, eg), (mg1, eg1) = c, second[6], second[7]
+    _, window, _, (mc, ec), ((mab, eab), (mapb, eapb), *_), second, (md, ed), cross = k
+    mg1, eg1 = second[7]
+    # c + c^2, ab - g, c g, c^2 ab and c d ab
+    (mcpc, ecpc), (mag, eag), (mcg, ecg), (mccab, eccab), (mcdab, ecdab) = cross
     mcc, ecc, mcd, ecd = mc * mc, 2 * ec, mc * md, ec + ed
     mabn, eabn = _sum([(mapb, eapb), (n, 0)])
     mcdn, ecdn = mcd * mabn, ecd + eabn  # c d (a + b + n)
@@ -193,8 +200,7 @@ def _cross_terms(k, n, x, y, S, A, B, A_next=None):
         (my1, ey1), (mS1, eS1) = y[n + 1], S[n + 1]
         out["y_pair_sum"] = (
             [(mcc * my1, ecc + ey1), (mcc * my, ecc + ey)],
-            [(-mB * mx, eB + ex), (mcc * mab, ecc + eab), (-mc * mg, ec + eg),
-             (mcd * mS1, ecd + eS1)],
+            [(-mB * mx, eB + ex), (mccab, eccab), (-mcg, ecg), (mcd * mS1, ecd + eS1)],
         )
         out["a2_difference"] = (
             [A_next, (-mA, eA)],
@@ -208,17 +214,16 @@ def _cross_terms(k, n, x, y, S, A, B, A_next=None):
         mdy, edy = _sum([(my1, ey1), (-my, ey)], floor=window)
         out["a2x_difference"] = (
             [(mA1 * mx1, eA1 + ex1), (-mA * mx0, eA + ex0)],
-            [(-mB * mdy, eB + edy), (mcd * mab, ecd + eab), (-mcd * my, ecd + ey)],
+            [(-mB * mdy, eB + edy), (mcdab, ecdab), (-mcd * my, ecd + ey)],
         )
     mya, eya = _sum([(my, ey), (-mab, eab)], floor=window)  # y - ab
-    mw, ew = _sum([(mcc * mya, ecc + eya), (mc * mg, ec + eg)], floor=window)
+    mw, ew = _sum([(mcc * mya, ecc + eya), (mcg, ecg)], floor=window)
     out["a2_x_product"] = (
         [(mA * mx * mx0, eA + ex + ex0)],
         [(my * mw, ey + ew), (-mya * mcd * mS, eya + ecd + eS)],
     )
-    mw, ew = _sum([c, (mcc, ecc)])  # c + c^2
-    mw, ew = _sum([(n * mw, ew), (mcc * mapb, ecc + eapb), (-mc * mg1, ec + eg1)], floor=window)
-    mag, eag = _sum([(mab, eab), (-mg, eg)])  # ab - g
+    mw, ew = _sum([(n * mcpc, ecpc), (mcc * mapb, ecc + eapb), (-mc * mg1, ec + eg1)],
+                  floor=window)
     mxs, exs = _sum([(mx, ex), (mx0, ex0)], floor=window)
     out["a2_x_sum"] = (
         [(mA * mxs, eA + exs)],
@@ -242,7 +247,7 @@ def _monitor_trips(k, x, y, S, m):
     Under this reconstruction the a2-difference residual is only the
     rounding of S_{m+1} = S_m + x_m.
     """
-    _, window, _, (mc, ec), (_, (mapb, eapb), *_), second, (md, ed) = k
+    _, window, _, (mc, ec), (_, (mapb, eapb), *_), second, (md, ed), _ = k
     mg, eg = second[6]
 
     def a2(n):

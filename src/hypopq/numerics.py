@@ -5,11 +5,11 @@ produced it.  Every context owns an isolated ``MPContext`` (the global
 ``mpmath.mp`` is never touched), so results depend only on the context's bit
 count and the code path — repeated calls are bit-identical.
 
-This module owns the number format: the kernels and the one normalized
-residual (:func:`_normalized`) compute on signed ``(mantissa, exponent)``
-integer pairs, and only this module reads mpmath's raw format
-(``mpmath.libmp``, ``_mpf_``).  Values cross by :func:`_to_real`,
-:func:`_from_real` and :func:`_rational_pair`.
+This module owns the number format: the kernels, the one normalized
+residual (:func:`_normalized`) and the stencils compute on signed
+``(mantissa, exponent)`` integer pairs, and only this module reads mpmath's
+raw format (``mpmath.libmp``, ``_mpf_``).  Values cross by :func:`_to_real`,
+:func:`_from_real`, :func:`_rational_pair` and :func:`_exact_fraction`.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from functools import cache
 
 from mpmath.ctx_mp import MPContext
 from mpmath import libmp
-from mpmath.libmp import (finf, fnan, fninf, from_int, from_man_exp, from_rational, mpf_pos,
+from mpmath.libmp import (finf, fnan, fninf, from_man_exp, from_rational, mpf_pos,
                           round_nearest, to_rational)
 
 from .errors import DomainExceeded, InvalidParam, StepTooSmall
@@ -76,8 +76,14 @@ def _rational_pair(q, prec):
     return _pair(from_rational(q.numerator, q.denominator, prec, _RND))
 
 
-def _exact_fraction(x):
-    """The exact rational value of a finite BigReal (always dyadic)."""
+def _exact_fraction(x, ctx=None):
+    """The exact rational value of ``x``: an int or ``Fraction`` as it is, a
+    finite BigReal's (always dyadic) value, anything else as ``ctx.real``
+    rounds it."""
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x)
+    if not hasattr(x, "_mpf_"):
+        x = ctx.real(x)
     if x._mpf_ in (finf, fninf, fnan):
         raise InvalidParam("cannot use a non-finite evaluation point")
     return Fraction(*to_rational(x._mpf_))
@@ -154,6 +160,12 @@ def _quotient(num, den, prec):
     q, r = divmod(abs(a) << k, abs(b))
     q = 2 * q + (r > 0)
     return _round((-q if (a < 0) != (b < 0) else q, ea - eb - k - 1), prec)
+
+
+def _over(terms, den, prec):
+    """The exact sum of the pairs ``terms`` (in the window at ``prec`` bits)
+    over the integer ``den``, rounded once to ``prec`` bits."""
+    return _quotient(_sum(terms, floor=_window(prec)), (den, 0), prec)
 
 
 def _below(v, w):
@@ -233,12 +245,8 @@ class PrecisionCtx:
         mp = self.mp
         if hasattr(value, "_mpf_"):
             return mp.make_mpf(mpf_pos(value._mpf_, self.bits, _RND))
-        if isinstance(value, int):
-            return mp.make_mpf(from_int(value, self.bits, _RND))
-        if isinstance(value, Fraction):
-            return mp.make_mpf(
-                from_rational(value.numerator, value.denominator, self.bits, _RND)
-            )
+        if isinstance(value, (int, Fraction)):
+            return mp.make_mpf(from_rational(value.numerator, value.denominator, self.bits, _RND))
         if isinstance(value, str):
             s = value.strip()
             try:
@@ -267,37 +275,42 @@ def default_step(ctx):
 def central_derivative(f, c0, h, order, ctx):
     """Five-point central stencil derivative of ``f`` at ``c0``.
 
-    ``order`` 1 returns ``(-f2 + 8 f1 - 8 f-1 + f-2) / (12 h)``; ``order`` 2
-    returns ``(-f2 + 16 f1 - 30 f0 + 16 f-1 - f-2) / (12 h**2)``.  Both have
-    O(h^4) truncation error.
+    With ``fj = f(c0 + j h)``, ``order`` 1 returns ``(-f2 + 8 f1 - 8 f-1 +
+    f-2) / (12 h)`` and ``order`` 2 ``(-f2 + 16 f1 - 30 f0 + 16 f-1 - f-2) /
+    (12 h**2)``, both with O(h^4) truncation error.  ``c0`` and ``h`` are
+    read as exact rationals (:func:`_exact_fraction`): each node reaches
+    ``f`` as an exact ``Fraction`` (the centre as ``c0`` itself), and ``f``
+    returns a pair or a value that ``ctx.real`` takes.  The combination is
+    one exact sum over one integer, rounded once to ``ctx.bits``.
 
-    ``f`` is a quantity parameterized by the weight's c, so every stencil
-    node must lie strictly inside (0, 1); otherwise ``DomainExceeded`` is
-    raised.
-    ``StepTooSmall`` is raised when ``h < 2**-(bits/2)``, where cancellation
-    would destroy every significant digit.
+    ``f`` is a quantity parameterized by the weight's c, so every node must
+    lie strictly inside (0, 1), else ``DomainExceeded``.  ``StepTooSmall``
+    is raised when ``h < 2**-(bits/2)``, where cancellation would destroy
+    every significant digit.
     """
     mp = ctx.mp
-    c0 = ctx.real(c0)
-    h = ctx.real(h)
+    c0, h = _exact_fraction(c0, ctx), _exact_fraction(h, ctx)
     if order not in (1, 2):
         raise InvalidParam("order must be 1 or 2")
     if h <= 0:
         raise InvalidParam("h must be positive")
-    if h < mp.mpf(2) ** (mp.mpf(-ctx.bits) / 2):
-        raise StepTooSmall(f"h={mp.nstr(h, 8)} below 2^-(bits/2) cancellation floor")
-    if not (0 < c0 - 2 * h and c0 + 2 * h < 1):
-        raise DomainExceeded(
-            f"stencil [{mp.nstr(c0 - 2 * h, 8)}, {mp.nstr(c0 + 2 * h, 8)}] leaves (0.0, 1.0)"
-        )
-    f2 = ctx.real(f(c0 + 2 * h))
-    f1 = ctx.real(f(c0 + h))
-    fm1 = ctx.real(f(c0 - h))
-    fm2 = ctx.real(f(c0 - 2 * h))
-    if order == 1:
-        return (-f2 + 8 * f1 - 8 * fm1 + fm2) / (12 * h)
-    f0 = ctx.real(f(c0))
-    return (-f2 + 16 * f1 - 30 * f0 + 16 * fm1 - fm2) / (12 * h * h)
+    p, q = h.numerator, h.denominator
+    if p * p << ctx.bits < q * q:
+        raise StepTooSmall(f"h={mp.nstr(ctx.real(h), 8)} below 2^-(bits/2) cancellation floor")
+    # node j is (a q + j p b) / (b q) for c0 = a / b
+    aq, pb, bq = c0.numerator * q, p * c0.denominator, c0.denominator * q
+    if not (0 < aq - 2 * pb and aq + 2 * pb < bq):
+        raise DomainExceeded(f"stencil [{mp.nstr(ctx.real(c0 - 2 * h), 8)}, "
+                             f"{mp.nstr(ctx.real(c0 + 2 * h), 8)}] leaves (0.0, 1.0)")
+    weights = ((2, -1), (1, 8), (-1, -8), (-2, 1)) if order == 1 else (
+        (2, -1), (1, 16), (-1, 16), (-2, -1), (0, -30))
+    num, den = (q, 12 * p) if order == 1 else (q * q, 12 * p * p)
+    terms = []
+    for j, w in weights:
+        v = f(Fraction(aq + j * pb, bq) if j else c0)
+        m, e = v if isinstance(v, tuple) else _from_real(ctx.real(v))
+        terms.append((w * num * m, e))
+    return _to_real(mp, _over(terms, den, ctx.bits))
 
 
 def bits_for_digits(digits):

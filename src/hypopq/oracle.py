@@ -6,9 +6,9 @@ algorithm produces both families of quotients at once in O(N^2) operations
 from the power moments (two lattice series, then the Pearson recurrence).
 From the seed sums to the agreement check every number is an integer pair of
 :mod:`numerics`' kernel: each moment, element, quotient or difference is
-the exact value on the stored pairs, rounded once by ``numerics._round``.
-Only the rational constants in and the coefficients out cross the
-boundary to BigReals, by :mod:`numerics`' conversions.
+the exact value on the stored pairs, rounded once, and so is each value of
+the affine maps and the ladder.  Only rational constants in and sequences
+out cross the boundary to BigReals, by :mod:`numerics`' conversions.
 
 The oracle is deliberately redundant: every sequence is computed at the
 requested precision and again at twice the precision, and the two runs must
@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InvalidCoeffs, InvalidParam, PoleHit, PrecisionExhausted
-from .numerics import (_ZERO, GUARD_BITS, _below, _neg, _quotient, _rational_pair, _round, _sum,
-                       _to_real)
-from .reporting import ResidualReport, normalized_residual
+from .numerics import (_ZERO, GUARD_BITS, _below, _from_real, _neg, _normalized, _over,
+                       _quotient, _rational_pair, _round, _sum, _to_real, _window)
+from .reporting import ResidualReport
 from .weights import Lattice, _moment_batch_raw, moment, shifted_params
 
 
@@ -183,102 +183,117 @@ def _common_measure(s, t):
 
 def ladder_sequences(coeffs: CoeffSeq) -> LadderSeq:
     """Lowering/raising polynomial data (u, v, r, s) from the coefficients,
-    at their precision.  Defined only when alpha != beta (the formulas
-    divide by alpha - beta) and on the standard lattice; elsewhere it raises
-    ``InvalidParam``, and callers use that to learn where the ladder exists.
+    at their precision.  With q = (1-c)/c, base = 2n+1 - q b_n +
+    (a+b-g-1)/c and rbase = n(n-1)/2 - q a2_n + sum_{k<n} b_k (exact):
+
+        u = (base + (n+1-b) q)/(a-b)    v = -(base + (n+1-a) q)/(a-b)
+        r = (rbase + b n)/(a-b)         s = -(rbase + a n)/(a-b)
+
+    each one exact sum over one integer (:meth:`Params.as_integers`),
+    rounded once.  Defined only when alpha != beta and on the standard
+    lattice; elsewhere it raises ``InvalidParam``, and callers use that to
+    learn where the ladder exists.
     """
     params, ctx = coeffs.params, coeffs.ctx
     if params.alpha == params.beta:
         raise InvalidParam("ladder sequences need alpha != beta")
     if params.lattice is not Lattice.STANDARD:
         raise InvalidParam("ladder sequences are defined on the standard lattice")
-    mp = ctx.mp
-    a, bta, g, c = params.as_reals(ctx)
-    q = (1 - c) / c
-    ab = a - bta
-    u, v, r, s = [], [], [], []
-    bsum = mp.mpf(0)
+    A, B, G, C, D = params.as_integers()
+    E, den, prec = D - C, C * (A - B), ctx.bits
+    u, v, r, s, bsum = [], [], [], [], _ZERO
     for n in range(coeffs.N + 1):
-        base = 2 * n + 1 - q * coeffs.b[n] + (a + bta - g - 1) / c
-        u.append((base + (n + 1 - bta) * q) / ab)
-        v.append(-(base + (n + 1 - a) * q) / ab)
-        rbase = mp.mpf(n * (n - 1)) / 2 - q * coeffs.a2[n] + bsum
-        r.append((rbase + bta * n) / ab)
-        s.append(-(rbase + a * n) / ab)
-        bsum += coeffs.b[n]
+        (mb, eb), (ma, ea) = _from_real(coeffs.b[n]), _from_real(coeffs.a2[n])
+        base = [(D * (2 * n + 1) * C + D * (A + B - G - D), 0), (-D * E * mb, eb)]
+        rbase = [(C * D * (n * (n - 1) // 2), 0), (C * D * bsum[0], bsum[1]), (-D * E * ma, ea)]
+        for k, sign, out, rout in ((B, 1, u, r), (A, -1, v, s)):
+            out.append(_over([*base, (((n + 1) * D - k) * E, 0)], sign * den, prec))
+            rout.append(_over([*rbase, (k * C * n, 0)], sign * den, prec))
+        bsum = _sum([bsum, (mb, eb)], floor=_window(prec))
+    u, v, r, s = ([_to_real(ctx.mp, w) for w in seq] for seq in (u, v, r, s))
     return LadderSeq(params=params, u=u, v=v, r=r, s=s, ctx=ctx)
 
 
 def ladder_residuals(coeffs: CoeffSeq) -> ResidualReport:
     """Six consistency identities tying the ladder data (u, v, r, s) of
     :func:`ladder_sequences` back to (a2, b); ``InvalidParam`` where the
-    ladder is not defined.
+    ladder is not defined.  With cf = c/(1-c) and usum = sum_{k<n} u_k:
 
-    Every identity follows algebraically from how u, v, r, s are defined, so
-    the residuals sit at rounding level for any (a2, b), true coefficients
-    or not: this suite checks the ladder formulas and the arithmetic, not
-    the coefficients.
+        uv_sum          u + v = q
+        rs_sum          r + s = -n
+        uv_weighted     a u + b v = 2n+1 - q b_n + (a+b-g-1)/c + (n+1) q
+        rs_weighted     a r + b s = n(n-1)/2 - q a2_n + sum_{k<n} b_k
+        b_from_ladder   b_n = (n + a - g + (n+b) c)/(1-c) - (a-b) cf u
+        a2_from_ladder  a2_n = n(n+a+b-g-1) c/(1-c)^2 - (a-b) cf (cf usum + r)
+
+    Each, multiplied through by one integer, is normalized once
+    (:func:`numerics._normalized`).  They follow from how u, v, r, s are
+    defined, so the residuals sit at rounding level for any (a2, b): this
+    suite checks the ladder formulas and the arithmetic, not the coefficients.
     """
-    ladder = ladder_sequences(coeffs)
-    params, ctx = coeffs.params, coeffs.ctx
-    mp = ctx.mp
-    a, bta, g, c = params.as_reals(ctx)
-    q = (1 - c) / c
-    cf = c / (1 - c)
-    rep = ResidualReport(ctx=ctx)
-    bsum = mp.mpf(0)
-    usum = mp.mpf(0)
+    ladder, ctx = ladder_sequences(coeffs), coeffs.ctx
+    A, B, G, C, D = coeffs.params.as_integers()
+    E, window = D - C, _window(ctx.bits)
+    rep, bsum, usum = ResidualReport(ctx=ctx), _ZERO, _ZERO
     for n in range(coeffs.N + 1):
-        u, v, r, s = ladder.u[n], ladder.v[n], ladder.r[n], ladder.s[n]
-        a2, b = coeffs.a2[n], coeffs.b[n]
+        (mu, eu), (mv, ev), (mr, er), (ms, es), (ma, ea), (mb, eb) = (_from_real(w[n]) for w in (
+            ladder.u, ladder.v, ladder.r, ladder.s, coeffs.a2, coeffs.b))
+        mw, ew = _sum([(C * usum[0], usum[1]), (E * mr, er)], floor=window)
         for name, lhs, rhs in (
-            ("uv_sum", [u, v], [q]),
-            ("rs_sum", [r, s], [-mp.mpf(n)]),
-            ("uv_weighted", [a * u, bta * v],
-             [mp.mpf(2 * n + 1), -q * b, (a + bta - g - 1) / c, (n + 1) * q]),
-            ("rs_weighted", [a * r, bta * s], [mp.mpf(n * (n - 1)) / 2, -q * a2, bsum]),
-            ("b_from_ladder", [b], [(n + a - g + (n + bta) * c) / (1 - c), -(a - bta) * cf * u]),
-            ("a2_from_ladder", [a2],
-             [n * (n + a + bta - g - 1) * c / (1 - c) ** 2, -(a - bta) * cf * (cf * usum + r)]),
+            ("uv_sum", [(C * mu, eu), (C * mv, ev)], [(E, 0)]),
+            ("rs_sum", [(mr, er), (ms, es)], [(-n, 0)]),
+            ("uv_weighted", [(A * C * mu, eu), (B * C * mv, ev)],
+             [((2 * n + 1) * D * C, 0), (-D * E * mb, eb), (D * (A + B - G - D), 0),
+              ((n + 1) * D * E, 0)]),
+            ("rs_weighted", [(A * C * mr, er), (B * C * ms, es)],
+             [(n * (n - 1) // 2 * D * C, 0), (-D * E * ma, ea), (D * C * bsum[0], bsum[1])]),
+            ("b_from_ladder", [(D * E * mb, eb)],
+             [(n * D * D + (A - G) * D + (n * D + B) * C, 0), (-(A - B) * C * mu, eu)]),
+            ("a2_from_ladder", [(D * E * E * ma, ea)],
+             [(n * D * C * (n * D + A + B - G - D), 0), (-(A - B) * C * mw, ew)]),
         ):
-            rep.add(name, n, normalized_residual(mp, lhs, rhs))
-        bsum += b
-        usum += u
+            rep.add(name, n, _normalized(ctx.mp, lhs, rhs))
+        bsum = _sum([bsum, (mb, eb)], floor=window)
+        usum = _sum([usum, (mu, eu)], floor=window)
     return rep
 
 
 def xy_from_coeffs(coeffs: CoeffSeq) -> XYSeq:
-    """Painleve variables from recurrence data, at the coefficients' precision.
+    """Painleve variables from recurrence data, at the coefficients' precision:
 
-    The same affine relations hold on both lattices with the original
-    parameters, so no transform is applied here.
+        x_n = b_n - (n + (n+a+b) c - g)/(1-c)
+        y_n = (1-c)/c a2_n - S_n - n (n+a+b-g-1)/(1-c),   S_{n+1} = S_n + x_n
+
+    each one exact sum over one integer (:meth:`Params.as_integers`) rounded
+    once, as :func:`dpainleve.iterate` forms S.  The relations hold on both
+    lattices with the original parameters, so no transform is applied.
     """
-    params, ctx = coeffs.params, coeffs.ctx
-    mp = ctx.mp
-    a, bta, g, c = params.as_reals(ctx)
-    x, y, S = [], [], [mp.mpf(0)]
+    (A, B, G, C, D), ctx = coeffs.params.as_integers(), coeffs.ctx
+    E, prec, x, y, S = D - C, ctx.bits, [], [], [_ZERO]
     for n in range(coeffs.N + 1):
-        xn = coeffs.b[n] - (n + (n + a + bta) * c - g) / (1 - c)
-        yn = (
-            (1 - c) / c * coeffs.a2[n]
-            - S[n]
-            - mp.mpf(n) * (n + a + bta - g - 1) / (1 - c)
-        )
-        x.append(xn)
-        y.append(yn)
-        S.append(S[n] + xn)
-    return XYSeq(params=params, x=x, y=y, S=S, ctx=ctx)
+        (mb, eb), (ma, ea), (mS, eS) = _from_real(coeffs.b[n]), _from_real(coeffs.a2[n]), S[n]
+        x.append(_over([(D * E * mb, eb), (G * D - n * D * D - (n * D + A + B) * C, 0)],
+                       D * E, prec))
+        y.append(_over([(E * E * ma, ea), (-C * E * mS, eS),
+                        (-C * n * (n * D + A + B - G - D), 0)], C * E, prec))
+        S.append(_round(_sum([S[n], x[n]], floor=_window(prec)), prec))
+    x, y, S = ([_to_real(ctx.mp, v) for v in seq] for seq in (x, y, S))
+    return XYSeq(params=coeffs.params, x=x, y=y, S=S, ctx=ctx)
 
 
 def coeffs_from_xy(xy: XYSeq) -> CoeffSeq:
-    """Inverse of xy_from_coeffs; also lattice-independent."""
-    mp = xy.ctx.mp
-    a, bta, g, c = xy.params.as_reals(xy.ctx)
-    a2, b = [], []
+    """Inverse of xy_from_coeffs, also lattice-independent: each b_n and
+    a2_n is one exact sum of the stored pairs over one integer, rounded once."""
+    (A, B, G, C, D), ctx = xy.params.as_integers(), xy.ctx
+    E, prec, a2, b = D - C, ctx.bits, [], []
     for n in range(xy.N + 1):
-        b.append(xy.x[n] + (n + (n + a + bta) * c - g) / (1 - c))
-        a2.append(c / (1 - c) * (xy.y[n] + xy.S[n] + mp.mpf(n) * (n + a + bta - g - 1) / (1 - c)))
-    return CoeffSeq(params=xy.params, a2=a2, b=b, ctx=xy.ctx)
+        (mx, ex), (my, ey), (mS, eS) = (_from_real(v[n]) for v in (xy.x, xy.y, xy.S))
+        b.append(_over([(D * E * mx, ex), (n * D * D + (n * D + A + B) * C - G * D, 0)],
+                       D * E, prec))
+        a2.append(_over([(C * E * my, ey), (C * E * mS, eS),
+                         (C * n * (n * D + A + B - G - D), 0)], E * E, prec))
+    a2, b = ([_to_real(ctx.mp, v) for v in seq] for seq in (a2, b))
+    return CoeffSeq(params=xy.params, a2=a2, b=b, ctx=ctx)
 
 
 def eval_orthonormal(coeffs: CoeffSeq, x, nmax: int) -> list:

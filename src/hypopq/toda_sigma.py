@@ -6,8 +6,13 @@ sums S_n satisfy a second-order second-degree ODE in c (the sigma form),
 and the n=0 seed x_0(c) satisfies a first-order Riccati relation whose
 combination collapses to the constant -gamma.
 
-All d/dc derivatives are realized with fourth-order central stencils, and a
-call looks each node up once.  A bounded ``lru_cache`` keyed on (node
+All d/dc derivatives are fourth-order central stencils on the exact nodes
+c + jh, the centre node being ``params`` itself.  Each identity is a
+``(name, lhs, rhs)`` table of exact pair terms, multiplied through by one
+integer and normalized once (:func:`numerics._normalized`); sigma_n and the
+Riccati combination are exact sums over one integer, rounded once.
+
+A call looks each node up once.  A bounded ``lru_cache`` keyed on (node
 parameters, precision context, source) records the node's longest run and
 least refused order.  A node's first lookup to order N runs to N, or to 4 for
 0 < N < 4; one past its longest run, as in a sweep, runs to max(4, the least
@@ -19,15 +24,17 @@ Seed sums are memoized in ``weights``; ``clear_cache()`` empties both memos.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import cache, lru_cache
 
 from .dpainleve import iterate
 from .errors import InvalidParam, PrecisionExhausted, SingularStep
-from .numerics import _exact_fraction, central_derivative
+from .numerics import (_ZERO, _exact_fraction, _from_real, _neg, _normalized, _over, _sum,
+                       _times, _to_real, _window, central_derivative)
 from .oracle import coeffs_from_xy, coeffs_oracle, xy_from_coeffs
-from .reporting import ResidualReport, normalized_residual
-from .weights import Lattice, Params, _seed_sums, initial_xy
+from .reporting import ResidualReport
+from .weights import Lattice, _seed_sums, initial_xy
 
 
 class Source(enum.Enum):
@@ -35,14 +42,6 @@ class Source(enum.Enum):
 
     ORACLE = "oracle"
     ITERATE = "iterate"
-
-
-def _node_params(params, c_eval):
-    """Params with c replaced by the exact value of the stencil node."""
-    ce = _exact_fraction(c_eval)
-    if ce == params.c:
-        return params
-    return Params(params.alpha, params.beta, params.gamma, ce, params.lattice)
 
 
 _NODE_MEMO_SIZE = 256
@@ -72,9 +71,9 @@ def _node_record(node, ctx, source):
     return [None, float("inf")]
 
 
-def _sequences_at(params, c_eval, N, source, ctx):
-    """(CoeffSeq, XYSeq) to order at least N at weight parameter c = c_eval."""
-    node = _node_params(params, c_eval)
+def _sequences_at(params, ce, N, source, ctx):
+    """(CoeffSeq, XYSeq) to order at least N at the exact weight parameter c = ce."""
+    node = params._with_c(ce)
     record = _node_record(node, ctx, source)
     if record[0] is None or record[0][0].N < N:
         H = max(_HORIZON_FLOOR, 1 << (N - 1).bit_length())
@@ -103,46 +102,51 @@ def toda_residuals(params, n: int, h, source: Source, ctx) -> ResidualReport:
         y_n' = -((1+c)/c^2) a_n^2 + ((1-c)/c)(a_n^2)'        y_deriv
         (1-c) x_n' = y_{n+1} - y_n + x_n                     x_flow
         (1-c) y_n' = ((1-c)^2/c^2) a_n^2 (x_n - x_{n-1})     y_flow [n >= 1]
+
+    With alpha, beta, gamma, c = A/D, B/D, G/D, C/D (:meth:`Params.as_integers`)
+    they are multiplied through by D, (D-C)^2, C^2, D, D and D C^2.
     """
     if n < 0:
         raise InvalidParam("n must be >= 0")
-    mp = ctx.mp
-    h = ctx.real(h)
-    c = ctx.real(params.c)
-    a, bta, g, _ = params.as_reals(ctx)
+    h, (A, B, G, C, D) = _exact_fraction(h, ctx), params.as_integers()
+    E = D - C
 
     @cache  # the four derivatives and the midpoint share one fetch per node
     def fetch(ce):
         return _sequences_at(params, ce, n + 1, source, ctx)
 
     def d(pick):
-        return central_derivative(lambda ce: pick(*fetch(ce)), c, h, 1, ctx)
+        return _from_real(central_derivative(
+            lambda ce: _from_real(pick(*fetch(ce))), params.c, h, 1, ctx))
 
-    da2 = d(lambda cs, xy: cs.a2[n])
-    db = d(lambda cs, xy: cs.b[n])
-    dx = d(lambda cs, xy: xy.x[n])
-    dy = d(lambda cs, xy: xy.y[n])
-    cs, xy = fetch(c)
-
+    mda, eda = d(lambda cs, xy: cs.a2[n])
+    mdb, edb = d(lambda cs, xy: cs.b[n])
+    mdx, edx = d(lambda cs, xy: xy.x[n])
+    mdy, edy = d(lambda cs, xy: xy.y[n])
+    cs, xy = fetch(params.c)
+    (ma, ea), (ma1, ea1), b, x, (my, ey), (my1, ey1) = (_from_real(v) for v in (
+        cs.a2[n], cs.a2[n + 1], cs.b[n], xy.x[n], xy.y[n], xy.y[n + 1]))
     identities = [
-        ("toda_b", [c * db], [cs.a2[n + 1], -cs.a2[n]]),
-        ("x_deriv", [dx], [db, -(2 * n + a + bta - g) / (1 - c) ** 2]),
-        ("y_deriv", [dy], [-(1 + c) / c**2 * cs.a2[n], (1 - c) / c * da2]),
-        ("x_flow", [(1 - c) * dx], [xy.y[n + 1], -xy.y[n], xy.x[n]]),
+        ("toda_b", [(C * mdb, edb)], [(D * ma1, ea1), (-D * ma, ea)]),
+        ("x_deriv", [(E * E * mdx, edx)], [(E * E * mdb, edb), (-(2 * n * D + A + B - G) * D, 0)]),
+        ("y_deriv", [(C * C * mdy, edy)], [(-D * (D + C) * ma, ea), (C * E * mda, eda)]),
+        ("x_flow", [(E * mdx, edx)], [(D * my1, ey1), (-D * my, ey), (D * x[0], x[1])]),
     ]
     if n >= 1:
-        identities.insert(0, ("toda_a2", [c * da2], [cs.a2[n] * (cs.b[n] - cs.b[n - 1])]))
-        identities.append(
-            ("y_flow", [(1 - c) * dy], [(1 - c) ** 2 / c**2 * cs.a2[n] * (xy.x[n] - xy.x[n - 1])]))
+        window = _window(ctx.bits)
+        mb, eb = _sum([b, _neg(_from_real(cs.b[n - 1]))], floor=window)
+        mx, ex = _sum([x, _neg(_from_real(xy.x[n - 1]))], floor=window)
+        identities.insert(0, ("toda_a2", [(C * mda, eda)], [(D * ma * mb, ea + eb)]))
+        identities.append(("y_flow", [(C * C * E * mdy, edy)], [(D * E * E * ma * mx, ea + ex)]))
     rep = ResidualReport(ctx=ctx)
     for name, lhs, rhs in identities:
-        rep.add(name, n, normalized_residual(mp, lhs, rhs))
+        rep.add(name, n, _normalized(ctx.mp, lhs, rhs))
     return rep
 
 
 @dataclass(frozen=True)
 class SigmaParams:
-    """Constants entering sigma_n(c) = (c-1) S_n + K c + L and its ODE."""
+    """Exact constants entering sigma_n(c) = (c-1) S_n + K c + L and its ODE."""
 
     K: object
     L: object
@@ -155,27 +159,24 @@ class SigmaParams:
 def sigma_parameters(params, n: int, ctx) -> SigmaParams:
     if n < 0:
         raise InvalidParam("n must be >= 0")
-    a, bta, g, _ = params.as_reals(ctx)
+    a, bta, g = params.alpha, params.beta, params.gamma
     K = a * bta - (a + bta + n) ** 2 / 4
     L = ((a + bta + g + 1) * n + a * a + bta * bta - (a + bta) * (g + 1) + 2 * g) / 4
-    return SigmaParams(
-        K=K,
-        L=L,
-        d1=(n + a - bta) / 2,
-        d2=(-n + a - bta) / 2,
-        d3=(n + a + bta - 2) / 2,
-        d4=(n + a + bta - 2 * g) / 2,
-    )
+    return SigmaParams(K, L, (n + a - bta) / 2, (-n + a - bta) / 2, (n + a + bta - 2) / 2,
+                       (n + a + bta - 2 * g) / 2)
 
 
 def _sigma(params, n, ce, source, ctx, sp):
-    """sigma_n at the BigReal node ``ce``, with the constants ``sp`` of (params, n)."""
-    Sn = _sequences_at(params, ce, n - 1, source, ctx)[1].S[n] if n else ctx.mp.mpf(0)
-    return (ce - 1) * Sn + sp.K * ce + sp.L
+    """sigma_n at the exact node ``ce`` as a pair, with the constants ``sp``
+    of (params, n): ``((ce-1) S_n + K ce + L)`` over one integer, rounded once."""
+    S = _from_real(_sequences_at(params, ce, n - 1, source, ctx)[1].S[n]) if n else _ZERO
+    u, w = ce - 1, sp.K * ce + sp.L
+    return _over([(u.numerator * w.denominator * S[0], S[1]), (w.numerator * u.denominator, 0)],
+                 u.denominator * w.denominator, ctx.bits)
 
 
 def sigma_value(params, n: int, c_eval, source: Source, ctx):
-    """sigma_n evaluated with the weight parameter moved to c_eval in (0,1).
+    """sigma_n with the weight parameter moved to the exact rational c_eval in (0,1).
 
     The affine constants K, L are fixed by ``params`` and n (not by c_eval),
     so differentiating this function in c_eval probes only S_n.
@@ -183,10 +184,10 @@ def sigma_value(params, n: int, c_eval, source: Source, ctx):
     if params.lattice is not Lattice.STANDARD:
         raise InvalidParam("sigma function is defined on the standard lattice")
     sp = sigma_parameters(params, n, ctx)
-    ce = ctx.real(c_eval)
+    ce = _exact_fraction(c_eval, ctx)
     if not (0 < ce < 1):
         raise InvalidParam("c_eval must lie in (0, 1)")
-    return _sigma(params, n, ce, source, ctx, sp)
+    return _to_real(ctx.mp, _sigma(params, n, ce, source, ctx, sp))
 
 
 def sigma_pvi_residual(params, n: int, h, source: Source, ctx):
@@ -199,28 +200,34 @@ def sigma_pvi_residual(params, n: int, h, source: Source, ctx):
         t3 = prod_i (s' + d_i^2)
 
     must satisfy t1 + t2 = t3; the returned residual is
-    |t1 + t2 - t3| / max(|t1|, |t2|, |t3|).  The constants come from
+    |t1 + t2 - t3| / max(|t1|, |t2|, |t3|), with the terms multiplied through
+    by q^4 l^8 for c = p/q and d_i = e_i/l.  The constants come from
     :func:`sigma_parameters`, computed once per call.
     """
     if n < 1:
         raise InvalidParam("n must be >= 1")
     if params.lattice is not Lattice.STANDARD:
         raise InvalidParam("sigma function is defined on the standard lattice")
-    h = ctx.real(h)
-    c0 = ctx.real(params.c)
-    sp = sigma_parameters(params, n, ctx)
+    h, c, sp = _exact_fraction(h, ctx), params.c, sigma_parameters(params, n, ctx)
 
-    @cache  # s0, s' and s'' share f(c0) and the stencil nodes
+    @cache  # s0, s' and s'' share f(c) and the stencil nodes
     def f(ce):
         return _sigma(params, n, ce, source, ctx, sp)
 
-    s0 = f(c0)
-    s1 = central_derivative(f, c0, h, 1, ctx)
-    s2 = central_derivative(f, c0, h, 2, ctx)
-    t1 = s1 * (c0 * (c0 - 1) * s2) ** 2
-    t2 = (s1 * (2 * s0 - (2 * c0 - 1) * s1) + sp.d1 * sp.d2 * sp.d3 * sp.d4) ** 2
-    t3 = (s1 + sp.d1**2) * (s1 + sp.d2**2) * (s1 + sp.d3**2) * (s1 + sp.d4**2)
-    return normalized_residual(ctx.mp, [t1, t2], [t3])
+    (m0, e0), (m1, e1), (m2, e2) = f(c), *(
+        _from_real(central_derivative(f, c, h, order, ctx)) for order in (1, 2))
+    ds, p, q = (sp.d1, sp.d2, sp.d3, sp.d4), c.numerator, c.denominator
+    l = math.lcm(*(d.denominator for d in ds))
+    e, l4, window = [int(d * l) for d in ds], l**4, _window(ctx.bits)
+    t1 = l4 * p * (p - q) * m2
+    t1 = m1 * t1 * t1, e1 + 2 * e2
+    mw, ew = _sum([(2 * q * l4 * m1 * m0, e1 + e0), (-(2 * p - q) * l4 * m1 * m1, 2 * e1),
+                   (q * e[0] * e[1] * e[2] * e[3], 0)], floor=window)
+    t2 = (q * mw) ** 2, 2 * ew
+    t3 = q**4, 0
+    for ei in e:
+        t3 = _times(t3, _sum([(l * l * m1, e1), (ei * ei, 0)], floor=window))
+    return _normalized(ctx.mp, [t1, t2], [t3])
 
 
 def riccati_constant(params, h, ctx):
@@ -229,17 +236,18 @@ def riccati_constant(params, h, ctx):
         c(1-c) x_0' + (1-c) x_0^2 + ((alpha+beta)c - gamma - 1) x_0
             - alpha*beta*c
 
+    It is one exact sum over D^3 (:meth:`Params.as_integers`), rounded once.
     The same combination, with the *original* parameters, is constant on
     both lattices (the shifted seed's extra terms cancel identically).
     """
-    h = ctx.real(h)
-    c0 = ctx.real(params.c)
-    a, bta, g, _ = params.as_reals(ctx)
+    h, (A, B, G, C, D) = _exact_fraction(h, ctx), params.as_integers()
+    E = D - C
 
     def x0_at(ce):
-        return initial_xy(_node_params(params, ce), ctx)[0]
+        return _from_real(initial_xy(params._with_c(ce), ctx)[0])
 
-    x0p = central_derivative(x0_at, c0, h, 1, ctx)
-    x0 = x0_at(c0)
-    return c0 * (1 - c0) * x0p + (1 - c0) * x0 * x0 + ((a + bta) * c0 - g - 1) * x0 - a * bta * c0
-
+    md, ed = _from_real(central_derivative(x0_at, params.c, h, 1, ctx))
+    mx, ex = x0_at(params.c)
+    return _to_real(ctx.mp, _over([(D * C * E * md, ed), (D * D * E * mx * mx, 2 * ex),
+                                   (D * ((A + B) * C - G * D - D * D) * mx, ex), (-A * B * C, 0)],
+                                  D**3, ctx.bits))

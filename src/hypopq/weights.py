@@ -110,6 +110,21 @@ class Params:
             ctx.real(self.c),
         )
 
+    def _with_c(self, c):
+        """This measure at the ``Fraction`` c (``self`` at its own c), which the
+        caller has checked to lie in (0, 1): no other condition involves c."""
+        if c == self.c:
+            return self
+        node = object.__new__(Params)
+        node.__dict__.update(vars(self), c=c)
+        return node
+
+    def as_integers(self):
+        """``(A, B, G, C, D)``: alpha, beta, gamma, c = A/D, B/D, G/D, C/D, D least."""
+        q = (self.alpha, self.beta, self.gamma, self.c)
+        D = math.lcm(*(v.denominator for v in q))
+        return (*(v.numerator * (D // v.denominator) for v in q), D)
+
     def key(self):
         return (self.alpha, self.beta, self.gamma, self.c, self.lattice)
 

@@ -24,7 +24,9 @@ from hypopq.numerics import (
     PrecisionCtx,
     _ZERO,
     _exact_fraction,
+    _from_real,
     _neg,
+    _normalized,
     _quotient,
     _round,
     _sum,
@@ -34,7 +36,6 @@ from hypopq.numerics import (
     default_step,
     digits_for_bits,
 )
-from hypopq.reporting import normalized_residual
 from hypopq.toda_sigma import clear_cache
 from hypopq.weights import Params, _effective_cap, _seed_sums, moment
 
@@ -313,40 +314,41 @@ def test_sum_series_swap_bit_identical(args):
 
 
 # ------------------------------------------------------- the one residual
-# normalized_residual reads its terms as BigReals, forms the difference of
-# their sums and the largest term exactly, as pairs, and rounds their
-# quotient once: the path that dp_residuals and the monitor share.
+# numerics._normalized forms the difference of the pair terms' sums and the
+# largest term exactly, and rounds their quotient once: the path that every
+# residual suite shares.
+
+
+def _pair_value(v):
+    return Fraction(v[0]) * Fraction(2) ** v[1] if v[0] else Fraction(0)
 
 
 def _exact_normalized(ctx, lhs, rhs):
     """|sum(lhs) - sum(rhs)| / max |term| in Fractions, rounded once to nearest."""
-    fl, fr = ([_exact_fraction(t) for t in ts] for ts in (lhs, rhs))
+    fl, fr = ([_pair_value(t) for t in ts] for ts in (lhs, rhs))
     top = max(map(abs, fl + fr), default=0)
     return ctx.real(abs(sum(fl) - sum(fr)) / top) if top else ctx.mp.zero
 
 
 @st.composite
 def _residual_case(draw):
-    """A precision and two lists of signed terms of up to ``prec`` bits, a
+    """A precision and two lists of signed pairs of up to ``prec`` bits, a
     fifth of them zero, with exponents inside the exact sums' window; half
     the time the right side ends with the left side's sum rounded to
     ``prec``, so that the residual is a rounding error."""
     prec = draw(st.integers(24, 512))
-    mp = PrecisionCtx(prec).mp
 
     def terms(lo):
         out = []
         for _ in range(draw(st.integers(lo, 5))):
-            if draw(st.integers(0, 4)):
-                m = draw(st.integers(-(1 << prec) + 1, (1 << prec) - 1))
-                out.append(mp.ldexp(mp.mpf(m), draw(st.integers(-prec - 32, prec + 32))))
-            else:
-                out.append(mp.zero)
+            m = draw(st.integers(-(1 << prec) + 1, (1 << prec) - 1)) if draw(
+                st.integers(0, 4)) else 0
+            out.append((m, draw(st.integers(-prec - 32, prec + 32))) if m else _ZERO)
         return out
 
     lhs, rhs = terms(0), terms(1)
     if draw(st.booleans()):
-        rhs.append(mp.fsum(lhs))
+        rhs.append(_round(_sum(lhs), prec))
     return prec, lhs, rhs
 
 
@@ -355,24 +357,24 @@ def _residual_case(draw):
 def test_normalized_residual_is_exact_ratio_rounded_once(case):
     prec, lhs, rhs = case
     ctx = PrecisionCtx(prec)
-    got = normalized_residual(ctx.mp, lhs, rhs)
+    got = _normalized(ctx.mp, lhs, rhs)
     assert got._mpf_ == _exact_normalized(ctx, lhs, rhs)._mpf_
-    assert normalized_residual(ctx.mp, lhs[::-1], rhs[::-1])._mpf_ == got._mpf_
+    assert _normalized(ctx.mp, lhs[::-1], rhs[::-1])._mpf_ == got._mpf_
 
 
 def test_normalized_residual_ignores_term_order(ctx128):
     # summed in mpf, the first order reads 2^-200 (6.2e-61) and the second 0
     mp = ctx128.mp
-    one, tiny = mp.mpf(1), mp.ldexp(1, -200)
-    first = normalized_residual(mp, [one, -one, tiny], [])
-    second = normalized_residual(mp, [one, tiny, -one], [])
-    assert first._mpf_ == second._mpf_ == tiny._mpf_
+    one, tiny = (1, 0), (1, -200)
+    first = _normalized(mp, [one, _neg(one), tiny], [])
+    second = _normalized(mp, [one, tiny, _neg(one)], [])
+    assert first._mpf_ == second._mpf_ == mp.ldexp(1, -200)._mpf_
 
 
 def test_normalized_residual_of_zero_terms(ctx128):
     mp = ctx128.mp
-    assert normalized_residual(mp, [mp.zero, 0], [mp.zero]) == 0
-    assert normalized_residual(mp, [], [mp.mpf(3)]) == 1
+    assert _normalized(mp, [_ZERO, (0, -5)], [_ZERO]) == 0
+    assert _normalized(mp, [], [(3, 0)]) == 1
 
 
 def test_only_numerics_reads_the_raw_number_format():
@@ -403,7 +405,7 @@ def test_default_step(ctx256):
 def test_central_derivative_order1_accuracy(ctx256):
     mp = ctx256.mp
     h = mp.ldexp(1, -30)
-    got = central_derivative(mp.sin, mp.mpf(1) / 3, h, 1, ctx256)
+    got = central_derivative(lambda t: mp.sin(ctx256.real(t)), mp.mpf(1) / 3, h, 1, ctx256)
     want = mp.cos(mp.mpf(1) / 3)
     assert abs(got - want) < mp.mpf(10) ** -35  # O(h^4) ~ 1e-36
 
@@ -411,7 +413,7 @@ def test_central_derivative_order1_accuracy(ctx256):
 def test_central_derivative_order2_accuracy(ctx256):
     mp = ctx256.mp
     h = mp.ldexp(1, -30)
-    got = central_derivative(mp.sin, mp.mpf(1) / 3, h, 2, ctx256)
+    got = central_derivative(lambda t: mp.sin(ctx256.real(t)), mp.mpf(1) / 3, h, 2, ctx256)
     want = -mp.sin(mp.mpf(1) / 3)
     assert abs(got - want) < mp.mpf(10) ** -33
 
@@ -423,15 +425,42 @@ def test_central_derivative_halving_ratio(ctx512):
     want = mp.cos(x0)
     errs = []
     for e in (-20, -21):
-        got = central_derivative(mp.sin, x0, mp.ldexp(1, e), 1, ctx512)
+        got = central_derivative(lambda t: mp.sin(ctx512.real(t)), x0, mp.ldexp(1, e), 1, ctx512)
         errs.append(abs(got - want))
     ratio = errs[0] / errs[1]
     assert 14 < ratio < 18
 
 
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("as_pair", [False, True])
+def test_central_derivative_rounds_once_on_exact_nodes(order, as_pair):
+    # c0 = 1/3 is not dyadic: each node must reach f as the exact Fraction
+    # c0 + j h, and the combination of the node values is rounded once
+    ctx = PrecisionCtx(128)
+    c0, h = Fraction(1, 3), Fraction(1, 2**20)
+    values = {}
+
+    def f(t):
+        assert isinstance(t, Fraction)
+        values[t] = ctx.real(t) ** 3 / 7  # a BigReal, rounded to 128 bits
+        return _from_real(values[t]) if as_pair else values[t]
+
+    got = central_derivative(f, c0, h, order, ctx)
+    steps = (-2, -1, 1, 2) if order == 1 else (-2, -1, 0, 1, 2)
+    assert set(values) == {c0 + j * h for j in steps}
+    v = {j: _exact_fraction(values[c0 + j * h]) for j in steps}
+    if order == 1:
+        want = (-v[2] + 8 * v[1] - 8 * v[-1] + v[-2]) / (12 * h)
+    else:
+        want = (-v[2] + 16 * v[1] - 30 * v[0] + 16 * v[-1] - v[-2]) / (12 * h * h)
+    assert got._mpf_ == ctx.real(want)._mpf_
+
+
 def test_central_derivative_guards(ctx256):
     mp = ctx256.mp
-    f = mp.sin
+    def f(t):  # each node arrives as an exact Fraction
+        return mp.sin(ctx256.real(t))
+
     with pytest.raises(InvalidParam):
         central_derivative(f, 0.5, mp.ldexp(1, -30), 3, ctx256)
     with pytest.raises(InvalidParam):

@@ -53,7 +53,7 @@ from hypopq.oracle import (
     xy_from_coeffs,
 )
 from hypopq.cli import run
-from hypopq.numerics import GUARD_BITS
+from hypopq.numerics import GUARD_BITS, _exact_fraction
 from hypopq.toda_sigma import clear_cache
 from hypopq.weights import (
     Lattice,
@@ -508,6 +508,79 @@ def test_xy_seed_matches_initial(ctx256):
     assert abs(xy.x[0] - x0) < 1e-70
     assert abs(xy.y[0] - y0) < 1e-70
     assert xy.S[0] == 0
+
+
+# Each map is its exact formula on the stored values, rounded once; S_{n+1}
+# is S_n + x_n rounded once.  A set with gamma = 1/3 and c = 2/5, so that no
+# constant of the maps is dyadic.
+_MAP_SET = (F(3, 2), F(3), F(1, 3), F(2, 5))
+
+
+@pytest.mark.parametrize("bits", [64, 128])
+@pytest.mark.parametrize("lattice", list(Lattice))
+def test_affine_maps_round_once_on_exact_values(lattice, bits):
+    ctx = H.PrecisionCtx(bits)
+    p = Params(*_MAP_SET, lattice)
+    a, b, g, c = _MAP_SET
+
+    def rounded(q):
+        return _exact_fraction(ctx.real(q))
+
+    cs = coeffs_oracle(p, 8, ctx)
+    xy = xy_from_coeffs(cs)
+    back = coeffs_from_xy(xy)
+    S = F(0)
+    for n in range(9):
+        a2n, bn = _exact_fraction(cs.a2[n]), _exact_fraction(cs.b[n])
+        x = rounded(bn - (n + (n + a + b) * c - g) / (1 - c))
+        y = rounded((1 - c) / c * a2n - S - n * (n + a + b - g - 1) / (1 - c))
+        assert (_exact_fraction(xy.x[n]), _exact_fraction(xy.y[n])) == (x, y), n
+        assert _exact_fraction(back.b[n]) == rounded(x + (n + (n + a + b) * c - g) / (1 - c)), n
+        assert _exact_fraction(back.a2[n]) == rounded(
+            c / (1 - c) * (y + S + n * (n + a + b - g - 1) / (1 - c))), n
+        S = rounded(S + x)
+        assert _exact_fraction(xy.S[n + 1]) == S, n
+
+
+def _fraction_ratio(lhs, rhs):
+    """|sum(lhs) - sum(rhs)| / max |term| of exact Fraction terms."""
+    top = max(map(abs, lhs + rhs))
+    return abs(sum(lhs) - sum(rhs)) / top if top else F(0)
+
+
+@pytest.mark.parametrize("bits", [64, 128])
+def test_ladder_round_once_on_exact_values(bits):
+    # the sequences are their exact formulas rounded once, and each residual
+    # is the exact ratio of the identity as written, rounded once
+    ctx = H.PrecisionCtx(bits)
+    p = Params(*_MAP_SET)
+    a, b, g, c = _MAP_SET
+    q, cf = (1 - c) / c, c / (1 - c)
+    cs = coeffs_oracle(p, 8, ctx)
+    ladder = ladder_sequences(cs)
+    report = {(e.name, e.n): e.value for e in ladder_residuals(cs).entries}
+    bsum = usum = F(0)
+    for n in range(9):
+        a2n, bn = _exact_fraction(cs.a2[n]), _exact_fraction(cs.b[n])
+        base = 2 * n + 1 - q * bn + (a + b - g - 1) / c
+        rbase = F(n * (n - 1), 2) - q * a2n + bsum
+        want = ((base + (n + 1 - b) * q) / (a - b), -(base + (n + 1 - a) * q) / (a - b),
+                (rbase + b * n) / (a - b), -(rbase + a * n) / (a - b))
+        got = [_exact_fraction(seq[n]) for seq in (ladder.u, ladder.v, ladder.r, ladder.s)]
+        assert got == [_exact_fraction(ctx.real(w)) for w in want], n
+        u, v, r, s = got
+        for name, lhs, rhs in (
+            ("uv_sum", [u, v], [q]),
+            ("rs_sum", [r, s], [F(-n)]),
+            ("uv_weighted", [a * u, b * v], [F(2 * n + 1), -q * bn, (a + b - g - 1) / c, (n + 1) * q]),
+            ("rs_weighted", [a * r, b * s], [F(n * (n - 1), 2), -q * a2n, bsum]),
+            ("b_from_ladder", [bn], [(n + a - g + (n + b) * c) / (1 - c), -(a - b) * cf * u]),
+            ("a2_from_ladder", [a2n],
+             [n * (n + a + b - g - 1) * c / (1 - c) ** 2, -(a - b) * cf * (cf * usum + r)]),
+        ):
+            assert report[name, n]._mpf_ == ctx.real(_fraction_ratio(lhs, rhs))._mpf_, (name, n)
+        bsum += bn
+        usum += u
 
 
 # ------------------------------------------------------------------- ladder

@@ -19,7 +19,6 @@ from hypopq.oracle import coeffs_oracle, xy_from_coeffs
 from hypopq.toda_sigma import (
     Source,
     _exact_fraction,
-    _node_params,
     _node_record,
     _node_sequences,
     _sequences_at,
@@ -30,7 +29,7 @@ from hypopq.toda_sigma import (
     sigma_value,
     toda_residuals,
 )
-from hypopq.weights import Lattice, _seed_sums
+from hypopq.weights import Lattice, Params, _seed_sums, initial_xy
 
 from conftest import asym_params, meixner_params, sym_params
 
@@ -50,12 +49,13 @@ def test_exact_fraction(ctx256):
         _exact_fraction(mp.inf)
 
 
-def test_node_params(ctx256):
+def test_node_params():
+    # a stencil node's params: only c changes, and the centre node is p itself
     p = asym_params()
-    assert _node_params(p, ctx256.real(F(1, 2))) is p  # same c: no copy
-    q = _node_params(p, ctx256.mp.mpf(0.375))
-    assert q.c == F(3, 8)
-    assert (q.alpha, q.beta, q.gamma, q.lattice) == (p.alpha, p.beta, p.gamma, p.lattice)
+    assert p._with_c(F(1, 2)) is p  # same c: no copy
+    q = p._with_c(F(3, 8))
+    want = Params(p.alpha, p.beta, p.gamma, F(3, 8), p.lattice)
+    assert q == want and hash(q) == hash(want) and q.key() == want.key()
 
 
 # ------------------------------------------------------------ toda residuals
@@ -111,6 +111,67 @@ def test_toda_guards(ctx128):
         toda_residuals(p, 1, ctx128.mp.ldexp(1, -16), "oracle", ctx128)
 
 
+def _ratio(lhs, rhs):
+    """|sum(lhs) - sum(rhs)| / max |term| of exact Fraction terms."""
+    top = max(map(abs, lhs + rhs))
+    return abs(sum(lhs) - sum(rhs)) / top if top else F(0)
+
+
+# c = 2/5 and gamma = 1/3: neither the stencil nodes nor the constants are dyadic
+_EXACT_SET = Params(F(3, 2), 3, F(1, 3), F(2, 5))
+
+
+def _stencil(values, h):
+    """The order-1 stencil of the exact node values ``values[j]``, in Fractions."""
+    return (-values[2] + 8 * values[1] - 8 * values[-1] + values[-2]) / (12 * h)
+
+
+def test_toda_residuals_round_once_on_exact_values(ctx128):
+    # each derivative is the exact stencil of the node values, rounded once,
+    # and each residual is the exact ratio of its identity as written in
+    # toda_residuals' docstring, rounded once
+    p, ctx, n, h = _EXACT_SET, ctx128, 2, F(1, 2**16)
+    a, b, g, c = p.alpha, p.beta, p.gamma, p.c
+    clear_cache()
+    got = {e.name: e.value for e in toda_residuals(p, n, h, Source.ORACLE, ctx).entries}
+
+    def at(j):  # the node's sequences, served by the node cache the call filled
+        return _sequences_at(p, c + j * h, n + 1, Source.ORACLE, ctx)
+
+    def deriv(pick):
+        values = {j: _exact_fraction(pick(*at(j))) for j in (-2, -1, 1, 2)}
+        return _exact_fraction(ctx.real(_stencil(values, h)))
+
+    da2 = deriv(lambda cs, xy: cs.a2[n])
+    db = deriv(lambda cs, xy: cs.b[n])
+    dx = deriv(lambda cs, xy: xy.x[n])
+    dy = deriv(lambda cs, xy: xy.y[n])
+    cs, xy = at(0)
+    A2, B, X, Y = ([_exact_fraction(v) for v in seq] for seq in (cs.a2, cs.b, xy.x, xy.y))
+    want = {
+        "toda_a2": ([c * da2], [A2[n] * (B[n] - B[n - 1])]),
+        "toda_b": ([c * db], [A2[n + 1], -A2[n]]),
+        "x_deriv": ([dx], [db, -(2 * n + a + b - g) / (1 - c) ** 2]),
+        "y_deriv": ([dy], [-(1 + c) / c**2 * A2[n], (1 - c) / c * da2]),
+        "x_flow": ([(1 - c) * dx], [Y[n + 1], -Y[n], X[n]]),
+        "y_flow": ([(1 - c) * dy], [(1 - c) ** 2 / c**2 * A2[n] * (X[n] - X[n - 1])]),
+    }
+    assert set(got) == set(want)
+    for name, (lhs, rhs) in want.items():
+        assert got[name]._mpf_ == ctx.real(_ratio(lhs, rhs))._mpf_, name
+    clear_cache()
+
+
+def test_riccati_constant_rounds_once_on_exact_values(ctx128):
+    p, ctx, h = _EXACT_SET, ctx128, F(1, 2**16)
+    a, b, g, c = p.alpha, p.beta, p.gamma, p.c
+    x0 = {j: _exact_fraction(initial_xy(p._with_c(c + j * h), ctx)[0])
+          for j in (-2, -1, 0, 1, 2)}
+    dx0 = _exact_fraction(ctx.real(_stencil(x0, h)))
+    want = c * (1 - c) * dx0 + (1 - c) * x0[0] ** 2 + ((a + b) * c - g - 1) * x0[0] - a * b * c
+    assert riccati_constant(p, h, ctx)._mpf_ == ctx.real(want)._mpf_
+
+
 # ------------------------------------------------------------------ sigma
 
 
@@ -126,7 +187,7 @@ def test_sigma_parameters_exact(ctx256):
         "d4": F(41, 12),
     }
     for name, frac in want.items():
-        assert abs(getattr(sp, name) - ctx256.real(frac)) < 1e-70, name
+        assert getattr(sp, name) == frac, name  # exact rationals
     with pytest.raises(InvalidParam):
         sigma_parameters(asym_params(), -1, ctx256)
 
@@ -346,7 +407,7 @@ def test_refused_horizon_falls_back_to_exact_order(ctx128, monkeypatch, source, 
     h = F(2) ** -16
 
     def exact(params, c_eval, N, source, ctx):
-        return _node_sequences(_node_params(params, c_eval), N, ctx, source)
+        return _node_sequences(params._with_c(c_eval), N, ctx, source)
 
     clear_cache()
     with monkeypatch.context() as m:

@@ -1,5 +1,5 @@
-"""Call counts of the recursion and its residual suite: work counts that do
-not depend on the machine.
+"""Call counts of the recursion, its residual suite and the deformation
+identities: work counts that do not depend on the machine.
 
 Counts, with ``sys.setprofile``, the calls into ``mpmath.libmp`` made from
 outside it (as ``tests/test_oracle.py`` counts them for the oracle) and the
@@ -11,10 +11,15 @@ of one parameter set:
 * per ``iterate`` step with the consistency monitor (the canonical seed) and
   without it (the same seed given explicitly, which runs no monitor);
 * per index of ``dp_residuals``, with the oracle's coefficients (the five
-  cross-identities included) and without them.
+  cross-identities included) and without them;
+* per index of a ``toda_residuals`` sweep n = 0 .. TODA_N - 1 (oracle
+  source, h = 2^-40), cold (caches emptied first, so the oracle runs at
+  every node) and warm (the same sweep again, every node served from the
+  node cache), and per ``sigma_pvi_residual`` (n = 2, standard lattice
+  only) and ``riccati_constant`` call, cold and warm.
 
-Each figure is the difference between a run to N and a run to 0, over N, so
-fixed costs (the seed, the loop invariants) drop out.  The counts repeat
+Each recursion figure is the difference between a run to N and a run to 0,
+over N, so fixed costs (the seed, the loop invariants) drop out.  The counts repeat
 exactly from run to run and do not depend on the machine's speed.  The
 Python calls show the interpreter's frames that a step enters, which the
 libmp calls and the executed bytecodes do not: a step that enters fewer
@@ -24,7 +29,8 @@ bytecodes.
     PYTHONPATH=src python tools/call_counts.py
 
 The exit code is 1 when a step with the monitor makes more than
-MAX_STEP_CALLS libmp calls or more than MAX_STEP_PYTHON_CALLS Python calls.
+MAX_STEP_CALLS libmp calls or more than MAX_STEP_PYTHON_CALLS Python calls,
+or when a warm Toda index makes more than MAX_TODA_CALLS libmp calls.
 Uses only the standard library and the package under test; not a test.
 """
 
@@ -34,6 +40,7 @@ from fractions import Fraction as F
 from hypopq import Lattice, Params, PrecisionCtx, clear_cache
 from hypopq.dpainleve import dp_residuals, iterate
 from hypopq.oracle import CoeffSeq, XYSeq, coeffs_oracle, xy_from_coeffs
+from hypopq.toda_sigma import Source, riccati_constant, sigma_pvi_residual, toda_residuals
 from hypopq.weights import initial_xy
 
 SET = (F(3, 2), F(3), F(1, 3), F(1, 2))
@@ -42,6 +49,9 @@ STEP_N = 400
 RESIDUAL_N = 50
 MAX_STEP_CALLS = 3  # the conversions that store x_n, y_n and S_n
 MAX_STEP_PYTHON_CALLS = 55  # 50.34 when the bound was set
+H = F(1, 2**40)  # the stencil step of acceptance criteria 05-07
+TODA_N = 5
+MAX_TODA_CALLS = 10  # 9.40 when the bound was set: four derivatives and up to six residuals
 
 
 def calls(fn):
@@ -88,7 +98,22 @@ def counts(p):
     def coeffs_to(n):
         return CoeffSeq(p, coeffs.a2[:n + 1], coeffs.b[:n + 1], ctx)
 
+    def sweep():
+        for n in range(TODA_N):
+            toda_residuals(p, n, H, Source.ORACLE, ctx)
+
+    deform = {"toda_residuals index": (sweep, TODA_N),
+              "riccati_constant call": (lambda: riccati_constant(p, H, ctx), 1)}
+    if p.lattice is Lattice.STANDARD:
+        deform["sigma_pvi_residual call"] = (
+            lambda: sigma_pvi_residual(p, 2, H, Source.ORACLE, ctx), 1)
+    out = {}
+    for what, (fn, units) in deform.items():
+        clear_cache()
+        for state in ("cold", "warm"):
+            out[f"{what}, {state}"] = tuple(v / units for v in calls(fn))
     return {
+        **out,
         "step, monitor on": per_unit(lambda n: iterate(p, n, ctx), STEP_N),
         "step, monitor off": per_unit(lambda n: iterate(p, n, ctx, seed=seed), STEP_N),
         "dp_residuals index, with coeffs": per_unit(
@@ -98,18 +123,21 @@ def counts(p):
 
 
 def main():
-    worst = (0.0, 0.0)
+    worst, toda = (0.0, 0.0), 0.0
     for lattice in (Lattice.STANDARD, Lattice.SHIFTED):
         label = f"({', '.join(map(str, SET))}) {lattice.value}, {BITS} bits"
         got = counts(Params(*SET, lattice))
         for what, (libmp, python) in got.items():
             print(f"{label}  {what}: {libmp:.2f} libmp, {python:.2f} Python")
         worst = tuple(map(max, worst, got["step, monitor on"]))
+        toda = max(toda, got["toda_residuals index, warm"][0])
     failed = False
-    for value, bound, kind in zip(worst, (MAX_STEP_CALLS, MAX_STEP_PYTHON_CALLS),
-                                  ("libmp", "Python")):
+    for value, bound, what in zip((*worst, toda),
+                                  (MAX_STEP_CALLS, MAX_STEP_PYTHON_CALLS, MAX_TODA_CALLS),
+                                  ("a step makes", "a step makes", "a warm Toda index makes")):
+        kind = "Python" if bound is MAX_STEP_PYTHON_CALLS else "libmp"
         if value > bound:
-            print(f"a step makes {value:.2f} {kind} calls, over {bound}")
+            print(f"{what} {value:.2f} {kind} calls, over {bound}")
             failed = True
     return int(failed)
 
