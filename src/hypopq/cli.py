@@ -185,6 +185,8 @@ def _config(ns):
         ns.source = Source(ns.source)
     if getattr(ns, "tol", None) is not None:
         ns.tol, _ = _parse_exact(ns.tol, "tol")
+        if ns.tol < 0:
+            raise InvalidParam("tol must be >= 0")
     if hasattr(ns, "digit_levels"):
         try:
             ns.digit_levels = [int(t) for t in ns.digit_levels.split(",") if t.strip()]
@@ -203,47 +205,39 @@ def _config(ns):
 
 
 def _step_value(cfg):
-    return cfg.ctx.real(cfg.h) if cfg.h is not None else default_step(cfg.ctx)
+    return cfg.h if cfg.h is not None else default_step(cfg.ctx)
 
 
 def _study_record(rep, **extra):
     return {**extra, **{f.name: getattr(rep, f.name) for f in fields(rep)}}
 
 
+def _rows(count, **columns):
+    """Records n = 0 .. count - 1, each ``n`` and then every column's n-th value."""
+    return [{"n": n, **{k: v[n] for k, v in columns.items()}} for n in range(count)]
+
+
 def _cmd_moments(cfg):
     if cfg.nmax < 0:
         raise InvalidParam("nmax must be >= 0")
     _require_standard(cfg.params, "moments")
-    ms = _moment_list(cfg.params, cfg.nmax + 1, cfg.ctx)
-    return [{"n": n, "m": ms[n]} for n in range(cfg.nmax + 1)], {}
+    return _rows(cfg.nmax + 1, m=_moment_list(cfg.params, cfg.nmax + 1, cfg.ctx)), {}
 
 
 def _cmd_coeffs(cfg):
     cs = coeffs_oracle(cfg.params, cfg.nmax, cfg.ctx)
-    records = [
-        {"n": n, "a2": cs.a2[n], "b": cs.b[n]} for n in range(cfg.nmax + 1)
-    ]
-    return records, {}
+    return _rows(cfg.nmax + 1, a2=cs.a2, b=cs.b), {}
 
 
 def _cmd_ladder(cfg):
-    cs = coeffs_oracle(cfg.params, cfg.nmax, cfg.ctx)
-    lad = ladder_sequences(cs)
-    records = [
-        {"n": n, "u": lad.u[n], "v": lad.v[n], "r": lad.r[n], "s": lad.s[n]}
-        for n in range(cfg.nmax + 1)
-    ]
-    return records, {}
+    lad = ladder_sequences(coeffs_oracle(cfg.params, cfg.nmax, cfg.ctx))
+    return _rows(cfg.nmax + 1, u=lad.u, v=lad.v, r=lad.r, s=lad.s), {}
 
 
 def _cmd_xy(cfg):
     cs = coeffs_oracle(cfg.params, cfg.nmax, cfg.ctx)
     xy = xy_from_coeffs(cs)
-    records = [
-        {"n": n, "x": xy.x[n], "y": xy.y[n], "a2": cs.a2[n], "b": cs.b[n], "S": xy.S[n]}
-        for n in range(cfg.nmax + 1)
-    ]
-    return records, {}
+    return _rows(cfg.nmax + 1, x=xy.x, y=xy.y, a2=cs.a2, b=cs.b, S=xy.S), {}
 
 
 def _cmd_iterate(cfg):
@@ -251,14 +245,11 @@ def _cmd_iterate(cfg):
     if cfg.seed_x0 is not None:
         seed = (cfg.ctx.real(cfg.seed_x0), cfg.ctx.mp.mpf(0))
     xy = iterate(cfg.params, cfg.nmax, cfg.ctx, seed=seed, strict=cfg.strict)
-    records = [
-        {"n": n, "x": xy.x[n], "y": xy.y[n], "S": xy.S[n]} for n in range(len(xy.x))
-    ]
     extra = {
         "failure_index": xy.failure_index,
         "precision_suspect_at": xy.precision_suspect_at,
     }
-    return records, extra
+    return _rows(len(xy.x), x=xy.x, y=xy.y, S=xy.S), extra
 
 
 def _cmd_verify(cfg):
@@ -296,8 +287,8 @@ def _cmd_sigma(cfg):
     ctx = cfg.ctx
     n = cfg.n
     h = _step_value(cfg)
+    res = sigma_pvi_residual(cfg.params, n, h, cfg.source, ctx)  # refuses n < 1 first
     sv = sigma_value(cfg.params, n, cfg.params.c, cfg.source, ctx)
-    res = sigma_pvi_residual(cfg.params, n, h, cfg.source, ctx)
     extra = {"h": ctx.to_decimal(h), "source": cfg.source.value}
     records = [{"n": n, "c": ctx.real(cfg.params.c), "sigma": sv, "pvi_residual": res}]
     return records, extra

@@ -19,7 +19,8 @@ each x_n, y_n and S_n becomes a BigReal once.  The five cross-identities
 are written once, on the same pairs multiplied through by c^2 or c(1-c),
 and shared by the consistency monitor and :func:`dp_residuals`, through
 the one residual of :mod:`numerics`: the monitor decides its 1e-6 test
-exactly on integers, and each residual of the suite is rounded once.
+exactly on integers, and each residual of the suite, formed on the stored
+values as they are, is rounded once.
 """
 
 from __future__ import annotations
@@ -37,13 +38,6 @@ _MONITOR_EVERY = 10
 # The monitor trips where a normalized residual exceeds 1 / _MONITOR_INVERSE.
 _MONITOR_INVERSE = 10**6
 _ONE = (1, 0)
-# Report order of the cross-identities: each group runs over its indices
-# before the next starts.
-_CROSS_ORDER = (
-    ("y_pair_sum", "a2_difference"),
-    ("a2x_difference",),
-    ("a2_x_product", "a2_x_sum"),
-)
 
 
 def _invariants(params, ctx):
@@ -80,9 +74,8 @@ def _invariants(params, ctx):
               pair(G * O - AB, 2), pair(AB * H, 3), pair(G, 1), pair(G + O, 1),
               pair(GAB + OAB, 2), pair(G * OAB + GAB * O, 3), pair(GAB * OAB, 4))
     c, d = pair(C, 1), pair(O - C, 1)
-    (mc, ec), (md, ed), (mab, eab), (mg, eg) = c, d, first[0], second[6]
-    cross = (_sum([c, (mc * mc, 2 * ec)]), _sum([(mab, eab), (-mg, eg)]), (mc * mg, ec + eg),
-             (mc * mc * mab, 2 * ec + eab), (mc * md * mab, ec + ed + eab))
+    cross = (pair(C * O + C * C, 2), pair(AB - G * O, 2), pair(C * G, 2), pair(C * C * AB, 4),
+             pair(C * (O - C) * AB, 4))
     return prec, _window(prec), GUARD_BITS - prec, c, first, second, d, cross
 
 
@@ -192,7 +185,7 @@ def _cross_terms(k, n, x, y, S, A, B, A_next=None):
     # c + c^2, ab - g, c g, c^2 ab and c d ab
     (mcpc, ecpc), (mag, eag), (mcg, ecg), (mccab, eccab), (mcdab, ecdab) = cross
     mcc, ecc, mcd, ecd = mc * mc, 2 * ec, mc * md, ec + ed
-    mabn, eabn = _sum([(mapb, eapb), (n, 0)])
+    mabn, eabn = _sum([(mapb, eapb), (n, 0)], floor=window)
     mcdn, ecdn = mcd * mabn, ecd + eabn  # c d (a + b + n)
     (mx, ex), (my, ey), (mS, eS), (mA, eA), (mB, eB) = x[n], y[n], S[n], A, B
     out = {}
@@ -269,9 +262,8 @@ def _monitor_trips(k, x, y, S, m):
 def _targets(params, ctx):
     """(x-limit, limit of y_n + n * x-limit) for the lattice at hand."""
     a, bta, g, _ = params.as_reals(ctx)
-    if params.lattice is Lattice.SHIFTED:
-        return ctx.mp.mpf(1), (1 - a) * (1 - bta)
-    return g, (g - a) * (g - bta)
+    xl = ctx.mp.mpf(1) if params.lattice is Lattice.SHIFTED else g
+    return xl, (xl - a) * (xl - bta)
 
 
 def iterate(params, N: int, ctx, seed=None, strict: bool = False) -> XYSeq:
@@ -343,7 +335,7 @@ def dp_residuals(xy: XYSeq, coeffs=None) -> ResidualReport:
 
     Base entries "dp1" and "dp2" need only (x, y).  A CoeffSeq of the same
     params and ctx (else ``InvalidParam``) adds five cross-identities tying
-    (x, y, S) to (a2, b) (:func:`_cross_terms`, which the monitor shares).
+    (x, y, S) to (a2, b), index by index in :func:`_cross_terms`' order.
     Every residual is |sum(lhs) - sum(rhs)| over the largest additive term,
     both exact on the pairs of the stored values, as one quotient rounded
     once (:func:`numerics._normalized`, as for every residual suite).  The
@@ -354,13 +346,9 @@ def dp_residuals(xy: XYSeq, coeffs=None) -> ResidualReport:
     mp = ctx.mp
     k = _invariants(params, ctx)
     window, (mc, ec), (md, ed) = k[1], k[3], k[6]
-
-    def pairs(seq):
-        return [_round(_from_real(v), ctx.bits) for v in seq]
-
     rep = ResidualReport(ctx=ctx)
     N = xy.N
-    px, py = pairs(xy.x), pairs(xy.y)
+    px, py = list(map(_from_real, xy.x)), list(map(_from_real, xy.y))
     for n in range(N):
         (mP, eP), (mQ, eQ), quart = _first_kind(k, n, px[n], py[n], py[n + 1])
         rep.add("dp1", n, _normalized(mp, [(mc * mP * mQ, ec + eP + eQ)], [quart]))
@@ -377,17 +365,11 @@ def dp_residuals(xy: XYSeq, coeffs=None) -> ResidualReport:
     if coeffs is None:
         return rep
     NN = min(N, coeffs.N)
-    pS = pairs(xy.S)
-    A = [(md * md * m, 2 * ed + e) for m, e in pairs(coeffs.a2[:NN + 1])]
-    B = [(mc * md * m, ec + ed + e) for m, e in pairs(coeffs.b[:NN + 1])]
-    ratios = [
-        {name: _normalized(mp, *terms) for name, terms in _cross_terms(
-            k, n, px, py, pS, A[n], B[n], A[n + 1] if n < NN else None).items()}
-        for n in range(NN + 1)
-    ]
-    for names in _CROSS_ORDER:
-        for n, found in enumerate(ratios):
-            for name in names:
-                if name in found:
-                    rep.add(name, n, found[name])
+    pS = list(map(_from_real, xy.S))
+    A = [(md * md * m, 2 * ed + e) for m, e in map(_from_real, coeffs.a2[:NN + 1])]
+    B = [(mc * md * m, ec + ed + e) for m, e in map(_from_real, coeffs.b[:NN + 1])]
+    for n in range(NN + 1):
+        for name, terms in _cross_terms(k, n, px, py, pS, A[n], B[n],
+                                        A[n + 1] if n < NN else None).items():
+            rep.add(name, n, _normalized(mp, *terms))
     return rep

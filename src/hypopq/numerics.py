@@ -7,8 +7,9 @@ count and the code path — repeated calls are bit-identical.
 
 This module owns the number format: the kernels, the one normalized
 residual (:func:`_normalized`) and the stencils compute on signed
-``(mantissa, exponent)`` integer pairs, and only this module reads mpmath's
-raw format (``mpmath.libmp``, ``_mpf_``).  Values cross by :func:`_to_real`,
+``(mantissa, exponent)`` integer pairs, summed in the window of their
+precision (:func:`_sum`), and only this module reads mpmath's raw format
+(``mpmath.libmp``, ``_mpf_``).  Values cross by :func:`_to_real`,
 :func:`_from_real`, :func:`_rational_pair` and :func:`_exact_fraction`.
 """
 
@@ -90,7 +91,7 @@ def _exact_fraction(x, ctx=None):
 
 
 def _window(prec):
-    """The exponent window of the exact sums at ``prec`` bits, 4 prec + 64
+    """The exponent window of every sum at ``prec`` bits, 4 prec + 64
     (:func:`_sum`'s ``floor``).  Every sum of the recursion step is exact in
     it on any orbit of moderate magnitude: the widest, the first-kind
     quartic, spans 4 prec bits.  A sum that cancels, as P does when x_n lies
@@ -108,22 +109,22 @@ def _neg(v):
     return -v[0], v[1]
 
 
-def _sum(terms, floor=None):
+def _sum(terms, floor):
     """The signed ``(mantissa, exponent)`` pairs ``terms`` summed to one pair,
-    not rounded; an exact zero is ``_ZERO``.  By default the sum is exact,
-    aligned at the lowest exponent.  With ``floor``, each term is floored to
-    the cut at max(lowest, highest - ``floor``) of the nonzero terms' exponents.
-    One pass stops before a term would stretch the span past ``floor``, and
-    the terms are summed again at the cut: no integer outgrows the window."""
+    not rounded; an exact zero is ``_ZERO``.  Each term is floored to the cut
+    at max(lowest, highest - ``floor``) of the nonzero terms' exponents, so
+    the sum is exact while they span at most ``floor`` bits.  One pass stops
+    before a term would stretch the span past ``floor``, and the terms are
+    summed again at the cut: no integer outgrows the window."""
     s, f, hi = 0, _ZERO[1], -_ZERO[1]
     for m, e in terms:
-        if m or floor is None:
+        if m:
             if e < f:
-                if floor is not None and hi - e > floor:
+                if hi - e > floor:
                     break
                 s, f = (s << f - e) + m, e
             else:
-                if floor is not None and e - f > floor:
+                if e - f > floor:
                     break
                 s += m << e - f
             if e > hi:

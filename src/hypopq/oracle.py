@@ -97,7 +97,7 @@ def _chebyshev_quotients(moments, N, bits):
     entry raises ``ZeroDivisionError``.
     """
     prec = bits + GUARD_BITS
-    top = 2 * N + 2
+    top, window = 2 * N + 2, _window(prec)
     prev, row = [_ZERO] * top, list(moments[:top])
     diag = row[0]
     q = _quotient(row[1], diag, prec)
@@ -114,7 +114,7 @@ def _chebyshev_quotients(moments, N, bits):
         dk = new[k]
         a2_k = _quotient(dk, diag, prec)
         q_k = _quotient(new[k + 1], dk, prec)
-        b_k, q, diag = _round(_sum([q_k, _neg(q)]), prec), q_k, dk
+        b_k, q, diag = _round(_sum([q_k, _neg(q)], floor=window), prec), q_k, dk
         a2.append(_round(a2_k, bits))
         b.append(_round(b_k, bits))
         prev, row = row, new
@@ -145,10 +145,10 @@ def coeffs_oracle(params, N: int, ctx) -> CoeffSeq:
 
     a2_lo, b_lo = quotients(ctx.bits)
     hb = 2 * ctx.bits
-    a2_hi, b_hi = quotients(hb)
+    a2_hi, b_hi, window = *quotients(hb), _window(hb)
 
     def _agree(lo, hi, label, n):
-        m, e = _sum([lo, _neg(hi)])
+        m, e = _sum([lo, _neg(hi)], floor=window)
         if not _below((10**10 * m, e), hi):
             raise PrecisionExhausted(
                 f"{label}[{n}] agrees to fewer than 10 digits between "
@@ -161,7 +161,7 @@ def coeffs_oracle(params, N: int, ctx) -> CoeffSeq:
     shifted = params.lattice is Lattice.SHIFTED
     shift = _rational_pair(1 - params.gamma, hb) if shifted else _ZERO
     for n in range(N + 1):
-        b_out.append(_to_real(mp, _sum([_agree(b_lo[n], b_hi[n], "b", n), shift])))
+        b_out.append(_to_real(mp, _sum([_agree(b_lo[n], b_hi[n], "b", n), shift], floor=window)))
         if n >= 1:
             av = _agree(a2_lo[n], a2_hi[n], "a2", n)
             if av[0] <= 0:

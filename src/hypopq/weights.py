@@ -20,7 +20,7 @@ from itertools import accumulate, chain
 
 from .errors import InvalidParam, NonConvergent
 from .numerics import (GUARD_BITS, _ZERO, _below, _neg, _quotient, _rational_pair, _round, _sum,
-                       _times, _to_real)
+                       _times, _to_real, _window)
 
 
 class Lattice(enum.Enum):
@@ -282,16 +282,16 @@ def _moment_batch_raw(params, count, bits, guard=GUARD_BITS):
     their sum and product, so the batch is bit-identical under the swap.
     """
     prec = bits + guard
-    p = params
+    p, window = params, _window(prec)
     moms = list(_seed_sums(p, prec))
     ab_sum, ab_prod, ratio, shift = (_rational_pair(q, prec) for q in (
         p.alpha + p.beta, p.alpha * p.beta, p.c / (1 - p.c), (p.gamma - 1) / (1 - p.c)))
     R, eR, lost, n, cancels = [], _ZERO[1], 0.0, 0, p.gamma > 1 and count > 2
     while n < count - 2 or cancels:
         tail = [_times(ab_sum, moms[n + 1]), _times(ab_prod, moms[n])]
-        acc = _round(_sum(tail + [(sum(R), eR)]), prec)
+        acc = _round(_sum(tail + [(sum(R), eR)], floor=window), prec)
         big = _times(shift, moms[n + 1])
-        m = _round(_sum([_times(ratio, acc), _neg(big)]), prec)
+        m = _round(_sum([_times(ratio, acc), _neg(big)], floor=window), prec)
         if lost >= prec or m[0] <= 0:  # every bit lost (moments are > 0)
             lost = max(lost, prec)
             break
@@ -301,7 +301,7 @@ def _moment_batch_raw(params, count, bits, guard=GUARD_BITS):
             t = (man & -man).bit_length() - 1  # the odd mantissa libmp would keep
             lost += math.log2(man >> t) + (exp + t)
         moms.append(m)
-        u, e = _round(_sum([m] + tail), prec)
+        u, e = _round(_sum([m] + tail, floor=window), prec)
         if e < eR:
             R, eR = [v << eR - e for v in R], e
         R = list(accumulate(chain([u << e - eR], R)))

@@ -18,6 +18,7 @@ import hypopq as H
 from hypopq import cli
 from hypopq.cli import run
 from hypopq.oracle import coeffs_oracle
+from hypopq.toda_sigma import Source, toda_residuals
 
 from conftest import asym_params
 
@@ -120,6 +121,18 @@ def test_verify_toda_suite(capsys):
     names = {r["name"] for r in doc["records"]}
     assert {"toda_a2", "toda_b", "x_flow", "y_flow"} <= names
     assert float(meta["max_residual"]) < 1e-10
+
+
+def test_verify_toda_takes_h_exactly(capsys):
+    # --h 0.001 reaches the stencil as 1/1000, not as its nearest 64-bit value
+    doc, _ = run_json(capsys, ["verify", *ASYM, "--nmax", "1", "--suite", "toda", "--h", "0.001",
+                               "--bits", "64"])
+    ctx = H.PrecisionCtx(64)
+    want = [e for n in (0, 1) for e in toda_residuals(
+        asym_params(), n, F(1, 1000), Source.ORACLE, ctx).entries]
+    assert [(r["name"], r["n"], r["residual"]) for r in doc["records"]] == [
+        (e.name, e.n, ctx.to_decimal(e.value)) for e in want]
+    assert doc["meta"]["h"] == ctx.to_decimal(ctx.real(F(1, 1000)))
 
 
 def test_sigma_and_riccati_schemas(capsys):
@@ -354,6 +367,16 @@ def test_verify_tol_exit3_with_output(capsys):
     assert "exceeds tol" in payload["message"]
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_sigma_n_below_one_exit2(capsys, monkeypatch, n):
+    # the ODE residual refuses n < 1 before sigma_n is computed
+    monkeypatch.setattr(cli, "sigma_value", lambda *args: pytest.fail("sigma_n computed"))
+    code = run(["sigma", *ASYM, "--n", n, "--bits", "64"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "InvalidParam", "message": "n must be >= 1"}
+
+
 def test_singular_step_exit4(capsys):
     # alpha == gamma with an explicit seed forces the generic path into the
     # 0/0 configuration at the very first step
@@ -386,9 +409,9 @@ def test_bad_arguments_exit2(capsys, tmp_path):
     capsys.readouterr()
     # Decimal("inf") parses but has no Fraction, the toda suite has no index
     # to check below nmax = 0, options are never abbreviated ("--h" is not
-    # --help, "--nma" not --nmax), a lattice or source outside the choices
-    # and an --output that cannot be written are bad arguments too: exit 2
-    # with one JSON line
+    # --help, "--nma" not --nmax), a lattice or source outside the choices,
+    # a negative --tol and an --output that cannot be written are bad
+    # arguments too: exit 2 with one JSON line
     for argv in (
         ["coeffs", "--alpha", "inf", *ASYM[2:], "--nmax", "1"],
         ["iterate", *ASYM, "--nmax", "1", "--seed-x0", "inf"],
@@ -398,6 +421,7 @@ def test_bad_arguments_exit2(capsys, tmp_path):
         ["coeffs", *ASYM, "--nma", "2"],
         ["coeffs", *ASYM, "--nmax", "1", "--lattice", "diagonal"],
         ["sigma", *ASYM, "--n", "1", "--source", "guess"],
+        ["verify", *ASYM, "--nmax", "1", "--tol", "-1"],
         ["coeffs", *ASYM, "--nmax", "1", "--output", str(tmp_path / "no_dir" / "x.json")],
     ):
         assert run(argv) == 2

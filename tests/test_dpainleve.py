@@ -413,6 +413,20 @@ def test_dp_residuals_tiny_on_oracle_orbit(ctx256):
     assert [n for n, _ in rep.by_name("dp2")][0] == 1
 
 
+def test_dp_residuals_cross_entries_index_by_index(ctx256):
+    # after dp1 and dp2, the cross entries run index by index, each index
+    # in _cross_terms' order, as the ladder and Toda suites report theirs;
+    # the first two reach n + 1, the last two n - 1 and a2x_difference both
+    N = 6
+    ahead, behind = ("y_pair_sum", "a2_difference"), ("a2_x_product", "a2_x_sum")
+    coeffs = coeffs_oracle(asym_params(), N, ctx256)
+    rep = dp_residuals(xy_from_coeffs(coeffs), coeffs)
+    assert {e.name for e in rep.entries[:2 * N]} == {"dp1", "dp2"}
+    want = [(name, n) for n in range(N + 1) for name in (*ahead, "a2x_difference", *behind)
+            if (n < N or name in behind) and (n >= 1 or name in ahead)]
+    assert [(e.name, e.n) for e in rep.entries[2 * N:]] == want
+
+
 def test_dp_residuals_without_coeffs(ctx256):
     p = asym_params()
     rep = dp_residuals(iterate(p, 10, ctx256))
