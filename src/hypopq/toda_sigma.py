@@ -26,6 +26,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache, lru_cache
 
 from .dpainleve import iterate
@@ -159,20 +160,25 @@ class SigmaParams:
 def sigma_parameters(params, n: int, ctx) -> SigmaParams:
     if n < 0:
         raise InvalidParam("n must be >= 0")
-    a, bta, g = params.alpha, params.beta, params.gamma
-    K = a * bta - (a + bta + n) ** 2 / 4
-    L = ((a + bta + g + 1) * n + a * a + bta * bta - (a + bta) * (g + 1) + 2 * g) / 4
-    return SigmaParams(K, L, (n + a - bta) / 2, (-n + a - bta) / 2, (n + a + bta - 2) / 2,
-                       (n + a + bta - 2 * g) / 2)
+    A, B, G, _, D = params.as_integers()  # alpha, beta, gamma = A/D, B/D, G/D
+    s = A + B + n * D
+    L = (A + B + G + D) * n * D + A * A + B * B - (A + B) * (G + D) + 2 * G * D
+    return SigmaParams(Fraction(4 * A * B - s * s, 4 * D * D), Fraction(L, 4 * D * D),
+                       Fraction(n * D + A - B, 2 * D), Fraction(A - B - n * D, 2 * D),
+                       Fraction(s - 2 * D, 2 * D), Fraction(s - 2 * G, 2 * D))
 
 
-def _sigma(params, n, ce, source, ctx, sp):
-    """sigma_n at the exact node ``ce`` as a pair, with the constants ``sp``
-    of (params, n): ``((ce-1) S_n + K ce + L)`` over one integer, rounded once."""
-    S = _from_real(_sequences_at(params, ce, n - 1, source, ctx)[1].S[n]) if n else _ZERO
-    u, w = ce - 1, sp.K * ce + sp.L
-    return _over([(u.numerator * w.denominator * S[0], S[1]), (w.numerator * u.denominator, 0)],
-                 u.denominator * w.denominator, ctx.bits)
+def _sigma_at(params, n, source, ctx, sp):
+    """sigma_n as a pair at the exact node ce = p/q, for ``sp``'s K, L = a/d, b/d:
+    ``((p - q) d S_n + a p + b q) / (q d)``, one exact sum rounded once."""
+    (kn, kd), (ln, ld) = sp.K.as_integer_ratio(), sp.L.as_integer_ratio()
+    a, b, d = kn * ld, ln * kd, kd * ld
+
+    def at(ce):
+        m, e = _from_real(_sequences_at(params, ce, n - 1, source, ctx)[1].S[n]) if n else _ZERO
+        p, q = ce.as_integer_ratio()
+        return _over([((p - q) * d * m, e), (a * p + b * q, 0)], q * d, ctx.bits)
+    return at
 
 
 def sigma_value(params, n: int, c_eval, source: Source, ctx):
@@ -183,11 +189,10 @@ def sigma_value(params, n: int, c_eval, source: Source, ctx):
     """
     if params.lattice is not Lattice.STANDARD:
         raise InvalidParam("sigma function is defined on the standard lattice")
-    sp = sigma_parameters(params, n, ctx)
-    ce = _exact_fraction(c_eval, ctx)
+    sp, ce = sigma_parameters(params, n, ctx), _exact_fraction(c_eval, ctx)
     if not (0 < ce < 1):
         raise InvalidParam("c_eval must lie in (0, 1)")
-    return _to_real(ctx.mp, _sigma(params, n, ce, source, ctx, sp))
+    return _to_real(ctx.mp, _sigma_at(params, n, source, ctx, sp)(ce))
 
 
 def sigma_pvi_residual(params, n: int, h, source: Source, ctx):
@@ -209,16 +214,12 @@ def sigma_pvi_residual(params, n: int, h, source: Source, ctx):
     if params.lattice is not Lattice.STANDARD:
         raise InvalidParam("sigma function is defined on the standard lattice")
     h, c, sp = _exact_fraction(h, ctx), params.c, sigma_parameters(params, n, ctx)
-
-    @cache  # s0, s' and s'' share f(c) and the stencil nodes
-    def f(ce):
-        return _sigma(params, n, ce, source, ctx, sp)
-
+    f = cache(_sigma_at(params, n, source, ctx, sp))  # s0, s' and s'' share the nodes
     (m0, e0), (m1, e1), (m2, e2) = f(c), *(
         _from_real(central_derivative(f, c, h, order, ctx)) for order in (1, 2))
     ds, p, q = (sp.d1, sp.d2, sp.d3, sp.d4), c.numerator, c.denominator
     l = math.lcm(*(d.denominator for d in ds))
-    e, l4, window = [int(d * l) for d in ds], l**4, _window(ctx.bits)
+    e, l4, window = [d.numerator * (l // d.denominator) for d in ds], l**4, _window(ctx.bits)
     t1 = l4 * p * (p - q) * m2
     t1 = m1 * t1 * t1, e1 + 2 * e2
     mw, ew = _sum([(2 * q * l4 * m1 * m0, e1 + e0), (-(2 * p - q) * l4 * m1 * m1, 2 * e1),

@@ -67,10 +67,8 @@ class Params:
     lattice: Lattice = Lattice.STANDARD
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", _rational(self.alpha, "alpha"))
-        object.__setattr__(self, "beta", _rational(self.beta, "beta"))
-        object.__setattr__(self, "gamma", _rational(self.gamma, "gamma"))
-        object.__setattr__(self, "c", _rational(self.c, "c"))
+        for name in ("alpha", "beta", "gamma", "c"):
+            object.__setattr__(self, name, _rational(getattr(self, name), name))
         if not isinstance(self.lattice, Lattice):
             raise InvalidParam(f"lattice must be a Lattice, not {self.lattice!r}")
         for name in ("alpha", "beta", "gamma"):
@@ -88,6 +86,11 @@ class Params:
                     raise InvalidParam(
                         f"shifted lattice requires {name} > 0 (got {val})"
                     )
+        object.__setattr__(self, "_abg", hash((self.alpha, self.beta, self.gamma)))
+        object.__setattr__(self, "_hash", hash((self._abg, self.c)))
+
+    def __hash__(self):  # formed once, without the lattice (its hash varies by process)
+        return self._hash
 
     @property
     def is_meixner(self):
@@ -116,7 +119,7 @@ class Params:
         if c == self.c:
             return self
         node = object.__new__(Params)
-        node.__dict__.update(vars(self), c=c)
+        node.__dict__.update(vars(self), c=c, _hash=hash((self._abg, c)))
         return node
 
     def as_integers(self):
@@ -212,9 +215,13 @@ def _seed_sums(params, prec):
     ``den_k = (pg + k qg)(k+1) qc qa qb``.  The pass keeps ``W_k = w_k 2**F``
     rounded down (``W_0 = 2**F``, ``W_{k+1} = W_k num_k // den_k``), adds
     ``W_k`` and ``k W_k`` into two integer sums and rounds each to ``prec``
-    once.  A series stops once three consecutive terms ``t`` satisfy
-    ``t << prec <= s`` for its partial sum ``s`` (single terms can dip before
-    the geometric tail sets in, hence the streak), or raises
+    once.  ``num_k`` and ``den_k`` are quadratics in k, stepped by their
+    first and second differences.  With ``qc = 2**z r``, r odd, each quotient
+    ``x // den_k`` is taken as ``(x >> z) // d`` with ``d = den_k >> z``:
+    writing ``x = (q d + s) 2**z + t``, ``0 <= s < d``, ``0 <= t < 2**z``,
+    gives ``q`` both ways.  A series stops once three consecutive terms
+    ``t`` satisfy ``t << prec <= s`` for its partial sum ``s`` (single terms
+    can dip before the geometric tail sets in, hence the streak), or raises
     ``NonConvergent`` at the term cap.
 
     ``F`` is ``prec`` plus twice the bit length of the term cap.  ``W_k`` is
@@ -227,19 +234,18 @@ def _seed_sums(params, prec):
     Memoized per (standard-lattice params, ``prec``), all it reads;
     ``toda_sigma.clear_cache`` empties the memo.
     """
-    p = params
     (pa, qa), (pb, qb), (pg, qg), (pc, qc) = (
-        (q.numerator, q.denominator) for q in (p.alpha, p.beta, p.gamma, p.c)
-    )
-    num_c, den_c = pc * qg, qc * qa * qb
-    cap = _effective_cap(p.c, prec)
+        q.as_integer_ratio() for q in (params.alpha, params.beta, params.gamma, params.c))
+    z = (qc & -qc).bit_length() - 1
+    nc, dc = pc * qg, (qc >> z) * qa * qb
+    cap = _effective_cap(params.c, prec)
     frac = prec + 2 * cap.bit_length()
-    while True:
-        s0 = s1 = e0 = e1 = run0 = run1 = k = err = 0
+    while True:  # num_k, den_k (2**z out) at k = 0 with their first and second differences
+        num, dnum, ddnum = pa * pb * nc, (qa * qb + pa * qb + pb * qa) * nc, 2 * qa * qb * nc
+        den, dden, ddden = pg * dc, (pg + 2 * qg) * dc, 2 * qg * dc
+        s0 = s1 = e0 = e1 = run0 = run1 = err = 0
         w = 1 << frac
-        while run0 < 3 or run1 < 3:
-            if k >= cap:
-                raise NonConvergent(f"moment series exceeded {cap} terms")
+        for k in range(cap):
             if run0 < 3:
                 s0 += w
                 e0 += err
@@ -249,11 +255,14 @@ def _seed_sums(params, prec):
                 s1 += t
                 e1 += k * err
                 run1 = run1 + 1 if t << prec <= s1 else 0
-            num = (pa + k * qa) * (pb + k * qb) * num_c
-            den = (pg + k * qg) * (k + 1) * den_c
-            w = w * num // den
-            err = 1 - (-err * num // den)
-            k += 1
+            if run0 == run1 == 3:
+                break
+            w = (w * num >> z) // den
+            err = 1 - (-err * num >> z) // den
+            num, dnum = num + dnum, dnum + ddnum
+            den, dden = den + dden, dden + ddden
+        else:
+            raise NonConvergent(f"moment series exceeded {cap} terms")
         if e0 << prec + 1 <= s0 and e1 << prec + 1 <= s1:
             return _round((s0, -frac), prec), _round((s1, -frac), prec)
         frac += max(e.bit_length() + prec + 2 - s.bit_length() for s, e in ((s0, e0), (s1, e1)))
@@ -282,11 +291,13 @@ def _moment_batch_raw(params, count, bits, guard=GUARD_BITS):
     their sum and product, so the batch is bit-identical under the swap.
     """
     prec = bits + guard
+    moms = list(_seed_sums(params, prec))
+    if count <= 2:
+        return moms[:count]
     p, window = params, _window(prec)
-    moms = list(_seed_sums(p, prec))
     ab_sum, ab_prod, ratio, shift = (_rational_pair(q, prec) for q in (
         p.alpha + p.beta, p.alpha * p.beta, p.c / (1 - p.c), (p.gamma - 1) / (1 - p.c)))
-    R, eR, lost, n, cancels = [], _ZERO[1], 0.0, 0, p.gamma > 1 and count > 2
+    R, eR, lost, n, cancels = [], _ZERO[1], 0.0, 0, p.gamma > 1
     while n < count - 2 or cancels:
         tail = [_times(ab_sum, moms[n + 1]), _times(ab_prod, moms[n])]
         acc = _round(_sum(tail + [(sum(R), eR)], floor=window), prec)

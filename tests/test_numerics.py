@@ -315,6 +315,73 @@ def test_sum_series_swap_bit_identical(args):
     assert _seed_sums(p, PREC256) == _seed_sums(p.swapped(), PREC256)
 
 
+def _reference_seed_sums(params, prec):
+    """The W chain of ``_seed_sums`` as its docstring defines it, with each
+    ``num_k`` and ``den_k`` formed by products and every quotient taken on
+    the whole ``den_k``; also the most terms a pass summed."""
+    p, most = params, 0
+    (pa, qa), (pb, qb), (pg, qg), (pc, qc) = (
+        (q.numerator, q.denominator) for q in (p.alpha, p.beta, p.gamma, p.c)
+    )
+    num_c, den_c = pc * qg, qc * qa * qb
+    cap = _effective_cap(p.c, prec)
+    frac = prec + 2 * cap.bit_length()
+    while True:
+        s0 = s1 = e0 = e1 = run0 = run1 = k = err = 0
+        w = 1 << frac
+        while run0 < 3 or run1 < 3:
+            if k >= cap:
+                raise NonConvergent(f"moment series exceeded {cap} terms")
+            if run0 < 3:
+                s0 += w
+                e0 += err
+                run0 = run0 + 1 if w << prec <= s0 else 0
+            if run1 < 3:
+                t = k * w
+                s1 += t
+                e1 += k * err
+                run1 = run1 + 1 if t << prec <= s1 else 0
+            num = (pa + k * qa) * (pb + k * qb) * num_c
+            den = (pg + k * qg) * (k + 1) * den_c
+            w = w * num // den
+            err = 1 - (-err * num // den)
+            k += 1
+        most = max(most, k)
+        if e0 << prec + 1 <= s0 and e1 << prec + 1 <= s1:
+            return (_round((s0, -frac), prec), _round((s1, -frac), prec)), most
+        frac += max(e.bit_length() + prec + 2 - s.bit_length() for s, e in ((s0, e0), (s1, e1)))
+
+
+H40 = Fraction(1, 2**40)  # the stencil step of acceptance criteria 05-07
+
+
+@pytest.mark.parametrize("prec", [40, 272, 528, 1040])
+def test_seed_sums_match_reference_chain(prec):
+    # the kernel steps num_k and den_k by differences and divides c's power
+    # of two out with a shift; every sum must equal the reference's bit for
+    # bit: stencil nodes (c's denominator 2^40 or more), an odd denominator
+    # (no shift), and the dip-then-growth set, whose pass is redone wider
+    cases = [Params(Fraction(7, 3), Fraction(5, 4), Fraction(3, 2), c0 + j * H40)
+             for c0 in (Fraction(1, 2), Fraction(3, 8)) for j in (-2, -1, 1, 2)]
+    cases += [Params(Fraction(13, 4), Fraction(5, 2), Fraction(17, 4), Fraction(3, 7)),
+              Params(Fraction(1, 2**120), 64, 1, Fraction(15, 16))]
+    for p in cases:
+        assert _seed_sums.__wrapped__(p, prec) == _reference_seed_sums(p, prec)[0], p
+
+
+@pytest.mark.parametrize("p", [LOG2_SERIES, Params(Fraction(7, 3), Fraction(5, 4), Fraction(3, 2),
+                                                   Fraction(3, 4) + 2 * H40)])
+def test_seed_sums_cap_edge(p, monkeypatch):
+    # at a cap of exactly the terms the series needs the sums come back; one
+    # fewer raises NonConvergent
+    want, terms = _reference_seed_sums(p, 272)
+    monkeypatch.setattr("hypopq.weights._effective_cap", lambda c, prec: terms)
+    assert _seed_sums.__wrapped__(p, 272) == want
+    monkeypatch.setattr("hypopq.weights._effective_cap", lambda c, prec: terms - 1)
+    with pytest.raises(NonConvergent):
+        _seed_sums.__wrapped__(p, 272)
+
+
 # ------------------------------------------------------- the one residual
 # numerics._normalized forms the difference of the pair terms' sums and the
 # largest term exactly, and rounds their quotient once: the path that every
