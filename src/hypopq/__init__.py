@@ -32,6 +32,7 @@ from .numerics import (
     central_derivative,
     default_step,
     digits_for_bits,
+    stencil_nodes,
 )
 from .oracle import (
     CoeffSeq,
@@ -108,6 +109,7 @@ __all__ = [
     "sigma_parameters",
     "sigma_pvi_residual",
     "sigma_value",
+    "stencil_nodes",
     "structure_residual",
     "toda_residuals",
     "weight_sequence",

@@ -57,7 +57,7 @@ from .toda_sigma import (
     sigma_value,
     toda_residuals,
 )
-from .weights import Lattice, Params, _moment_list, _require_standard
+from .weights import Lattice, Params, _check_exponent, _moment_list, _require_standard
 
 _VALIDATION_ERRORS = (InvalidParam, InvalidCoeffs, DomainExceeded, StepTooSmall, PoleHit)
 _PRECISION_ERRORS = (PrecisionExhausted, NonConvergent)
@@ -83,6 +83,7 @@ def _parse_exact(text, name):
             return Fraction(s), True
         if s.lstrip("+-").isdigit():
             return Fraction(int(s)), True
+        _check_exponent(s, name)
         return Fraction(Decimal(s)), False
     except (ValueError, ZeroDivisionError, InvalidOperation, OverflowError) as exc:
         raise InvalidParam(f"cannot parse {name}={s!r} as rational or decimal") from exc
@@ -93,6 +94,7 @@ def _parse_step(text):
     s = str(text).strip()
     m = re.fullmatch(r"2\^(-?\d+)", s)
     if m:
+        _check_exponent(s, "h")
         return Fraction(2) ** int(m.group(1)), True
     return _parse_exact(s, "h")
 

@@ -273,26 +273,14 @@ def default_step(ctx):
     return ctx.mp.ldexp(1, -(ctx.bits // 4))
 
 
-def central_derivative(f, c0, h, order, ctx):
-    """Five-point central stencil derivative of ``f`` at ``c0``.
-
-    With ``fj = f(c0 + j h)``, ``order`` 1 returns ``(-f2 + 8 f1 - 8 f-1 +
-    f-2) / (12 h)`` and ``order`` 2 ``(-f2 + 16 f1 - 30 f0 + 16 f-1 - f-2) /
-    (12 h**2)``, both with O(h^4) truncation error.  ``c0`` and ``h`` are
-    read as exact rationals (:func:`_exact_fraction`): each node reaches
-    ``f`` as an exact ``Fraction`` (the centre as ``c0`` itself), and ``f``
-    returns a pair or a value that ``ctx.real`` takes.  The combination is
-    one exact sum over one integer, rounded once to ``ctx.bits``.
-
-    ``f`` is a quantity parameterized by the weight's c, so every node must
-    lie strictly inside (0, 1), else ``DomainExceeded``.  ``StepTooSmall``
-    is raised when ``h < 2**-(bits/2)``, where cancellation would destroy
-    every significant digit.
-    """
+def stencil_nodes(c0, h, ctx):
+    """The nodes ``c0 + j h``, j = -2..2, as exact ``Fraction``s (the centre
+    is ``c0``), for ``c0`` and ``h`` read exactly (:func:`_exact_fraction`).
+    Checked before any value is computed: every node lies inside (0, 1), else
+    ``DomainExceeded``, and ``h >= 2**-(bits/2)``, else ``StepTooSmall``
+    (cancellation would destroy every significant digit)."""
     mp = ctx.mp
     c0, h = _exact_fraction(c0, ctx), _exact_fraction(h, ctx)
-    if order not in (1, 2):
-        raise InvalidParam("order must be 1 or 2")
     if h <= 0:
         raise InvalidParam("h must be positive")
     p, q = h.numerator, h.denominator
@@ -303,15 +291,28 @@ def central_derivative(f, c0, h, order, ctx):
     if not (0 < aq - 2 * pb and aq + 2 * pb < bq):
         raise DomainExceeded(f"stencil [{mp.nstr(ctx.real(c0 - 2 * h), 8)}, "
                              f"{mp.nstr(ctx.real(c0 + 2 * h), 8)}] leaves (0.0, 1.0)")
-    weights = ((2, -1), (1, 8), (-1, -8), (-2, 1)) if order == 1 else (
-        (2, -1), (1, 16), (-1, 16), (-2, -1), (0, -30))
+    return [Fraction(aq + j * pb, bq) if j else c0 for j in range(-2, 3)]
+
+
+def central_derivative(values, h, order, ctx):
+    """Five-point central derivative from the ``values`` f_j (pairs, or values
+    ``ctx.real`` takes) at the nodes of :func:`stencil_nodes`: ``order`` 1 is
+    ``(-f2 + 8 f1 - 8 f-1 + f-2) / (12 h)``, 2 is ``(-f2 + 16 f1 - 30 f0 + 16
+    f-1 - f-2) / (12 h**2)``, both O(h^4).  A value of weight zero (order 1's
+    centre) is not read; the rest is one exact sum over one integer, ``h``
+    read exactly, rounded once to ``ctx.bits``."""
+    if order not in (1, 2):
+        raise InvalidParam("order must be 1 or 2")
+    h = _exact_fraction(h, ctx)
+    p, q = h.numerator, h.denominator
+    weights = (1, -8, 0, 8, -1) if order == 1 else (-1, 16, -30, 16, -1)
     num, den = (q, 12 * p) if order == 1 else (q * q, 12 * p * p)
     terms = []
-    for j, w in weights:
-        v = f(Fraction(aq + j * pb, bq) if j else c0)
-        m, e = v if isinstance(v, tuple) else _from_real(ctx.real(v))
-        terms.append((w * num * m, e))
-    return _to_real(mp, _over(terms, den, ctx.bits))
+    for w, v in zip(weights, values):
+        if w:
+            m, e = v if isinstance(v, tuple) else _from_real(ctx.real(v))
+            terms.append((w * num * m, e))
+    return _to_real(ctx.mp, _over(terms, den, ctx.bits))
 
 
 def bits_for_digits(digits):

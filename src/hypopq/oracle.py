@@ -52,10 +52,6 @@ class LadderSeq:
     s: list
     ctx: object = field(repr=False)
 
-    @property
-    def N(self):
-        return len(self.u) - 1
-
 
 @dataclass(frozen=True)
 class XYSeq:

@@ -6,19 +6,20 @@ sums S_n satisfy a second-order second-degree ODE in c (the sigma form),
 and the n=0 seed x_0(c) satisfies a first-order Riccati relation whose
 combination collapses to the constant -gamma.
 
-All d/dc derivatives are fourth-order central stencils on the exact nodes
-c + jh, the centre node being ``params`` itself.  Each identity is a
-``(name, lhs, rhs)`` table of exact pair terms, multiplied through by one
-integer and normalized once (:func:`numerics._normalized`); sigma_n and the
-Riccati combination are exact sums over one integer, rounded once.
+All d/dc derivatives are fourth-order central stencils.  A call reads its
+values at the five exact nodes c + jh, the centre being ``params`` itself,
+into one list and takes the centre and every derivative from it.  Each
+identity is a ``(name, lhs, rhs)`` table of exact pair terms, multiplied
+through by one integer and normalized once (:func:`numerics._normalized`);
+sigma_n and the Riccati combination are exact sums, each rounded once.
 
-A call looks each node up once.  A bounded ``lru_cache`` keyed on (node
-parameters, precision context, source) records the node's longest run and
-least refused order.  A node's first lookup to order N runs to N, or to 4 for
-0 < N < 4; one past its longest run, as in a sweep, runs to max(4, the least
-power of two >= N), or to N from an order refused there.  Every run is a
-prefix of every longer one, order 0 included, so the longest run serves all.
-Seed sums are memoized in ``weights``; ``clear_cache()`` empties both memos.
+The node records and the seed sums are the only memos.  A bounded
+``lru_cache`` keyed on (node parameters, precision context, source) records
+the node's longest run and least refused order.  A node's first lookup to
+order N runs to N, or to 4 for 0 < N < 4; one past its longest run, as in a
+sweep, runs to max(4, the least power of two >= N), or to N from an order
+refused there.  Every run is a prefix of every longer one, order 0 included,
+so the longest run serves all.  ``clear_cache()`` empties both memos.
 """
 
 from __future__ import annotations
@@ -27,12 +28,12 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 
 from .dpainleve import iterate
 from .errors import InvalidParam, PrecisionExhausted, SingularStep
 from .numerics import (_ZERO, _exact_fraction, _from_real, _neg, _normalized, _over, _sum,
-                       _times, _to_real, _window, central_derivative)
+                       _times, _to_real, _window, central_derivative, stencil_nodes)
 from .oracle import coeffs_from_xy, coeffs_oracle, xy_from_coeffs
 from .reporting import ResidualReport
 from .weights import Lattice, _seed_sums, initial_xy
@@ -109,24 +110,15 @@ def toda_residuals(params, n: int, h, source: Source, ctx) -> ResidualReport:
     """
     if n < 0:
         raise InvalidParam("n must be >= 0")
-    h, (A, B, G, C, D) = _exact_fraction(h, ctx), params.as_integers()
+    A, B, G, C, D = params.as_integers()
     E = D - C
-
-    @cache  # the four derivatives and the midpoint share one fetch per node
-    def fetch(ce):
-        return _sequences_at(params, ce, n + 1, source, ctx)
-
-    def d(pick):
-        return _from_real(central_derivative(
-            lambda ce: _from_real(pick(*fetch(ce))), params.c, h, 1, ctx))
-
-    mda, eda = d(lambda cs, xy: cs.a2[n])
-    mdb, edb = d(lambda cs, xy: cs.b[n])
-    mdx, edx = d(lambda cs, xy: xy.x[n])
-    mdy, edy = d(lambda cs, xy: xy.y[n])
-    cs, xy = fetch(params.c)
-    (ma, ea), (ma1, ea1), b, x, (my, ey), (my1, ey1) = (_from_real(v) for v in (
-        cs.a2[n], cs.a2[n + 1], cs.b[n], xy.x[n], xy.y[n], xy.y[n + 1]))
+    seqs = [_sequences_at(params, ce, n + 1, source, ctx)
+            for ce in stencil_nodes(params.c, h, ctx)]
+    rows = [[_from_real(v) for v in (cs.a2[n], cs.b[n], xy.x[n], xy.y[n])] for cs, xy in seqs]
+    (mda, eda), (mdb, edb), (mdx, edx), (mdy, edy) = (
+        _from_real(central_derivative(values, h, 1, ctx)) for values in zip(*rows))
+    ((ma, ea), b, x, (my, ey)), (cs, xy) = rows[2], seqs[2]
+    (ma1, ea1), (my1, ey1) = _from_real(cs.a2[n + 1]), _from_real(xy.y[n + 1])
     identities = [
         ("toda_b", [(C * mdb, edb)], [(D * ma1, ea1), (-D * ma, ea)]),
         ("x_deriv", [(E * E * mdx, edx)], [(E * E * mdb, edb), (-(2 * n * D + A + B - G) * D, 0)]),
@@ -168,17 +160,16 @@ def sigma_parameters(params, n: int, ctx) -> SigmaParams:
                        Fraction(s - 2 * D, 2 * D), Fraction(s - 2 * G, 2 * D))
 
 
-def _sigma_at(params, n, source, ctx, sp):
-    """sigma_n as a pair at the exact node ce = p/q, for ``sp``'s K, L = a/d, b/d:
-    ``((p - q) d S_n + a p + b q) / (q d)``, one exact sum rounded once."""
+def _sigma_at(params, n, source, ctx, sp, nodes):
+    """sigma_n as pairs at the exact ``nodes`` ce = p/q, for ``sp``'s K, L = a/d, b/d:
+    ``((p - q) d S_n + a p + b q) / (q d)``, one exact sum rounded once each."""
     (kn, kd), (ln, ld) = sp.K.as_integer_ratio(), sp.L.as_integer_ratio()
-    a, b, d = kn * ld, ln * kd, kd * ld
-
-    def at(ce):
+    a, b, d, out = kn * ld, ln * kd, kd * ld, []
+    for ce in nodes:
         m, e = _from_real(_sequences_at(params, ce, n - 1, source, ctx)[1].S[n]) if n else _ZERO
         p, q = ce.as_integer_ratio()
-        return _over([((p - q) * d * m, e), (a * p + b * q, 0)], q * d, ctx.bits)
-    return at
+        out.append(_over([((p - q) * d * m, e), (a * p + b * q, 0)], q * d, ctx.bits))
+    return out
 
 
 def sigma_value(params, n: int, c_eval, source: Source, ctx):
@@ -192,7 +183,7 @@ def sigma_value(params, n: int, c_eval, source: Source, ctx):
     sp, ce = sigma_parameters(params, n, ctx), _exact_fraction(c_eval, ctx)
     if not (0 < ce < 1):
         raise InvalidParam("c_eval must lie in (0, 1)")
-    return _to_real(ctx.mp, _sigma_at(params, n, source, ctx, sp)(ce))
+    return _to_real(ctx.mp, _sigma_at(params, n, source, ctx, sp, [ce])[0])
 
 
 def sigma_pvi_residual(params, n: int, h, source: Source, ctx):
@@ -213,10 +204,10 @@ def sigma_pvi_residual(params, n: int, h, source: Source, ctx):
         raise InvalidParam("n must be >= 1")
     if params.lattice is not Lattice.STANDARD:
         raise InvalidParam("sigma function is defined on the standard lattice")
-    h, c, sp = _exact_fraction(h, ctx), params.c, sigma_parameters(params, n, ctx)
-    f = cache(_sigma_at(params, n, source, ctx, sp))  # s0, s' and s'' share the nodes
-    (m0, e0), (m1, e1), (m2, e2) = f(c), *(
-        _from_real(central_derivative(f, c, h, order, ctx)) for order in (1, 2))
+    c, sp = params.c, sigma_parameters(params, n, ctx)
+    s = _sigma_at(params, n, source, ctx, sp, stencil_nodes(c, h, ctx))
+    (m0, e0), (m1, e1), (m2, e2) = s[2], *(
+        _from_real(central_derivative(s, h, order, ctx)) for order in (1, 2))
     ds, p, q = (sp.d1, sp.d2, sp.d3, sp.d4), c.numerator, c.denominator
     l = math.lcm(*(d.denominator for d in ds))
     e, l4, window = [d.numerator * (l // d.denominator) for d in ds], l**4, _window(ctx.bits)
@@ -241,14 +232,11 @@ def riccati_constant(params, h, ctx):
     The same combination, with the *original* parameters, is constant on
     both lattices (the shifted seed's extra terms cancel identically).
     """
-    h, (A, B, G, C, D) = _exact_fraction(h, ctx), params.as_integers()
+    A, B, G, C, D = params.as_integers()
     E = D - C
-
-    def x0_at(ce):
-        return _from_real(initial_xy(params._with_c(ce), ctx)[0])
-
-    md, ed = _from_real(central_derivative(x0_at, params.c, h, 1, ctx))
-    mx, ex = x0_at(params.c)
+    x0 = [_from_real(initial_xy(params._with_c(ce), ctx)[0])
+          for ce in stencil_nodes(params.c, h, ctx)]
+    (md, ed), (mx, ex) = _from_real(central_derivative(x0, h, 1, ctx)), x0[2]
     return _to_real(ctx.mp, _over([(D * C * E * md, ed), (D * D * E * mx * mx, 2 * ex),
                                    (D * ((A + B) * C - G * D - D * D) * mx, ex), (-A * B * C, 0)],
                                   D**3, ctx.bits))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -28,6 +29,14 @@ class Lattice(enum.Enum):
     SHIFTED = "shifted"
 
 
+def _check_exponent(text, name):
+    """Refuse ``text`` (``InvalidParam``) when its exponent, after an ``e`` or
+    a ``2^``, has more than five digits: the power would be built exactly."""
+    m = re.search(r"[eE^]([-+]?[\d_]+)\s*$", text)
+    if m and len(m.group(1).lstrip("+-").replace("_", "").lstrip("0")) > 5:
+        raise InvalidParam(f"{name}={text!r} has an exponent of more than five digits")
+
+
 def _rational(value, name):
     """Exact rational from int/Fraction/str.  Floats are rejected: binary
     floats would smuggle representation error into the exact contract."""
@@ -38,6 +47,7 @@ def _rational(value, name):
     if isinstance(value, Fraction):
         return value
     if isinstance(value, str):
+        _check_exponent(value, name)
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError):

@@ -1,6 +1,7 @@
 """Limit gaps, seed-perturbation divergence, and digit-level studies."""
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -81,6 +82,23 @@ def test_limit_report_stops_on_structural_singular_step(monkeypatch, capsys):
             "--bits", "128", "--nmax", "60"]
     assert run(argv) == 4
     assert "SingularStep" in capsys.readouterr().err
+
+
+def test_limit_report_refuses_a_run_unhealthy_at_every_precision(monkeypatch):
+    # a run that trips the monitor at every precision is doubled three
+    # times, then refused: no gap is reported from an unhealthy run
+    runs = []
+
+    def tripped(params, N, ctx, *args, **kwargs):
+        runs.append(ctx.bits)
+        return replace(iterate(params, N, ctx, *args, **kwargs), precision_suspect_at=5)
+
+    monkeypatch.setattr(hypopq.asymptotics, "iterate", tripped)
+    with pytest.raises(PrecisionExhausted,
+                       match=r"unhealthy up to 512 bits \(failure_index=None, suspect=5\); "
+                             "N=20 needs more"):
+        limit_report(asym_params(), 20, H.PrecisionCtx(64))
+    assert runs == [64, 128, 256, 512]
 
 
 def test_limit_report_validation(ctx256):

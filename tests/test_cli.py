@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -427,6 +428,30 @@ def test_bad_arguments_exit2(capsys, tmp_path):
         assert run(argv) == 2
         _, err = capsys.readouterr()
         assert json.loads(err)["error"] == "InvalidParam"
+
+
+@pytest.mark.parametrize("option, literal, largest, parse", [
+    ("--h", "2^-6000000", "2^-99999", cli._parse_step),
+    ("--tol", "1e-1000000", "1e-99999", lambda s: cli._parse_exact(s, "tol")),
+])
+def test_oversized_literal_exit2_before_it_is_built(capsys, option, literal, largest, parse):
+    # 2^6000000 and 10^1000000 take megabytes at their peak (and a step
+    # that small minutes of conversions before StepTooSmall); a literal whose
+    # exponent has more than five digits is refused from its text
+    tracemalloc.start()
+    try:
+        with pytest.raises(H.InvalidParam, match="exponent of more than five digits"):
+            parse(literal)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    assert run(["verify", *ASYM, "--suite", "toda", "--nmax", "1", "--bits", "64",
+                option, literal]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "InvalidParam"
+    assert parse(largest)[0] > 0  # five digits are taken
 
 
 def test_version_flag(capsys):

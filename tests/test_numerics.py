@@ -36,6 +36,7 @@ from hypopq.numerics import (
     central_derivative,
     default_step,
     digits_for_bits,
+    stencil_nodes,
 )
 from hypopq.toda_sigma import clear_cache
 from hypopq.weights import Params, _effective_cap, _seed_sums, moment
@@ -471,10 +472,15 @@ def test_default_step(ctx256):
     assert default_step(ctx256) == ctx256.mp.ldexp(1, -64)
 
 
+def _sin_at(ctx, c0, h):
+    """sin at the stencil nodes of (c0, h), as BigReals of ``ctx``."""
+    return [ctx.mp.sin(ctx.real(t)) for t in stencil_nodes(c0, h, ctx)]
+
+
 def test_central_derivative_order1_accuracy(ctx256):
     mp = ctx256.mp
     h = mp.ldexp(1, -30)
-    got = central_derivative(lambda t: mp.sin(ctx256.real(t)), mp.mpf(1) / 3, h, 1, ctx256)
+    got = central_derivative(_sin_at(ctx256, mp.mpf(1) / 3, h), h, 1, ctx256)
     want = mp.cos(mp.mpf(1) / 3)
     assert abs(got - want) < mp.mpf(10) ** -35  # O(h^4) ~ 1e-36
 
@@ -482,7 +488,7 @@ def test_central_derivative_order1_accuracy(ctx256):
 def test_central_derivative_order2_accuracy(ctx256):
     mp = ctx256.mp
     h = mp.ldexp(1, -30)
-    got = central_derivative(lambda t: mp.sin(ctx256.real(t)), mp.mpf(1) / 3, h, 2, ctx256)
+    got = central_derivative(_sin_at(ctx256, mp.mpf(1) / 3, h), h, 2, ctx256)
     want = -mp.sin(mp.mpf(1) / 3)
     assert abs(got - want) < mp.mpf(10) ** -33
 
@@ -494,7 +500,8 @@ def test_central_derivative_halving_ratio(ctx512):
     want = mp.cos(x0)
     errs = []
     for e in (-20, -21):
-        got = central_derivative(lambda t: mp.sin(ctx512.real(t)), x0, mp.ldexp(1, e), 1, ctx512)
+        h = mp.ldexp(1, e)
+        got = central_derivative(_sin_at(ctx512, x0, h), h, 1, ctx512)
         errs.append(abs(got - want))
     ratio = errs[0] / errs[1]
     assert 14 < ratio < 18
@@ -503,43 +510,39 @@ def test_central_derivative_halving_ratio(ctx512):
 @pytest.mark.parametrize("order", [1, 2])
 @pytest.mark.parametrize("as_pair", [False, True])
 def test_central_derivative_rounds_once_on_exact_nodes(order, as_pair):
-    # c0 = 1/3 is not dyadic: each node must reach f as the exact Fraction
-    # c0 + j h, and the combination of the node values is rounded once
+    # c0 = 1/3 is not dyadic: the nodes are the exact Fractions c0 + j h,
+    # and the combination of the node values is rounded once; order 1 does
+    # not read the centre's value
     ctx = PrecisionCtx(128)
     c0, h = Fraction(1, 3), Fraction(1, 2**20)
-    values = {}
-
-    def f(t):
-        assert isinstance(t, Fraction)
-        values[t] = ctx.real(t) ** 3 / 7  # a BigReal, rounded to 128 bits
-        return _from_real(values[t]) if as_pair else values[t]
-
-    got = central_derivative(f, c0, h, order, ctx)
-    steps = (-2, -1, 1, 2) if order == 1 else (-2, -1, 0, 1, 2)
-    assert set(values) == {c0 + j * h for j in steps}
-    v = {j: _exact_fraction(values[c0 + j * h]) for j in steps}
+    nodes = stencil_nodes(c0, h, ctx)
+    assert all(isinstance(t, Fraction) for t in nodes)
+    assert nodes == [c0 + j * h for j in range(-2, 3)]
+    values = [ctx.real(t) ** 3 / 7 for t in nodes]  # BigReals, rounded to 128 bits
+    v = dict(zip(range(-2, 3), map(_exact_fraction, values)))
+    if as_pair:
+        values = [_from_real(x) for x in values]
     if order == 1:
+        values[2] = None
         want = (-v[2] + 8 * v[1] - 8 * v[-1] + v[-2]) / (12 * h)
     else:
         want = (-v[2] + 16 * v[1] - 30 * v[0] + 16 * v[-1] - v[-2]) / (12 * h * h)
-    assert got._mpf_ == ctx.real(want)._mpf_
+    assert central_derivative(values, h, order, ctx)._mpf_ == ctx.real(want)._mpf_
 
 
 def test_central_derivative_guards(ctx256):
+    # the node guards run in stencil_nodes, before any value is computed
     mp = ctx256.mp
-    def f(t):  # each node arrives as an exact Fraction
-        return mp.sin(ctx256.real(t))
-
     with pytest.raises(InvalidParam):
-        central_derivative(f, 0.5, mp.ldexp(1, -30), 3, ctx256)
+        central_derivative([0] * 5, mp.ldexp(1, -30), 3, ctx256)
     with pytest.raises(InvalidParam):
-        central_derivative(f, 0.5, mp.mpf(0), 1, ctx256)
+        stencil_nodes(0.5, mp.mpf(0), ctx256)
     with pytest.raises(StepTooSmall):
-        central_derivative(f, 0.5, mp.ldexp(1, -200), 1, ctx256)
+        stencil_nodes(0.5, mp.ldexp(1, -200), ctx256)
     with pytest.raises(DomainExceeded):
-        central_derivative(f, 0.5, mp.mpf(1) / 3, 1, ctx256)  # leaves (0, 1)
+        stencil_nodes(0.5, mp.mpf(1) / 3, ctx256)  # leaves (0, 1)
     # ok when the stencil fits
-    central_derivative(f, 0.5, mp.ldexp(1, -10), 1, ctx256)
+    assert stencil_nodes(0.5, mp.ldexp(1, -10), ctx256)[4] == Fraction(1, 2) + Fraction(2, 1024)
 
 
 # ------------------------------------------------------------ conversions

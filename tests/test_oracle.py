@@ -53,7 +53,7 @@ from hypopq.oracle import (
     xy_from_coeffs,
 )
 from hypopq.cli import run
-from hypopq.numerics import GUARD_BITS, _exact_fraction
+from hypopq.numerics import GUARD_BITS, _exact_fraction, _neg
 from hypopq.toda_sigma import clear_cache
 from hypopq.weights import (
     Lattice,
@@ -444,6 +444,20 @@ def test_coeffs_zero_hankel_names_the_run(monkeypatch):
 
     monkeypatch.setattr(hypopq.oracle, "_moment_batch_raw", flat_at_512)
     with pytest.raises(PrecisionExhausted, match="zero Hankel ratio at 512 bits"):
+        coeffs_oracle(asym_params(), 4, H.PrecisionCtx(256))
+
+
+def test_coeffs_refuses_a2_that_lost_positivity(monkeypatch):
+    # both runs agree on a negative a2[1]: agreement alone does not make it
+    # a recurrence coefficient, so the call is refused
+    real = hypopq.oracle._chebyshev_quotients
+
+    def negative_a2(moments, N, bits):
+        a2, b = real(moments, N, bits)
+        return [a2[0], _neg(a2[1]), *a2[2:]], b
+
+    monkeypatch.setattr(hypopq.oracle, "_chebyshev_quotients", negative_a2)
+    with pytest.raises(PrecisionExhausted, match=r"a2\[1\] lost positivity at 512 bits"):
         coeffs_oracle(asym_params(), 4, H.PrecisionCtx(256))
 
 

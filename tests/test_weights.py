@@ -9,6 +9,7 @@ with S(n,j) the Stirling numbers of the second kind — exact rational
 arithmetic throughout, no package code involved.
 """
 
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -58,6 +59,20 @@ def test_params_validation():
             Params(value, F(1), F(1), F(1, 2))
     p = Params("3/2", 3, F(1, 3), "0.5")  # strings and ints parse exactly
     assert p.alpha == F(3, 2) and p.c == F(1, 2)
+
+
+def test_params_refuses_an_oversized_exponent_before_building_it():
+    # Fraction("1e-1000000") would build 10^1000000 (about 1.9 MB at its
+    # peak) before anything could look at it; the text is refused first
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidParam, match="exponent of more than five digits"):
+            Params("1e-1000000", F(1), F(1), F(1, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    assert Params("1e-99999", F(1), F(1), "5e-1").alpha == F(1, 10**99999)
 
 
 def test_params_shifted_admissibility():

@@ -32,8 +32,9 @@ bytecodes.
 
 The exit code is 1 when a step with the monitor makes more than
 MAX_STEP_CALLS libmp calls or more than MAX_STEP_PYTHON_CALLS Python calls,
-when a warm Toda index makes more than MAX_TODA_CALLS libmp calls, or when
-a warm ``riccati_constant`` or ``sigma_pvi_residual`` call makes more than
+when a warm Toda index makes more than MAX_TODA_CALLS libmp calls or more
+than MAX_TODA_PYTHON_CALLS Python calls, or when a warm
+``riccati_constant`` or ``sigma_pvi_residual`` call makes more than
 MAX_RICCATI_PYTHON_CALLS or MAX_SIGMA_PYTHON_CALLS Python calls (each the
 worst of the two lattices).
 Uses only the standard library and the package under test; not a test.
@@ -57,6 +58,7 @@ MAX_STEP_PYTHON_CALLS = 55  # 50.34 when the bound was set
 H = F(1, 2**40)  # the stencil step of acceptance criteria 05-07
 TODA_N = 5
 MAX_TODA_CALLS = 10  # 9.40 when the bound was set: four derivatives and up to six residuals
+MAX_TODA_PYTHON_CALLS = 380  # 344.80 when the bound was set: five node lookups, four stencils
 MAX_RICCATI_PYTHON_CALLS = 800  # 771 (shifted) and 375 (standard) when the bound was set
 MAX_SIGMA_PYTHON_CALLS = 320  # 305 when the bound was set
 
@@ -145,6 +147,8 @@ def main():
                   (step[1], MAX_STEP_PYTHON_CALLS, f"{label}  a step", "Python"),
                   (got["toda_residuals index, warm"][0], MAX_TODA_CALLS,
                    f"{label}  a warm Toda index", "libmp"),
+                  (got["toda_residuals index, warm"][1], MAX_TODA_PYTHON_CALLS,
+                   f"{label}  a warm Toda index", "Python"),
                   (got["riccati_constant call, warm"][1], MAX_RICCATI_PYTHON_CALLS,
                    f"{label}  a warm riccati_constant call", "Python")]
         if "sigma_pvi_residual call, warm" in got:
