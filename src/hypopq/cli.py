@@ -9,7 +9,8 @@ every BigReal rendered as a decimal string that round-trips at the working
 precision.  CSV mirrors the records but truncates to 30 digits.  Identical
 invocations produce byte-identical output: the output depends on argv
 alone.  The parser is built once, at import; each ``run`` parses into a
-fresh namespace.  The precision is --bits, else --digits, else 256 bits.
+fresh namespace.  The precision is --bits, else --digits, else 256 bits, and
+at most ``numerics.MAX_BITS``: a larger one exits 2 before any work.
 
 Exit codes: 0 success, 2 invalid input (including domain/pole/step
 violations), 3 precision or convergence breakdown, 4 fatal singular step.
@@ -272,7 +273,7 @@ def _cmd_verify(cfg):
         if cfg.nmax < 0:
             raise InvalidParam("nmax must be >= 0")
         h = _step_value(cfg)
-        extra["h"] = ctx.to_decimal(h)
+        extra["h"] = str(h)
         for n in range(cfg.nmax + 1):
             entries.extend(toda_residuals(cfg.params, n, h, cfg.source, ctx).entries)
         extra["source"] = cfg.source.value
@@ -291,7 +292,7 @@ def _cmd_sigma(cfg):
     h = _step_value(cfg)
     res = sigma_pvi_residual(cfg.params, n, h, cfg.source, ctx)  # refuses n < 1 first
     sv = sigma_value(cfg.params, n, cfg.params.c, cfg.source, ctx)
-    extra = {"h": ctx.to_decimal(h), "source": cfg.source.value}
+    extra = {"h": str(h), "source": cfg.source.value}
     records = [{"n": n, "c": ctx.real(cfg.params.c), "sigma": sv, "pvi_residual": res}]
     return records, extra
 
@@ -304,7 +305,7 @@ def _cmd_riccati(cfg):
     records = [
         {"constant": const, "expected": expected, "abs_error": abs(const - expected)}
     ]
-    return records, {"h": ctx.to_decimal(h)}
+    return records, {"h": str(h)}
 
 
 def _cmd_asymptotics(cfg):

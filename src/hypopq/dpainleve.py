@@ -29,7 +29,7 @@ from itertools import accumulate
 
 from .errors import InvalidParam, PrecisionExhausted, SingularStep
 from .numerics import (GUARD_BITS, _ZERO, _below, _from_real, _normalized, _quotient,
-                       _rational_pair, _residual, _round, _sum, _to_real, _window)
+                       _rational_pair, _residual, _round, _sum, _to_real)
 from .oracle import XYSeq, _common_measure
 from .reporting import ResidualReport
 from .weights import Lattice, initial_xy
@@ -41,9 +41,9 @@ _ONE = (1, 0)
 
 
 def _invariants(params, ctx):
-    """The loop invariants at ``prec = ctx.bits``: ``(prec, window, eps, c,
-    first, second, d, cross)``.  ``window`` (:func:`numerics._window`) is the exponent
-    window of every sum; ``eps`` is the exponent of the step guards'
+    """The loop invariants at ``prec = ctx.bits``: ``(prec, eps, c, first,
+    second, d, cross)``.  ``prec`` is also the precision every sum serves
+    (:func:`numerics._sum`); ``eps`` is the exponent of the step guards'
     ``2^-(bits - GUARD_BITS)`` (:data:`numerics.GUARD_BITS`).  The rest are
     exact pairs of a, b, g, c: alpha, beta, gamma and c rounded to ``prec``
     (:func:`numerics._rational_pair`), and ``d = 1 - c``.
@@ -76,7 +76,7 @@ def _invariants(params, ctx):
     c, d = pair(C, 1), pair(O - C, 1)
     cross = (pair(C * O + C * C, 2), pair(AB - G * O, 2), pair(C * G, 2), pair(C * C * AB, 4),
              pair(C * (O - C) * AB, 4))
-    return prec, _window(prec), GUARD_BITS - prec, c, first, second, d, cross
+    return prec, GUARD_BITS - prec, c, first, second, d, cross
 
 
 def _first_kind(k, n, x, y, y_next=_ZERO):
@@ -86,15 +86,15 @@ def _first_kind(k, n, x, y, y_next=_ZERO):
     (a, b, g = alpha, beta, gamma).  ``y_next = 0`` leaves the part of Q free
     of y_{n+1}.  ``k`` holds the :func:`_invariants`; each of the three is
     the exact value on the pairs given, rounded once to ``k[0]`` bits."""
-    prec, window, _, _, ((mab, eab), (mapb, eapb), (m3, e3), (m2, e2), (m1, e1), q0) = k[:5]
+    prec, _, _, ((mab, eab), (mapb, eapb), (m3, e3), (m2, e2), (m1, e1), q0) = k[:4]
     mx, ex = x
     mxx, exx = mx * mx, 2 * ex
     common = [(-mab, eab), (mapb * mx, eapb + ex), (n * mx, ex), (-mxx, exx)]
-    P = _round(_sum([y, *common], floor=window), prec)
-    Q = _round(_sum([y_next, x, *common], floor=window), prec)
+    P = _round(_sum([y, *common], prec), prec)
+    Q = _round(_sum([y_next, x, *common], prec), prec)
     quart = [(mxx * mxx, 2 * exx), (m3 * mxx * mx, e3 + exx + ex), (m2 * mxx, e2 + exx),
              (m1 * mx, e1 + ex), q0]
-    return P, Q, _round(_sum(quart, floor=window), prec)
+    return P, Q, _round(_sum(quart, prec), prec)
 
 
 def _dp1(k, params, n, x, y):
@@ -107,7 +107,7 @@ def _dp1(k, params, n, x, y):
     rounded once, and then the difference.
     """
     P, (mQ, eQ), quart = _first_kind(k, n, x, y)
-    prec, window, eps, (mc, ec) = k[:4]
+    prec, eps, (mc, ec) = k[:3]
     cP = mc * P[0], ec + P[1]
     if _below(cP, (quart[0], quart[1] + eps)):  # |c P| <= 2^eps |quartic|
         msg = f"first-kind factor vanished at n={n}"
@@ -115,7 +115,7 @@ def _dp1(k, params, n, x, y):
             msg += ("; the Meixner form pins x_n at its limit (gamma, or 1 on the shifted "
                     "lattice), making both sides identically zero (closed form applies)")
         raise SingularStep(msg, index=n, which="P")
-    return _round(_sum([_quotient(quart, cP, prec), (-mQ, eQ)], floor=window), prec)
+    return _round(_sum([_quotient(quart, cP, prec), (-mQ, eQ)], prec), prec)
 
 
 def _second_kind(k, m, y):
@@ -128,17 +128,17 @@ def _second_kind(k, m, y):
     the exact value rounded once, as in :func:`_first_kind`.  D and numY are
     expanded in ``h = mm - m + 1``, and the quartic's two pairs of factors
     in y, with the :func:`_invariants`."""
-    prec, window, _, _, _, ((mab, eab), (mapb, eapb), (mh, eh), (mk1, ek1), (mk2, ek2),
-                            (mk3, ek3), (mg, eg), (mg1, eg1), (mgo, ego), (mk4, ek4), k5) = k[:6]
+    prec, _, _, _, ((mab, eab), (mapb, eapb), (mh, eh), (mk1, ek1), (mk2, ek2),
+                     (mk3, ek3), (mg, eg), (mg1, eg1), (mgo, ego), (mk4, ek4), k5) = k[:5]
     my, ey = y
     myy, eyy, myh, eyh, m1, m2 = my * my, 2 * ey, my * mh, ey + eh, m * (m - 1), m * m
     D = _round(_sum([((2 * m - 1) * my, ey), (myh, eyh), (m * m1, 0), (m2 * mh, eh),
-                     (m * mk1, ek1), (m1 * mapb, eapb)], floor=window), prec)
+                     (m * mk1, ek1), (m1 * mapb, eapb)], prec), prec)
     numY = _round(_sum([(myy, eyy), (m * myh, eyh), (m1 * my, ey), (my * mk2, ey + ek2),
-                        (-m * mk3, ek3), (-m1 * mab, eab)], floor=window), prec)
-    ml, el = _sum([(myy, eyy), (m * mapb * my, eapb + ey), (m2 * mab, eab)], floor=window)
+                        (-m * mk3, ek3), (-m1 * mab, eab)], prec), prec)
+    ml, el = _sum([(myy, eyy), (m * mapb * my, eapb + ey), (m2 * mab, eab)], prec)
     mr, er = _sum([(myy, eyy), (m * mg1 * my, eg1 + ey), (-mgo * my, ego + ey), (m2 * mg, eg),
-                   (-m * mk4, ek4), k5], floor=window)
+                   (-m * mk4, ek4), k5], prec)
     return D, numY, _round((ml * mr, el + er), prec)
 
 
@@ -152,19 +152,19 @@ def _dp2(k, m, x_prev, y):
     ``|E D| <= eps max(D^2, |quartic|)``.  ``x_m = quartic / (D E) - Y``:
     each quotient is rounded once, and then their difference.
     """
-    prec, window, eps = k[:3]
+    prec, eps = k[:2]
     D, numY, quart = _second_kind(k, m, y)
     mw, ew = numY if _below(_ONE, numY) else _ONE
     if _below(D, (mw, ew + eps)):  # |D| <= 2^eps max(1, |numY|)
         raise SingularStep(f"linearizing denominator vanished at m={m}", index=m, which="D")
     (mD, eD), (mx, ex) = D, x_prev
-    mE, eE = _sum([(mx * mD, ex + eD), numY], floor=window)
+    mE, eE = _sum([(mx * mD, ex + eD), numY], prec)
     ED, DD = (mE * mD, eE + eD), (mD * mD, 2 * eD)
     mw, ew = quart if _below(DD, quart) else DD
     if _below(ED, (mw, ew + eps)):
         raise SingularStep(f"x_prev + Y vanished at m={m}", index=m, which="x_prev+Y")
     mY, eY = _quotient(numY, D, prec)
-    return _round(_sum([_quotient(quart, ED, prec), (-mY, eY)], floor=window), prec)
+    return _round(_sum([_quotient(quart, ED, prec), (-mY, eY)], prec), prec)
 
 
 def _cross_terms(k, n, x, y, S, A, B, A_next=None):
@@ -180,12 +180,12 @@ def _cross_terms(k, n, x, y, S, A, B, A_next=None):
     that need index n+1 appear only when ``A_next`` is given, and those
     that need n-1 only for n >= 1.  Pairs are written out as ``(m, e)``:
     a trailing 0 marks index n-1 and a 1 index n+1."""
-    _, window, _, (mc, ec), ((mab, eab), (mapb, eapb), *_), second, (md, ed), cross = k
+    prec, _, (mc, ec), ((mab, eab), (mapb, eapb), *_), second, (md, ed), cross = k
     mg1, eg1 = second[7]
     # c + c^2, ab - g, c g, c^2 ab and c d ab
     (mcpc, ecpc), (mag, eag), (mcg, ecg), (mccab, eccab), (mcdab, ecdab) = cross
     mcc, ecc, mcd, ecd = mc * mc, 2 * ec, mc * md, ec + ed
-    mabn, eabn = _sum([(mapb, eapb), (n, 0)], floor=window)
+    mabn, eabn = _sum([(mapb, eapb), (n, 0)], prec)
     mcdn, ecdn = mcd * mabn, ecd + eabn  # c d (a + b + n)
     (mx, ex), (my, ey), (mS, eS), (mA, eA), (mB, eB) = x[n], y[n], S[n], A, B
     out = {}
@@ -204,20 +204,19 @@ def _cross_terms(k, n, x, y, S, A, B, A_next=None):
     mx0, ex0 = x[n - 1]
     if A_next is not None:
         (mA1, eA1), (mx1, ex1) = A_next, x[n + 1]
-        mdy, edy = _sum([(my1, ey1), (-my, ey)], floor=window)
+        mdy, edy = _sum([(my1, ey1), (-my, ey)], prec)
         out["a2x_difference"] = (
             [(mA1 * mx1, eA1 + ex1), (-mA * mx0, eA + ex0)],
             [(-mB * mdy, eB + edy), (mcdab, ecdab), (-mcd * my, ecd + ey)],
         )
-    mya, eya = _sum([(my, ey), (-mab, eab)], floor=window)  # y - ab
-    mw, ew = _sum([(mcc * mya, ecc + eya), (mcg, ecg)], floor=window)
+    mya, eya = _sum([(my, ey), (-mab, eab)], prec)  # y - ab
+    mw, ew = _sum([(mcc * mya, ecc + eya), (mcg, ecg)], prec)
     out["a2_x_product"] = (
         [(mA * mx * mx0, eA + ex + ex0)],
         [(my * mw, ey + ew), (-mya * mcd * mS, eya + ecd + eS)],
     )
-    mw, ew = _sum([(n * mcpc, ecpc), (mcc * mapb, ecc + eapb), (-mc * mg1, ec + eg1)],
-                  floor=window)
-    mxs, exs = _sum([(mx, ex), (mx0, ex0)], floor=window)
+    mw, ew = _sum([(n * mcpc, ecpc), (mcc * mapb, ecc + eapb), (-mc * mg1, ec + eg1)], prec)
+    mxs, exs = _sum([(mx, ex), (mx0, ex0)], prec)
     out["a2_x_sum"] = (
         [(mA * mxs, eA + exs)],
         [(-my * mw, ey + ew), (n * mc * mag, ec + eag), (mcdn * mS, ecdn + eS)],
@@ -236,24 +235,24 @@ def _monitor_trips(k, x, y, S, m):
     multiplied through, with no division:
     ``A = c (d (y + S) + n (n - 1 + a + b - g))`` and
     ``B = c (d x + n + (n + a + b) c - g)``.  Every sum is exact while its
-    terms' exponents lie within the step's window (:func:`_invariants`).
+    terms' exponents lie within the step's window (:func:`numerics._sum`).
     Under this reconstruction the a2-difference residual is only the
     rounding of S_{m+1} = S_m + x_m.
     """
-    _, window, _, (mc, ec), (_, (mapb, eapb), *_), second, (md, ed), _ = k
+    prec, _, (mc, ec), (_, (mapb, eapb), *_), second, (md, ed), _ = k
     mg, eg = second[6]
 
     def a2(n):
         (my, ey), (mS, eS) = y[n], S[n]
         mt, et = _sum([(md * my, ed + ey), (md * mS, ed + eS), (n * (n - 1), 0),
-                       (n * mapb, eapb), (-n * mg, eg)], floor=window)
+                       (n * mapb, eapb), (-n * mg, eg)], prec)
         return mc * mt, ec + et
 
     mx, ex = x[m]
     mt, et = _sum([(md * mx, ed + ex), (m, 0), (m * mc, ec), (mapb * mc, eapb + ec), (-mg, eg)],
-                  floor=window)
+                  prec)
     for lhs, rhs in _cross_terms(k, m, x, y, S, a2(m), (mc * mt, ec + et), a2(m + 1)).values():
-        (mr, er), top = _residual(lhs, rhs, window)
+        (mr, er), top = _residual(lhs, rhs, prec)
         if not _below((_MONITOR_INVERSE * mr, er), top):
             return True
     return False
@@ -314,7 +313,7 @@ def iterate(params, N: int, ctx, seed=None, strict: bool = False) -> XYSeq:
         x.append(xp)
         y.append(yp)
         # S_n and x_n are prec-bit pairs: cut in the window, the sum still rounds exactly
-        S.append(_round(_sum([S[-1], xp], floor=k[1]), ctx.bits))
+        S.append(_round(_sum([S[-1], xp], ctx.bits), ctx.bits))
         j = n + 1
         if canonical and suspect is None and j >= 2 and j % _MONITOR_EVERY == 0:
             if _monitor_trips(k, x, y, S, j - 1):
@@ -345,7 +344,7 @@ def dp_residuals(xy: XYSeq, coeffs=None) -> ResidualReport:
     params, ctx = (xy.params, xy.ctx) if coeffs is None else _common_measure(xy, coeffs)
     mp = ctx.mp
     k = _invariants(params, ctx)
-    window, (mc, ec), (md, ed) = k[1], k[3], k[6]
+    (mc, ec), (md, ed) = k[2], k[5]
     rep = ResidualReport(ctx=ctx)
     N = xy.N
     px, py = list(map(_from_real, xy.x)), list(map(_from_real, xy.y))
@@ -358,8 +357,8 @@ def dp_residuals(xy: XYSeq, coeffs=None) -> ResidualReport:
             rep.add("dp2", m, mp.inf)
             continue
         (mD, eD), (mx, ex), (mx0, ex0) = D, px[m], px[m - 1]
-        mE, eE = _sum([(mx * mD, ex + eD), numY], floor=window)
-        mF, eF = _sum([(mx0 * mD, ex0 + eD), numY], floor=window)
+        mE, eE = _sum([(mx * mD, ex + eD), numY], ctx.bits)
+        mF, eF = _sum([(mx0 * mD, ex0 + eD), numY], ctx.bits)
         rep.add("dp2", m, _normalized(mp, [(mE * mF, eE + eF)], [quart]))
 
     if coeffs is None:

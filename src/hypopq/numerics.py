@@ -7,9 +7,9 @@ count and the code path — repeated calls are bit-identical.
 
 This module owns the number format: the kernels, the one normalized
 residual (:func:`_normalized`) and the stencils compute on signed
-``(mantissa, exponent)`` integer pairs, summed in the window of their
-precision (:func:`_sum`), and only this module reads mpmath's raw format
-(``mpmath.libmp``, ``_mpf_``).  Values cross by :func:`_to_real`,
+``(mantissa, exponent)`` integer pairs, summed by :func:`_sum` in the window
+of the precision it is given, and only this module reads mpmath's raw
+format (``mpmath.libmp``, ``_mpf_``).  Values cross by :func:`_to_real`,
 :func:`_from_real`, :func:`_rational_pair` and :func:`_exact_fraction`.
 """
 
@@ -42,6 +42,10 @@ def _mp_for(bits):
 # recursion's step guards and the structure relation's pole test,
 # ``eps = 2**-(bits - GUARD_BITS)``.
 GUARD_BITS = 16
+
+# The most bits a context takes: there ``verify --suite toda --nmax 0`` took
+# 10 s (2 cores, mpmath's Python backend), and work grows fourfold per doubling.
+MAX_BITS = 1 << 14
 
 
 # The pair kernel of the moment route and the recursion step.  Zero as a
@@ -90,16 +94,6 @@ def _exact_fraction(x, ctx=None):
     return Fraction(*to_rational(x._mpf_))
 
 
-def _window(prec):
-    """The exponent window of every sum at ``prec`` bits, 4 prec + 64
-    (:func:`_sum`'s ``floor``).  Every sum of the recursion step is exact in
-    it on any orbit of moderate magnitude: the widest, the first-kind
-    quartic, spans 4 prec bits.  A sum that cancels, as P does when x_n lies
-    on a root of the quartic, then loses nothing, and a value of extreme
-    magnitude cannot blow the integers up."""
-    return 4 * prec + 64
-
-
 def _times(x, y):
     """Exact product of two ``(mantissa, exponent)`` pairs."""
     return x[0] * y[0], x[1] + y[1]
@@ -109,29 +103,33 @@ def _neg(v):
     return -v[0], v[1]
 
 
-def _sum(terms, floor):
+def _sum(terms, prec):
     """The signed ``(mantissa, exponent)`` pairs ``terms`` summed to one pair,
-    not rounded; an exact zero is ``_ZERO``.  Each term is floored to the cut
-    at max(lowest, highest - ``floor``) of the nonzero terms' exponents, so
-    the sum is exact while they span at most ``floor`` bits.  One pass stops
-    before a term would stretch the span past ``floor``, and the terms are
-    summed again at the cut: no integer outgrows the window."""
+    not rounded; an exact zero is ``_ZERO``.  A sum serving ``prec`` bits has
+    the window 4 prec + 64: every sum of the recursion step is exact in it on
+    any orbit of moderate magnitude (the widest, the first-kind quartic, spans
+    4 prec bits), so a sum that cancels loses nothing.  Each term is floored
+    to the cut at max(lowest, highest - window) of the nonzero terms'
+    exponents, so the sum is exact while they span at most the window.  One
+    pass stops before a term would stretch the span past it, and the terms
+    are summed again at the cut: no integer outgrows the window."""
+    window = 4 * prec + 64
     s, f, hi = 0, _ZERO[1], -_ZERO[1]
     for m, e in terms:
         if m:
             if e < f:
-                if hi - e > floor:
+                if hi - e > window:
                     break
                 s, f = (s << f - e) + m, e
             else:
-                if e - f > floor:
+                if e - f > window:
                     break
                 s += m << e - f
             if e > hi:
                 hi = e
     else:
         return (s, f) if s else _ZERO
-    s, f = 0, max(e for m, e in terms if m) - floor
+    s, f = 0, max(e for m, e in terms if m) - window
     for m, e in terms:
         s += m << e - f if e >= f else m >> f - e
     return (s, f) if s else _ZERO
@@ -166,7 +164,7 @@ def _quotient(num, den, prec):
 def _over(terms, den, prec):
     """The exact sum of the pairs ``terms`` (in the window at ``prec`` bits)
     over the integer ``den``, rounded once to ``prec`` bits."""
-    return _quotient(_sum(terms, floor=_window(prec)), (den, 0), prec)
+    return _quotient(_sum(terms, prec), (den, 0), prec)
 
 
 def _below(v, w):
@@ -182,10 +180,10 @@ def _below(v, w):
     return mv << ev - e <= mw << ew - e
 
 
-def _residual(lhs, rhs, window):
+def _residual(lhs, rhs, prec):
     """``(|sum(lhs) - sum(rhs)|, max |term|)`` of one identity's pair terms,
     as pairs.  The difference is exact while the terms' exponents lie within
-    ``window`` bits of each other (:func:`_sum`); each term further below is
+    the window at ``prec`` bits (:func:`_sum`); each term further below is
     cut, which moves it by less than ``2^-window`` times the largest term,
     found by its top bit's position, and by its mantissa only on a tie."""
     terms = [*lhs]
@@ -197,7 +195,7 @@ def _residual(lhs, rhs, window):
             b = e + m.bit_length()
             if b > tb or b == tb and not _below((m, e), (tm, te)):
                 tm, te, tb = m, e, b
-    s, f = _sum(terms, floor=window)
+    s, f = _sum(terms, prec)
     return (abs(s), f), (abs(tm), te)
 
 
@@ -206,14 +204,14 @@ def _normalized(mp, lhs, rhs):
     BigReal of ``mp``: the quotient of :func:`_residual`, in the window at
     mp's bits, rounded once to them, and zero where every term is."""
     prec = mp.prec
-    diff, top = _residual(lhs, rhs, _window(prec))
+    diff, top = _residual(lhs, rhs, prec)
     return _to_real(mp, _quotient(diff, top, prec)) if top[0] else mp.zero
 
 
 @dataclass(frozen=True)
 class PrecisionCtx:
     """Working precision: ``bits``, the significand precision in binary
-    digits, at least 24.
+    digits, from 24 to :data:`MAX_BITS`.
 
     The bit count and the inputs fix every output bit: the guard bits
     (:data:`GUARD_BITS`) and the moment series' term cap are constants of
@@ -225,6 +223,8 @@ class PrecisionCtx:
     def __post_init__(self):
         if not isinstance(self.bits, int) or self.bits < 24:
             raise InvalidParam("bits must be an integer >= 24")
+        if self.bits > MAX_BITS:
+            raise InvalidParam(f"bits must be at most {MAX_BITS}, not {self.bits}")
 
     @property
     def mp(self):
@@ -269,8 +269,8 @@ class PrecisionCtx:
 
 
 def default_step(ctx):
-    """Default stencil step for c-derivatives: 2**-(bits//4)."""
-    return ctx.mp.ldexp(1, -(ctx.bits // 4))
+    """Default stencil step for c-derivatives: exactly 2**-(bits//4)."""
+    return Fraction(1, 1 << ctx.bits // 4)
 
 
 def stencil_nodes(c0, h, ctx):
@@ -316,8 +316,8 @@ def central_derivative(values, h, order, ctx):
 
 
 def bits_for_digits(digits):
-    """Binary precision equivalent to ``digits`` decimal digits."""
-    return math.ceil(digits * math.log2(10))
+    """Binary precision equivalent to ``digits`` decimal digits, formed exactly."""
+    return math.ceil(digits * Fraction(math.log2(10)))
 
 
 def digits_for_bits(bits):

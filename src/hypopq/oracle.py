@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .errors import InvalidCoeffs, InvalidParam, PoleHit, PrecisionExhausted
 from .numerics import (_ZERO, GUARD_BITS, _below, _from_real, _neg, _normalized, _over,
-                       _quotient, _rational_pair, _round, _sum, _to_real, _window)
+                       _quotient, _rational_pair, _round, _sum, _to_real)
 from .reporting import ResidualReport
 from .weights import Lattice, _moment_batch_raw, moment, shifted_params
 
@@ -93,7 +93,7 @@ def _chebyshev_quotients(moments, N, bits):
     entry raises ``ZeroDivisionError``.
     """
     prec = bits + GUARD_BITS
-    top, window = 2 * N + 2, _window(prec)
+    top = 2 * N + 2
     prev, row = [_ZERO] * top, list(moments[:top])
     diag = row[0]
     q = _quotient(row[1], diag, prec)
@@ -110,7 +110,7 @@ def _chebyshev_quotients(moments, N, bits):
         dk = new[k]
         a2_k = _quotient(dk, diag, prec)
         q_k = _quotient(new[k + 1], dk, prec)
-        b_k, q, diag = _round(_sum([q_k, _neg(q)], floor=window), prec), q_k, dk
+        b_k, q, diag = _round(_sum([q_k, _neg(q)], prec), prec), q_k, dk
         a2.append(_round(a2_k, bits))
         b.append(_round(b_k, bits))
         prev, row = row, new
@@ -141,10 +141,10 @@ def coeffs_oracle(params, N: int, ctx) -> CoeffSeq:
 
     a2_lo, b_lo = quotients(ctx.bits)
     hb = 2 * ctx.bits
-    a2_hi, b_hi, window = *quotients(hb), _window(hb)
+    a2_hi, b_hi = quotients(hb)
 
     def _agree(lo, hi, label, n):
-        m, e = _sum([lo, _neg(hi)], floor=window)
+        m, e = _sum([lo, _neg(hi)], hb)
         if not _below((10**10 * m, e), hi):
             raise PrecisionExhausted(
                 f"{label}[{n}] agrees to fewer than 10 digits between "
@@ -157,7 +157,7 @@ def coeffs_oracle(params, N: int, ctx) -> CoeffSeq:
     shifted = params.lattice is Lattice.SHIFTED
     shift = _rational_pair(1 - params.gamma, hb) if shifted else _ZERO
     for n in range(N + 1):
-        b_out.append(_to_real(mp, _sum([_agree(b_lo[n], b_hi[n], "b", n), shift], floor=window)))
+        b_out.append(_to_real(mp, _sum([_agree(b_lo[n], b_hi[n], "b", n), shift], hb)))
         if n >= 1:
             av = _agree(a2_lo[n], a2_hi[n], "a2", n)
             if av[0] <= 0:
@@ -205,7 +205,7 @@ def ladder_sequences(coeffs: CoeffSeq) -> LadderSeq:
         for k, sign, out, rout in ((B, 1, u, r), (A, -1, v, s)):
             out.append(_over([*base, (((n + 1) * D - k) * E, 0)], sign * den, prec))
             rout.append(_over([*rbase, (k * C * n, 0)], sign * den, prec))
-        bsum = _sum([bsum, (mb, eb)], floor=_window(prec))
+        bsum = _sum([bsum, (mb, eb)], prec)
     u, v, r, s = ([_to_real(ctx.mp, w) for w in seq] for seq in (u, v, r, s))
     return LadderSeq(params=params, u=u, v=v, r=r, s=s, ctx=ctx)
 
@@ -229,12 +229,12 @@ def ladder_residuals(coeffs: CoeffSeq) -> ResidualReport:
     """
     ladder, ctx = ladder_sequences(coeffs), coeffs.ctx
     A, B, G, C, D = coeffs.params.as_integers()
-    E, window = D - C, _window(ctx.bits)
+    E, prec = D - C, ctx.bits
     rep, bsum, usum = ResidualReport(ctx=ctx), _ZERO, _ZERO
     for n in range(coeffs.N + 1):
         (mu, eu), (mv, ev), (mr, er), (ms, es), (ma, ea), (mb, eb) = (_from_real(w[n]) for w in (
             ladder.u, ladder.v, ladder.r, ladder.s, coeffs.a2, coeffs.b))
-        mw, ew = _sum([(C * usum[0], usum[1]), (E * mr, er)], floor=window)
+        mw, ew = _sum([(C * usum[0], usum[1]), (E * mr, er)], prec)
         for name, lhs, rhs in (
             ("uv_sum", [(C * mu, eu), (C * mv, ev)], [(E, 0)]),
             ("rs_sum", [(mr, er), (ms, es)], [(-n, 0)]),
@@ -249,8 +249,8 @@ def ladder_residuals(coeffs: CoeffSeq) -> ResidualReport:
              [(n * D * C * (n * D + A + B - G - D), 0), (-(A - B) * C * mw, ew)]),
         ):
             rep.add(name, n, _normalized(ctx.mp, lhs, rhs))
-        bsum = _sum([bsum, (mb, eb)], floor=window)
-        usum = _sum([usum, (mu, eu)], floor=window)
+        bsum = _sum([bsum, (mb, eb)], prec)
+        usum = _sum([usum, (mu, eu)], prec)
     return rep
 
 
@@ -272,7 +272,7 @@ def xy_from_coeffs(coeffs: CoeffSeq) -> XYSeq:
                        D * E, prec))
         y.append(_over([(E * E * ma, ea), (-C * E * mS, eS),
                         (-C * n * (n * D + A + B - G - D), 0)], C * E, prec))
-        S.append(_round(_sum([S[n], x[n]], floor=_window(prec)), prec))
+        S.append(_round(_sum([S[n], x[n]], prec), prec))
     x, y, S = ([_to_real(ctx.mp, v) for v in seq] for seq in (x, y, S))
     return XYSeq(params=coeffs.params, x=x, y=y, S=S, ctx=ctx)
 

@@ -33,7 +33,7 @@ from functools import lru_cache
 from .dpainleve import iterate
 from .errors import InvalidParam, PrecisionExhausted, SingularStep
 from .numerics import (_ZERO, _exact_fraction, _from_real, _neg, _normalized, _over, _sum,
-                       _times, _to_real, _window, central_derivative, stencil_nodes)
+                       _times, _to_real, central_derivative, stencil_nodes)
 from .oracle import coeffs_from_xy, coeffs_oracle, xy_from_coeffs
 from .reporting import ResidualReport
 from .weights import Lattice, _seed_sums, initial_xy
@@ -126,9 +126,8 @@ def toda_residuals(params, n: int, h, source: Source, ctx) -> ResidualReport:
         ("x_flow", [(E * mdx, edx)], [(D * my1, ey1), (-D * my, ey), (D * x[0], x[1])]),
     ]
     if n >= 1:
-        window = _window(ctx.bits)
-        mb, eb = _sum([b, _neg(_from_real(cs.b[n - 1]))], floor=window)
-        mx, ex = _sum([x, _neg(_from_real(xy.x[n - 1]))], floor=window)
+        mb, eb = _sum([b, _neg(_from_real(cs.b[n - 1]))], ctx.bits)
+        mx, ex = _sum([x, _neg(_from_real(xy.x[n - 1]))], ctx.bits)
         identities.insert(0, ("toda_a2", [(C * mda, eda)], [(D * ma * mb, ea + eb)]))
         identities.append(("y_flow", [(C * C * E * mdy, edy)], [(D * E * E * ma * mx, ea + ex)]))
     rep = ResidualReport(ctx=ctx)
@@ -210,15 +209,15 @@ def sigma_pvi_residual(params, n: int, h, source: Source, ctx):
         _from_real(central_derivative(s, h, order, ctx)) for order in (1, 2))
     ds, p, q = (sp.d1, sp.d2, sp.d3, sp.d4), c.numerator, c.denominator
     l = math.lcm(*(d.denominator for d in ds))
-    e, l4, window = [d.numerator * (l // d.denominator) for d in ds], l**4, _window(ctx.bits)
+    e, l4 = [d.numerator * (l // d.denominator) for d in ds], l**4
     t1 = l4 * p * (p - q) * m2
     t1 = m1 * t1 * t1, e1 + 2 * e2
     mw, ew = _sum([(2 * q * l4 * m1 * m0, e1 + e0), (-(2 * p - q) * l4 * m1 * m1, 2 * e1),
-                   (q * e[0] * e[1] * e[2] * e[3], 0)], floor=window)
+                   (q * e[0] * e[1] * e[2] * e[3], 0)], ctx.bits)
     t2 = (q * mw) ** 2, 2 * ew
     t3 = q**4, 0
     for ei in e:
-        t3 = _times(t3, _sum([(l * l * m1, e1), (ei * ei, 0)], floor=window))
+        t3 = _times(t3, _sum([(l * l * m1, e1), (ei * ei, 0)], ctx.bits))
     return _normalized(ctx.mp, [t1, t2], [t3])
 
 

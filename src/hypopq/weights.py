@@ -21,7 +21,7 @@ from itertools import accumulate, chain
 
 from .errors import InvalidParam, NonConvergent
 from .numerics import (GUARD_BITS, _ZERO, _below, _neg, _quotient, _rational_pair, _round, _sum,
-                       _times, _to_real, _window)
+                       _times, _to_real)
 
 
 class Lattice(enum.Enum):
@@ -304,15 +304,15 @@ def _moment_batch_raw(params, count, bits, guard=GUARD_BITS):
     moms = list(_seed_sums(params, prec))
     if count <= 2:
         return moms[:count]
-    p, window = params, _window(prec)
+    p = params
     ab_sum, ab_prod, ratio, shift = (_rational_pair(q, prec) for q in (
         p.alpha + p.beta, p.alpha * p.beta, p.c / (1 - p.c), (p.gamma - 1) / (1 - p.c)))
     R, eR, lost, n, cancels = [], _ZERO[1], 0.0, 0, p.gamma > 1
     while n < count - 2 or cancels:
         tail = [_times(ab_sum, moms[n + 1]), _times(ab_prod, moms[n])]
-        acc = _round(_sum(tail + [(sum(R), eR)], floor=window), prec)
+        acc = _round(_sum(tail + [(sum(R), eR)], prec), prec)
         big = _times(shift, moms[n + 1])
-        m = _round(_sum([_times(ratio, acc), _neg(big)], floor=window), prec)
+        m = _round(_sum([_times(ratio, acc), _neg(big)], prec), prec)
         if lost >= prec or m[0] <= 0:  # every bit lost (moments are > 0)
             lost = max(lost, prec)
             break
@@ -322,7 +322,7 @@ def _moment_batch_raw(params, count, bits, guard=GUARD_BITS):
             t = (man & -man).bit_length() - 1  # the odd mantissa libmp would keep
             lost += math.log2(man >> t) + (exp + t)
         moms.append(m)
-        u, e = _round(_sum([m] + tail, floor=window), prec)
+        u, e = _round(_sum([m] + tail, prec), prec)
         if e < eR:
             R, eR = [v << eR - e for v in R], e
         R = list(accumulate(chain([u << e - eR], R)))

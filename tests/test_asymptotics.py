@@ -10,6 +10,7 @@ import hypopq as H
 import hypopq.asymptotics
 from hypopq.asymptotics import (
     StudyReport,
+    _doubled,
     _study_report,
     _targets,
     limit_report,
@@ -19,7 +20,7 @@ from hypopq.asymptotics import (
 from hypopq.cli import run
 from hypopq.dpainleve import iterate
 from hypopq.errors import InvalidParam, PrecisionExhausted, SingularStep
-from hypopq.numerics import bits_for_digits
+from hypopq.numerics import MAX_BITS, bits_for_digits
 from hypopq.weights import Lattice
 
 from conftest import asym_params, meixner_params
@@ -99,6 +100,18 @@ def test_limit_report_refuses_a_run_unhealthy_at_every_precision(monkeypatch):
                              "N=20 needs more"):
         limit_report(asym_params(), 20, H.PrecisionCtx(64))
     assert runs == [64, 128, 256, 512]
+
+
+def test_doubling_refuses_past_the_ceiling(monkeypatch):
+    # a run above half the ceiling is not repeated: the doubled context is
+    # refused before the run starts
+    def reached(*args, **kwargs):
+        raise AssertionError("the run was reached")
+
+    monkeypatch.setattr(hypopq.asymptotics, "iterate", reached)
+    xy = iterate(asym_params(), 2, H.PrecisionCtx(MAX_BITS // 2 + 1))
+    with pytest.raises(InvalidParam, match=f"bits must be at most {MAX_BITS}, not {MAX_BITS + 2}"):
+        _doubled(asym_params(), 2, xy)
 
 
 def test_limit_report_validation(ctx256):

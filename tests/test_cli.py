@@ -18,6 +18,7 @@ import pytest
 import hypopq as H
 from hypopq import cli
 from hypopq.cli import run
+from hypopq.numerics import MAX_BITS, bits_for_digits
 from hypopq.oracle import coeffs_oracle
 from hypopq.toda_sigma import Source, toda_residuals
 
@@ -118,7 +119,7 @@ def test_verify_toda_suite(capsys):
     )
     meta = doc["meta"]
     assert meta["source"] == "oracle"
-    assert meta["h"].startswith("0.0000152587890625")
+    assert meta["h"] == "1/65536"
     names = {r["name"] for r in doc["records"]}
     assert {"toda_a2", "toda_b", "x_flow", "y_flow"} <= names
     assert float(meta["max_residual"]) < 1e-10
@@ -133,7 +134,7 @@ def test_verify_toda_takes_h_exactly(capsys):
         asym_params(), n, F(1, 1000), Source.ORACLE, ctx).entries]
     assert [(r["name"], r["n"], r["residual"]) for r in doc["records"]] == [
         (e.name, e.n, ctx.to_decimal(e.value)) for e in want]
-    assert doc["meta"]["h"] == ctx.to_decimal(ctx.real(F(1, 1000)))
+    assert doc["meta"]["h"] == "1/1000"
 
 
 def test_sigma_and_riccati_schemas(capsys):
@@ -270,7 +271,7 @@ def test_decimal_inputs_flagged_inexact(capsys):
     for h, exact in (("0.0001", False), ("2^-10", True)):
         doc, _ = run_json(capsys, ["riccati", *ASYM, "--bits", "128", "--h", h])
         assert doc["meta"]["input_exact"] is exact, h
-    assert doc["meta"]["h"] == "0.0009765625"
+    assert doc["meta"]["h"] == "1/1024"
 
 
 def test_digits_flag_sets_bits(capsys):
@@ -452,6 +453,30 @@ def test_oversized_literal_exit2_before_it_is_built(capsys, option, literal, lar
     assert out == "" and len(err.splitlines()) == 1
     assert json.loads(err)["error"] == "InvalidParam"
     assert parse(largest)[0] > 0  # five digits are taken
+
+
+def _reached(*args, **kwargs):
+    raise AssertionError("the work was reached")
+
+
+@pytest.mark.parametrize("command, option, value, patched", [
+    ("coeffs", "--bits", str(MAX_BITS + 1), "hypopq.cli.coeffs_oracle"),
+    ("coeffs", "--digits", "4933", "hypopq.cli.coeffs_oracle"),
+    ("coeffs", "--digits", "1" + "0" * 400, "hypopq.cli.coeffs_oracle"),
+    ("precision-study", "--digit-levels", "10,1234", "hypopq.asymptotics.iterate"),
+], ids=["bits", "digits", "digits-past-a-float", "digit-levels"])
+def test_precision_above_the_ceiling_exit2_before_any_work(capsys, monkeypatch, command, option,
+                                                           value, patched):
+    # the ceiling is 4932 digits, and 1233 digit levels for the 4x reference
+    # run; 10^400 digits is past a float
+    assert bits_for_digits(4932) <= MAX_BITS < bits_for_digits(4933)
+    assert bits_for_digits(4 * 1233) <= MAX_BITS < bits_for_digits(4 * 1234)
+    monkeypatch.setattr(patched, _reached)
+    assert run([command, *ASYM, "--nmax", "5", option, value]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    doc = json.loads(err)
+    assert doc["error"] == "InvalidParam" and f"bits must be at most {MAX_BITS}" in doc["message"]
 
 
 def test_version_flag(capsys):

@@ -21,6 +21,7 @@ from hypopq.errors import (
 )
 from hypopq.numerics import (
     GUARD_BITS,
+    MAX_BITS,
     PrecisionCtx,
     _ZERO,
     _exact_fraction,
@@ -31,7 +32,6 @@ from hypopq.numerics import (
     _round,
     _sum,
     _times,
-    _window,
     bits_for_digits,
     central_derivative,
     default_step,
@@ -51,6 +51,9 @@ def test_ctx_validation():
     with pytest.raises(InvalidParam):
         PrecisionCtx(bits=256.0)  # floats rejected even when integral
     assert PrecisionCtx(bits=24).bits == 24
+    with pytest.raises(InvalidParam, match=f"at most {MAX_BITS}"):
+        PrecisionCtx(bits=MAX_BITS + 1)
+    assert PrecisionCtx(bits=MAX_BITS).bits == MAX_BITS
 
 
 def test_ctx_isolated_from_global_mp(ctx256):
@@ -153,9 +156,10 @@ def test_pair_kernel_matches_libmp(case):
     # the oracle's bit-identity with libmp rests on these: _round is
     # from_man_exp, _quotient is mpf_div and an exact _sum rounded once is
     # mpf_add / mpf_sub, ties to even included; the exponents drawn lie in
-    # -1500..1500, so no sum here spans its 3000-bit window and each is exact
+    # -1500..1500, so no sum here spans the window at 734 bits, 4 * 734 + 64
+    # = 3000, and each is exact
     prec, x, y, t = case
-    rnd, span = round_nearest, 3000
+    rnd, wide = round_nearest, 734
 
     def raw(v):
         return from_man_exp(*v)  # exact
@@ -163,22 +167,22 @@ def test_pair_kernel_matches_libmp(case):
     assert raw(_round(x, prec)) == from_man_exp(*x, prec, rnd)
     for num in (x, _times(t, y)):  # t y / y is t, often a tie
         assert raw(_quotient(num, y, prec)) == mpf_div(raw(num), raw(y), prec, rnd)
-    for u in (y, _neg(x), _sum([t, _neg(x)], floor=span)):  # x + u: any, zero, t
-        assert raw(_round(_sum([x, u], floor=span), prec)) == mpf_add(raw(x), raw(u), prec, rnd)
-        assert raw(_round(_sum([x, _neg(u)], floor=span), prec)) == mpf_sub(
+    for u in (y, _neg(x), _sum([t, _neg(x)], wide)):  # x + u: any, zero, t
+        assert raw(_round(_sum([x, u], wide), prec)) == mpf_add(raw(x), raw(u), prec, rnd)
+        assert raw(_round(_sum([x, _neg(u)], wide), prec)) == mpf_sub(
             raw(x), raw(u), prec, rnd)
 
 
-def _windowed_sum(terms, floor):
+def _windowed_sum(terms, prec):
     """``_sum``'s documented rule in Fractions: ``(value, cut)``.  The cut is
-    the lowest exponent of a nonzero term, raised to ``floor`` bits below the
-    highest; each nonzero term is floored to a multiple of ``2^cut``, and the
-    multiples add up exactly."""
+    the lowest exponent of a nonzero term, raised to the window 4 prec + 64
+    bits below the highest; each nonzero term is floored to a multiple of
+    ``2^cut``, and the multiples add up exactly."""
     live = [(m, e) for m, e in terms if m]
     if not live:
         return Fraction(0), None
     es = [e for _, e in live]
-    cut = max(min(es), max(es) - floor)
+    cut = max(min(es), max(es) - (4 * prec + 64))
     unit = Fraction(2) ** cut
     return sum(Fraction(m) * Fraction(2) ** e // unit for m, e in live) * unit, cut
 
@@ -187,7 +191,8 @@ def _windowed_sum(terms, floor):
 def _sum_case(draw):
     """Up to six signed pairs, a fifth of them zero (``_ZERO`` or a zero
     mantissa at a low exponent), with exponents spread over 800 bits, and a
-    window of 0..200 bits: most lists span more than the window."""
+    precision of 0..34, whose window spans 64..200 bits: most lists span
+    more than the window."""
 
     def term():
         e = draw(st.integers(-400, 400))
@@ -195,20 +200,22 @@ def _sum_case(draw):
             return draw(st.integers(-(1 << 200), 1 << 200).filter(bool)), e
         return draw(st.sampled_from((_ZERO, (0, e))))
 
-    return [term() for _ in range(draw(st.integers(0, 6)))], draw(st.integers(0, 200))
+    return [term() for _ in range(draw(st.integers(0, 6)))], draw(st.integers(0, 34))
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(_sum_case())
-@example(([_ZERO, (0, -5)], 8))
-@example(([(3, 0), (-3, 0), (1, -40)], 8))  # the cut floors 2^-40 away
-@example(([(-1, -40), (1, 0)], 8))  # and -2^-40 to -2^-8
+@example(([_ZERO, (0, -5)], 0))
+@example(([(3, 0), (-3, 0), (1, -80)], 0))  # the cut floors 2^-80 away
+@example(([(-1, -80), (1, 0)], 0))  # and -2^-80 to -2^-64
+@example(([(1, 0), (-1, -100)], 9))  # 4 prec + 64 below the top: exact
+@example(([(1, 0), (-1, -101)], 9))  # 4 prec + 65 below: floored to -2^-100
 def test_sum_window_rule(case):
-    # the recursion's sums take the window 4 prec + 64, and no orbit of the
-    # tests or the benchmark spans it: this is the one check of the cut
-    terms, floor = case
-    value, cut = _windowed_sum(terms, floor)
-    got = _sum(terms, floor=floor)
+    # no orbit of the tests or the benchmark spans the window of its
+    # precision: this is the one check of the cut
+    terms, prec = case
+    value, cut = _windowed_sum(terms, prec)
+    got = _sum(terms, prec)
     if value:
         assert got[1] == cut and got[0] * Fraction(2) ** cut == value
     else:
@@ -216,14 +223,14 @@ def test_sum_window_rule(case):
 
 
 def test_sum_cuts_before_it_aligns():
-    # terms 2^24 bits apart at a 100-bit window: the pass must stop before it
-    # aligns them, or it builds a 2^24-bit integer (2 MiB) that the cut then
-    # throws away; a seed of 2^(2^33) would need gigabytes
+    # terms 2^24 bits apart at 9 bits (a 100-bit window): the pass must stop
+    # before it aligns them, or it builds a 2^24-bit integer (2 MiB) that the
+    # cut then throws away; a seed of 2^(2^33) would need gigabytes
     gap = 1 << 24
     tracemalloc.start()
     try:
         for terms in ([(1, gap), (1, 0)], [(1, 0), (1, gap)], [(1, 0), (3, 5), (1, gap)]):
-            assert _sum(terms, floor=100) == (1 << 100, gap - 100)
+            assert _sum(terms, 9) == (1 << 100, gap - 100)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -418,7 +425,7 @@ def _residual_case(draw):
 
     lhs, rhs = terms(0), terms(1)
     if draw(st.booleans()):
-        rhs.append(_round(_sum(lhs, floor=_window(prec)), prec))
+        rhs.append(_round(_sum(lhs, prec), prec))
     return prec, lhs, rhs
 
 
@@ -469,7 +476,7 @@ def test_only_numerics_reads_the_raw_number_format():
 
 
 def test_default_step(ctx256):
-    assert default_step(ctx256) == ctx256.mp.ldexp(1, -64)
+    assert default_step(ctx256) == Fraction(1, 2**64)
 
 
 def _sin_at(ctx, c0, h):

@@ -35,8 +35,9 @@ MAX_STEP_CALLS libmp calls or more than MAX_STEP_PYTHON_CALLS Python calls,
 when a warm Toda index makes more than MAX_TODA_CALLS libmp calls or more
 than MAX_TODA_PYTHON_CALLS Python calls, or when a warm
 ``riccati_constant`` or ``sigma_pvi_residual`` call makes more than
-MAX_RICCATI_PYTHON_CALLS or MAX_SIGMA_PYTHON_CALLS Python calls (each the
-worst of the two lattices).
+MAX_RICCATI_PYTHON_CALLS or MAX_SIGMA_PYTHON_CALLS Python calls, or when a
+``dp_residuals`` index with coefficients makes more than
+MAX_DP_PYTHON_CALLS Python calls (each the worst of the two lattices).
 Uses only the standard library and the package under test; not a test.
 """
 
@@ -61,6 +62,7 @@ MAX_TODA_CALLS = 10  # 9.40 when the bound was set: four derivatives and up to s
 MAX_TODA_PYTHON_CALLS = 380  # 344.80 when the bound was set: five node lookups, four stencils
 MAX_RICCATI_PYTHON_CALLS = 800  # 771 (shifted) and 375 (standard) when the bound was set
 MAX_SIGMA_PYTHON_CALLS = 320  # 305 when the bound was set
+MAX_DP_PYTHON_CALLS = 135  # 122.58 (standard) and 122.00 (shifted) when the bound was set
 
 
 def calls(fn):
@@ -150,7 +152,9 @@ def main():
                   (got["toda_residuals index, warm"][1], MAX_TODA_PYTHON_CALLS,
                    f"{label}  a warm Toda index", "Python"),
                   (got["riccati_constant call, warm"][1], MAX_RICCATI_PYTHON_CALLS,
-                   f"{label}  a warm riccati_constant call", "Python")]
+                   f"{label}  a warm riccati_constant call", "Python"),
+                  (got["dp_residuals index, with coeffs"][1], MAX_DP_PYTHON_CALLS,
+                   f"{label}  a dp_residuals index with coefficients", "Python")]
         if "sigma_pvi_residual call, warm" in got:
             gates.append((got["sigma_pvi_residual call, warm"][1], MAX_SIGMA_PYTHON_CALLS,
                           f"{label}  a warm sigma_pvi_residual call", "Python"))
