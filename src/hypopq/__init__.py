@@ -18,7 +18,6 @@ from .dpainleve import dp_residuals, iterate
 from .errors import (
     DomainExceeded,
     HypopqError,
-    InvalidCoeffs,
     InvalidParam,
     NonConvergent,
     PoleHit,
@@ -40,7 +39,6 @@ from .oracle import (
     XYSeq,
     coeffs_from_xy,
     coeffs_oracle,
-    eval_orthonormal,
     ladder_residuals,
     ladder_sequences,
     structure_residual,
@@ -70,7 +68,6 @@ __all__ = [
     "CoeffSeq",
     "DomainExceeded",
     "HypopqError",
-    "InvalidCoeffs",
     "InvalidParam",
     "LadderSeq",
     "Lattice",
@@ -95,7 +92,6 @@ __all__ = [
     "default_step",
     "digits_for_bits",
     "dp_residuals",
-    "eval_orthonormal",
     "initial_xy",
     "iterate",
     "ladder_residuals",

@@ -36,7 +36,6 @@ from .asymptotics import limit_report, perturbation_study, precision_study
 from .dpainleve import dp_residuals, iterate
 from .errors import (
     DomainExceeded,
-    InvalidCoeffs,
     InvalidParam,
     NonConvergent,
     PoleHit,
@@ -60,7 +59,7 @@ from .toda_sigma import (
 )
 from .weights import Lattice, Params, _check_exponent, _moment_list, _require_standard
 
-_VALIDATION_ERRORS = (InvalidParam, InvalidCoeffs, DomainExceeded, StepTooSmall, PoleHit)
+_VALIDATION_ERRORS = (InvalidParam, DomainExceeded, StepTooSmall, PoleHit)
 _PRECISION_ERRORS = (PrecisionExhausted, NonConvergent)
 _DEFAULT_BITS = 256
 

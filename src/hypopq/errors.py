@@ -37,7 +37,3 @@ class SingularStep(HypopqError):
         super().__init__(message)
         self.index = index
         self.which = which
-
-
-class InvalidCoeffs(HypopqError):
-    """Recurrence coefficients unusable (e.g. a_n^2 <= 0)."""

@@ -18,12 +18,13 @@ agree to at least ten significant digits before anything is returned.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
-from .errors import InvalidCoeffs, InvalidParam, PoleHit, PrecisionExhausted
-from .numerics import (_ZERO, GUARD_BITS, _below, _from_real, _neg, _normalized, _over,
-                       _quotient, _rational_pair, _round, _sum, _to_real)
+from .errors import InvalidParam, PoleHit, PrecisionExhausted
+from .numerics import (_ZERO, GUARD_BITS, _below, _exact_fraction, _from_real, _neg, _normalized,
+                       _over, _quotient, _rational_pair, _round, _sum, _to_real)
 from .reporting import ResidualReport
-from .weights import Lattice, _moment_batch_raw, moment, shifted_params
+from .weights import Lattice, _moment_batch_raw, shifted_params
 
 
 @dataclass(frozen=True)
@@ -292,42 +293,20 @@ def coeffs_from_xy(xy: XYSeq) -> CoeffSeq:
     return CoeffSeq(params=xy.params, a2=a2, b=b, ctx=ctx)
 
 
-def eval_orthonormal(coeffs: CoeffSeq, x, nmax: int) -> list:
-    """Orthonormal polynomial values [p_0(x), ..., p_nmax(x)] at ``coeffs.ctx``.
-
-    p_0 = 1/sqrt(m_0), p_1 = (x - b_0) p_0 / a_1, then the three-term
-    recurrence a_{n+1} p_{n+1} = (x - b_n) p_n - a_n p_{n-1}.  The mass m_0
-    is that of ``coeffs.params``; on the shifted lattice it is read from the
-    standard form, whose weights are the same.
-    """
-    if nmax < 0:
-        raise InvalidParam("nmax must be >= 0")
-    if nmax > coeffs.N:
-        raise InvalidCoeffs(f"need coefficients to order {nmax}, have {coeffs.N}")
-    ctx, mp = coeffs.ctx, coeffs.ctx.mp
-    for n in range(1, nmax + 1):
-        if not coeffs.a2[n] > 0:
-            raise InvalidCoeffs(f"a2[{n}] is not positive; cannot take sqrt")
-    params, x = coeffs.params, ctx.real(x)
-    std = shifted_params(params) if params.lattice is Lattice.SHIFTED else params
-    p = [1 / mp.sqrt(moment(std, 0, ctx))]
-    if nmax == 0:
-        return p
-    roots = [None] + [mp.sqrt(coeffs.a2[n]) for n in range(1, nmax + 1)]
-    p.append((x - coeffs.b[0]) * p[0] / roots[1])
-    for n in range(1, nmax):
-        p.append(((x - coeffs.b[n]) * p[n] - roots[n] * p[n - 1]) / roots[n + 1])
-    return p
-
-
 def structure_residual(coeffs: CoeffSeq, xy: XYSeq, n: int, x):
-    """Raw defect of the first-order difference relation
+    """Normalized residual (:func:`numerics._normalized`) of the first-order
+    difference relation on the monic polynomials pi_k of the recurrence,
 
-        p_n(x+1) - p_n(x) = A_n(x) p_{n-1}(x) - B_n(x) p_n(x)
+        c (x+a)(x+b) [pi_n(x+1) - pi_n(x)]
+            = (1-c) a2_n (x + x_n) pi_{n-1}(x) + c (n x - y_n) pi_n(x),
 
-    with A_n(x) = a_n ((1-c)/c) (x + x_n) / ((x+alpha)(x+beta)) and
-    B_n(x) = (-n x + y_n) / ((x+alpha)(x+beta)).  Returned unnormalized.
-    ``coeffs`` and ``xy`` must share params and ctx, else ``InvalidParam``.
+    the orthonormal one (Chihara 1978, ch. I) times the norms, with no
+    square root and no mass.  With x = P/Q read exactly, Q^k pi_k is formed
+    by Pi_{k+1} = (P - Q b_k) Pi_k - Q^2 a2_k Pi_{k-1} on exact pairs, each
+    rounded once, at x and x+1; multiplied through by Q^{n+2} D^3 over the
+    integers of :meth:`Params.as_integers`, every term is one exact pair.
+    ``coeffs`` and ``xy`` must share params and ctx, else ``InvalidParam``;
+    x within 2^-(bits - GUARD_BITS) of -alpha or -beta raises ``PoleHit``.
     """
     params, ctx = _common_measure(coeffs, xy)
     if params.lattice is not Lattice.STANDARD:
@@ -336,15 +315,24 @@ def structure_residual(coeffs: CoeffSeq, xy: XYSeq, n: int, x):
         raise InvalidParam("structure relation needs n >= 1")
     if n > coeffs.N or n > xy.N:
         raise InvalidParam(f"need sequences to order {n}")
-    mp = ctx.mp
-    a, bta, g, c = params.as_reals(ctx)
-    x = ctx.real(x)
-    eps = mp.ldexp(1, -(ctx.bits - GUARD_BITS))
-    if abs(x + a) <= eps or abs(x + bta) <= eps:
+    x, eps = _exact_fraction(x, ctx), Fraction(1, 1 << ctx.bits - GUARD_BITS)
+    if abs(x + params.alpha) <= eps or abs(x + params.beta) <= eps:
         raise PoleHit("x is within working precision of -alpha or -beta")
-    pc = eval_orthonormal(coeffs, x, n)
-    pl = eval_orthonormal(coeffs, x + 1, n)
-    den = (x + a) * (x + bta)
-    A = mp.sqrt(coeffs.a2[n]) * (1 - c) / c * (x + xy.x[n]) / den
-    B = (-mp.mpf(n) * x + xy.y[n]) / den
-    return pl[n] - pc[n] - A * pc[n - 1] + B * pc[n]
+    (A, B, _, C, D), P, Q, prec = params.as_integers(), x.numerator, x.denominator, ctx.bits
+    steps = [(_from_real(coeffs.b[k]), _from_real(coeffs.a2[k])) for k in range(n)]
+
+    def monic(p):
+        """``(Pi_{n-1}, Pi_n)`` at p/Q."""
+        prev, cur = _ZERO, (1, 0)
+        for (mb, eb), (ma, ea) in steps:
+            (m0, e0), (m1, e1) = prev, cur
+            prev, cur = cur, _round(_sum([(p * m1, e1), (-Q * mb * m1, eb + e1),
+                                          (-Q * Q * ma * m0, ea + e0)], prec), prec)
+        return prev, cur
+
+    ((m0, e0), (m1, e1)), (_, (mq, eq)) = monic(P), monic(P + Q)
+    (ma, ea), (mx, ex), (my, ey) = (_from_real(v[n]) for v in (coeffs.a2, xy.x, xy.y))
+    L, R, S = C * (P * D + A * Q) * (P * D + B * Q), (D - C) * D * D * Q * Q, C * D * D * Q
+    return _normalized(ctx.mp, [(L * mq, eq), (-L * m1, e1)],
+                       [(R * P * ma * m0, ea + e0), (R * Q * ma * mx * m0, ea + ex + e0),
+                        (S * n * P * m1, e1), (-S * Q * my * m1, ey + e1)])

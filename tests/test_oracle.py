@@ -1,5 +1,5 @@
-"""Moment-quotient coefficients, ladder sequences, orthonormal evaluation,
-and the first-order difference relation.
+"""Moment-quotient coefficients, ladder sequences, orthogonality on the
+lattice, and the first-order difference relation.
 
 The load-bearing checks run against the exact rational Meixner case
 (alpha = gamma, integer beta): every moment, Hankel determinant, and
@@ -36,7 +36,6 @@ import hypopq as H
 import hypopq.oracle
 import hypopq.weights
 from hypopq.errors import (
-    InvalidCoeffs,
     InvalidParam,
     PoleHit,
     PrecisionExhausted,
@@ -46,7 +45,6 @@ from hypopq.oracle import (
     _chebyshev_quotients,
     coeffs_from_xy,
     coeffs_oracle,
-    eval_orthonormal,
     ladder_residuals,
     ladder_sequences,
     structure_residual,
@@ -634,43 +632,37 @@ def test_ladder_sum_identities_exactly(ctx256):
         assert abs(ladder.r[n] + ladder.s[n] + n) < 1e-70
 
 
-# --------------------------------------------------------- orthonormal eval
+# ------------------------------------------------------- lattice orthogonality
 
 
 def test_orthonormality_by_lattice_sum(ctx256):
-    # sum_k w_k p_n(x_k) p_m(x_k) = delta_{nm} on x_k = k, and on the shifted
-    # lattice x_k = k + 1 - gamma with the weights of the standard form; the
-    # tail beyond k=400 is ~2^-400
-    K = 400
+    # sum_k w_k pi_n(x_k) pi_m(x_k) = delta_{nm} h_n, h_n = m_0 a2_1 ... a2_n,
+    # for the monic pi_{n+1} = (x - b_n) pi_n - a2_n pi_{n-1}, on x_k = k and
+    # on the shifted lattice x_k = k + 1 - gamma with the weights (and m_0)
+    # of the standard form; the tail beyond k=400 is ~2^-400
+    K, mp = 400, ctx256.mp
     for lattice in Lattice:
         p = asym_params(lattice)
         shifted = lattice is Lattice.SHIFTED
+        std = shifted_params(p) if shifted else p
         coeffs = coeffs_oracle(p, 3, ctx256)
-        w = weight_sequence(shifted_params(p) if shifted else p, K, ctx256)
-        gram = [[ctx256.mp.mpf(0)] * 4 for _ in range(4)]
+        w = weight_sequence(std, K, ctx256)
+        h = [moment(std, 0, ctx256)]
+        for n in range(1, 4):
+            h.append(h[-1] * coeffs.a2[n])
+        gram = [[mp.mpf(0)] * 4 for _ in range(4)]
         for k in range(K + 1):
-            vals = eval_orthonormal(coeffs, k + 1 - p.gamma if shifted else k, 3)
+            x = ctx256.real(k + 1 - p.gamma if shifted else k)
+            vals = [mp.mpf(1), x - coeffs.b[0]]
+            for n in (1, 2):
+                vals.append((x - coeffs.b[n]) * vals[n] - coeffs.a2[n] * vals[n - 1])
             for i in range(4):
                 for j in range(i + 1):
                     gram[i][j] += w[k] * vals[i] * vals[j]
         for i in range(4):
-            assert abs(gram[i][i] - 1) < 1e-60, (lattice, i)
+            assert abs(gram[i][i] / h[i] - 1) < 1e-60, (lattice, i)
             for j in range(i):
-                assert abs(gram[i][j]) < 1e-60, (lattice, i, j)
-
-
-def test_eval_orthonormal_guards(ctx256):
-    p = asym_params()
-    coeffs = coeffs_oracle(p, 3, ctx256)
-    assert eval_orthonormal(coeffs, 0, 0) == [1 / ctx256.mp.sqrt(moment(p, 0, ctx256))]
-    with pytest.raises(InvalidParam):
-        eval_orthonormal(coeffs, 0, -1)
-    with pytest.raises(InvalidCoeffs):
-        eval_orthonormal(coeffs, 0, 4)  # only have order 3
-    bad = CoeffSeq(p, [ctx256.mp.mpf(v) for v in (0, -1, 2, 3)],
-                   list(coeffs.b), ctx256)
-    with pytest.raises(InvalidCoeffs):
-        eval_orthonormal(bad, 0, 2)
+                assert abs(gram[i][j]) / mp.sqrt(h[i] * h[j]) < 1e-60, (lattice, i, j)
 
 
 # ------------------------------------------------------- structure relation
@@ -731,3 +723,19 @@ def test_structure_residual_detects_tampering(ctx256):
     tampered = XYSeq(p, bad_x, list(xy.y), list(xy.S), ctx256)
     dirty = abs(structure_residual(coeffs, tampered, 1, 0))
     assert dirty > 1e-10 > clean
+    # so must corrupted coefficients, with x_n and y_n formed from them: no
+    # affine identity between (a2, b) and (x, y) sees those.  The worst over
+    # n = 1..12, x in {0, 1, 2, 5} read 1.24e-75 (true), 1.5e-5 (a2[5] off by
+    # 1e-6) and 1.81 (the coefficients of c = 17/32 labelled c = 1/2) when set
+    N = 12
+    true = coeffs_oracle(p, N, ctx256)
+    a2 = list(true.a2)
+    a2[5] *= 1 + ctx256.mp.mpf("1e-6")
+    other = coeffs_oracle(Params(p.alpha, p.beta, p.gamma, F(17, 32)), N, ctx256)
+    for coeffs, above, below in ((true, 0, 2.0 ** -(256 - 40)),
+                                 (CoeffSeq(p, a2, list(true.b), ctx256), 1e-7, math.inf),
+                                 (CoeffSeq(p, other.a2, other.b, ctx256), 1, math.inf)):
+        xy = xy_from_coeffs(coeffs)
+        worst = max(abs(structure_residual(coeffs, xy, n, x))
+                    for n in range(1, N + 1) for x in (0, 1, 2, 5))
+        assert above < worst < below

@@ -18,7 +18,9 @@ of one parameter set:
   node cache), and per ``sigma_pvi_residual`` (n = 2, standard lattice
   only) and ``riccati_constant`` call, cold and warm.  Beside these it
   prints the seed series summed (``weights._seed_sums`` misses) per unit:
-  a pair of ``m_0``, ``m_1`` series at one node and precision.
+  a pair of ``m_0``, ``m_1`` series at one node and precision;
+* per ``structure_residual`` call (standard lattice only) at n =
+  STRUCTURE_N, x = STRUCTURE_X.
 
 Each recursion figure is the difference between a run to N and a run to 0,
 over N, so fixed costs (the seed, the loop invariants) drop out.  The counts repeat
@@ -37,7 +39,9 @@ than MAX_TODA_PYTHON_CALLS Python calls, or when a warm
 ``riccati_constant`` or ``sigma_pvi_residual`` call makes more than
 MAX_RICCATI_PYTHON_CALLS or MAX_SIGMA_PYTHON_CALLS Python calls, or when a
 ``dp_residuals`` index with coefficients makes more than
-MAX_DP_PYTHON_CALLS Python calls (each the worst of the two lattices).
+MAX_DP_PYTHON_CALLS Python calls (each the worst of the two lattices), or
+when a ``structure_residual`` call makes more than MAX_STRUCTURE_CALLS
+libmp calls.
 Uses only the standard library and the package under test; not a test.
 """
 
@@ -46,7 +50,7 @@ from fractions import Fraction as F
 
 from hypopq import Lattice, Params, PrecisionCtx, clear_cache
 from hypopq.dpainleve import dp_residuals, iterate
-from hypopq.oracle import CoeffSeq, XYSeq, coeffs_oracle, xy_from_coeffs
+from hypopq.oracle import CoeffSeq, XYSeq, coeffs_oracle, structure_residual, xy_from_coeffs
 from hypopq.toda_sigma import Source, riccati_constant, sigma_pvi_residual, toda_residuals
 from hypopq.weights import _seed_sums, initial_xy
 
@@ -63,6 +67,8 @@ MAX_TODA_PYTHON_CALLS = 380  # 344.80 when the bound was set: five node lookups,
 MAX_RICCATI_PYTHON_CALLS = 800  # 771 (shifted) and 375 (standard) when the bound was set
 MAX_SIGMA_PYTHON_CALLS = 320  # 305 when the bound was set
 MAX_DP_PYTHON_CALLS = 135  # 122.58 (standard) and 122.00 (shifted) when the bound was set
+STRUCTURE_N, STRUCTURE_X = 12, 5
+MAX_STRUCTURE_CALLS = 3  # 1 when the bound was set: the residual's conversion
 
 
 def calls(fn):
@@ -126,6 +132,9 @@ def counts(p):
             libmp, python = calls(fn)
             summed = _seed_sums.cache_info().misses - misses
             out[f"{what}, {state}"] = (libmp / units, python / units, summed / units)
+    if p.lattice is Lattice.STANDARD:
+        out["structure_residual call"] = calls(
+            lambda: structure_residual(coeffs, xy, STRUCTURE_N, STRUCTURE_X))
     return {
         **out,
         "step, monitor on": per_unit(lambda n: iterate(p, n, ctx), STEP_N),
@@ -158,6 +167,9 @@ def main():
         if "sigma_pvi_residual call, warm" in got:
             gates.append((got["sigma_pvi_residual call, warm"][1], MAX_SIGMA_PYTHON_CALLS,
                           f"{label}  a warm sigma_pvi_residual call", "Python"))
+        if "structure_residual call" in got:
+            gates.append((got["structure_residual call"][0], MAX_STRUCTURE_CALLS,
+                          f"{label}  a structure_residual call", "libmp"))
     failed = False
     for value, bound, what, kind in gates:
         if value > bound:
